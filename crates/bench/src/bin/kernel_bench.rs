@@ -1,5 +1,4 @@
-//! **Kernel throughput probe** — machine-readable companion to the
-//! criterion micro-benchmarks. Times the hot simulator kernels (mesh
+//! **Kernel throughput probe.** Times the hot simulator kernels (mesh
 //! application, complex matmul, MVM multiply, GeMM streaming) and emits
 //! one unified `neuropulsim-bench/v1` report (see `bench::runner`):
 //! median-of-N timings, machine-normalized `norm` per measurement, MAC
@@ -112,17 +111,6 @@ fn bench_mvm_multiply(runner: &mut Runner, n: usize) {
     let core = MvmCore::new(&random_rmatrix(n, n, 2));
     let x = vec![0.3; n];
     let macs = (n * n) as f64;
-    // The pre-fast-path algorithm: rebuild every 2x2 block matrix (with
-    // its trigonometry) inside MeshProgram::apply on both meshes, with
-    // fresh allocations throughout. Kept as the before/after baseline.
-    report(runner, "mvm_multiply", "legacy", n, macs, || {
-        let mut v = core.v_program().apply(&CVector::from_reals(&x));
-        for (i, &a) in core.attenuation().iter().enumerate() {
-            v[i] = v[i].scale(a);
-        }
-        let y = core.u_program().apply(&v);
-        std::hint::black_box(y.iter().map(|z| z.re * core.scale()).collect::<Vec<f64>>());
-    });
     report(runner, "mvm_multiply", "alloc", n, macs, || {
         std::hint::black_box(core.multiply(&x));
     });
@@ -145,10 +133,6 @@ fn bench_gemm(runner: &mut Runner, n: usize) {
         let engine = GemmEngine::new(MvmCore::new(&random_rmatrix(n, n, 5)), mode);
         report(runner, "gemm_matmul", variant, n, macs, || {
             std::hint::black_box(engine.matmul(&x));
-        });
-        let par = format!("{variant}_par2");
-        report(runner, "gemm_matmul", &par, n, macs, || {
-            std::hint::black_box(engine.matmul_par(&x, 2));
         });
     }
 }

@@ -134,51 +134,6 @@ pub fn is_passively_realizable(m: &CMatrix, tol: f64) -> bool {
     d.sigma.iter().all(|&s| s <= 1.0 + tol)
 }
 
-/// Parallel [`expressivity_sweep`]: `trials` Monte-Carlo trials fanned
-/// out over up to `threads` scoped workers.
-///
-/// Instead of threading one RNG through the sweep, every trial seeds its
-/// own [`StdRng`] from [`parallel::split_seed`]`(seed, trial)` — so the
-/// returned statistics are a pure function of `(arch, n, trials, seed)`
-/// and bit-identical for every thread count.
-pub fn expressivity_sweep_par(
-    arch: MeshArchitecture,
-    n: usize,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Stats {
-    let samples = parallel::par_map_indexed(trials, threads, |t| {
-        let mut rng = StdRng::seed_from_u64(parallel::split_seed(seed, t as u64));
-        expressivity_trial(arch, n, &mut rng)
-    });
-    Stats::from_samples(&samples)
-}
-
-/// Parallel [`robustness_sweep`] with the same per-trial seeding scheme
-/// as [`expressivity_sweep_par`]: deterministic in `(inputs, seed)`,
-/// independent of `threads`.
-#[allow(clippy::too_many_arguments)]
-pub fn robustness_sweep_par(
-    arch: MeshArchitecture,
-    n: usize,
-    sigma_phase: f64,
-    sigma_coupler: f64,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Stats {
-    let samples = parallel::par_map_indexed(trials, threads, |t| {
-        let mut rng = StdRng::seed_from_u64(parallel::split_seed(seed, t as u64));
-        if sigma_coupler > 0.0 {
-            coupler_imbalance_trial(arch, n, sigma_coupler, &mut rng)
-        } else {
-            phase_noise_trial(arch, n, sigma_phase, &mut rng)
-        }
-    });
-    Stats::from_samples(&samples)
-}
-
 /// The canonical size axis of the topology × size grid, up to the
 /// large-mesh regime the blocked kernels target.
 pub const GRID_SIZES: [usize; 5] = [8, 16, 32, 64, 128];
@@ -303,25 +258,6 @@ mod tests {
         let coupler = robustness_sweep(MeshArchitecture::Clements, 4, 0.0, 0.05, 3, &mut rng);
         assert_eq!(phase.count, 3);
         assert_eq!(coupler.count, 3);
-    }
-
-    #[test]
-    fn parallel_sweeps_are_thread_count_invariant() {
-        let a1 = expressivity_sweep_par(MeshArchitecture::Clements, 4, 6, 11, 1);
-        for threads in [2, 3, 8] {
-            let at = expressivity_sweep_par(MeshArchitecture::Clements, 4, 6, 11, threads);
-            assert_eq!(a1, at, "expressivity, threads = {threads}");
-        }
-        let r1 = robustness_sweep_par(MeshArchitecture::Clements, 4, 0.05, 0.0, 6, 13, 1);
-        for threads in [2, 5] {
-            let rt = robustness_sweep_par(MeshArchitecture::Clements, 4, 0.05, 0.0, 6, 13, threads);
-            assert_eq!(r1, rt, "robustness, threads = {threads}");
-        }
-        // A different seed gives different draws.
-        assert_ne!(
-            robustness_sweep_par(MeshArchitecture::Clements, 4, 0.05, 0.0, 6, 13, 1).mean,
-            robustness_sweep_par(MeshArchitecture::Clements, 4, 0.05, 0.0, 6, 14, 1).mean,
-        );
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! - but it needs `2 N^2` PCM cells vs `2 N` shifters per mesh column,
 //!   splits input power `1/N`, and cannot exploit coherent phase.
 
-use neuropulsim_linalg::{parallel, RMatrix};
+use neuropulsim_linalg::RMatrix;
 use neuropulsim_photonics::pcm::transmission_levels;
 use neuropulsim_photonics::pcm::PcmMaterial;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Noise model of a crossbar execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,47 +207,6 @@ impl CrossbarCore {
         let eff = self.effective_matrix();
         (&eff - target).frobenius_norm() / target.frobenius_norm().max(f64::MIN_POSITIVE)
     }
-
-    /// Monte-Carlo readout-error sweep: `trials` independent noisy
-    /// multiplies of `x`, each returning the relative l2 error against
-    /// the ideal output, fanned out over up to `threads` scoped workers.
-    ///
-    /// Each trial seeds its own RNG from
-    /// [`parallel::split_seed`]`(seed, trial)`, so the sample vector is a
-    /// pure function of `(x, noise, trials, seed)` — bit-identical for
-    /// every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != modes()`.
-    pub fn error_sweep_par(
-        &self,
-        x: &[f64],
-        noise: &CrossbarNoise,
-        trials: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "error_sweep_par: dimension mismatch");
-        let ideal = self.multiply(x);
-        let ideal_norm = ideal
-            .iter()
-            .map(|v| v * v)
-            .sum::<f64>()
-            .sqrt()
-            .max(f64::MIN_POSITIVE);
-        parallel::par_map_indexed(trials, threads, |t| {
-            let mut rng = StdRng::seed_from_u64(parallel::split_seed(seed, t as u64));
-            let got = self.multiply_noisy(x, noise, &mut rng);
-            let err = got
-                .iter()
-                .zip(&ideal)
-                .map(|(g, i)| (g - i) * (g - i))
-                .sum::<f64>()
-                .sqrt();
-            err / ideal_norm
-        })
-    }
 }
 
 #[cfg(test)]
@@ -296,28 +254,6 @@ mod tests {
         assert!(eff[(0, 0)] < -0.9);
         assert!(eff[(1, 1)] < 0.0);
         assert!((eff[(1, 0)]).abs() < 0.05);
-    }
-
-    #[test]
-    fn error_sweep_is_thread_count_invariant() {
-        let w = random_matrix(5, 17);
-        let core = CrossbarCore::new(&w, PcmMaterial::Gst225, 64);
-        let x = [0.4, -0.2, 0.9, 0.0, -0.7];
-        let noise = CrossbarNoise {
-            programming_sigma: 0.02,
-            readout_sigma: 0.01,
-        };
-        let reference = core.error_sweep_par(&x, &noise, 12, 99, 1);
-        assert_eq!(reference.len(), 12);
-        assert!(reference.iter().all(|e| *e > 0.0));
-        for threads in [2, 3, 16] {
-            assert_eq!(
-                core.error_sweep_par(&x, &noise, 12, 99, threads),
-                reference,
-                "threads = {threads}"
-            );
-        }
-        assert_ne!(core.error_sweep_par(&x, &noise, 12, 100, 2), reference);
     }
 
     #[test]

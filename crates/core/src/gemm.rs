@@ -8,7 +8,7 @@
 
 use crate::abft::{AbftReport, AbftWeights, ColumnCheck};
 use crate::mvm::{MvmCore, MvmNoiseConfig};
-use neuropulsim_linalg::{parallel, CVector, RMatrix};
+use neuropulsim_linalg::{CVector, RMatrix};
 use neuropulsim_photonics::energy::{EnergyLedger, TechnologyProfile};
 use rand::Rng;
 
@@ -52,7 +52,7 @@ pub struct GemmSchedule {
     pub energy_per_mac: f64,
 }
 
-/// Reusable per-worker buffers for column streaming: the input column,
+/// Reusable buffers for column streaming: the input column,
 /// the complex field vector threaded through the meshes, and the raw
 /// outputs of the symbol group in flight (`[channel][row]`, flattened).
 #[derive(Debug, Clone)]
@@ -171,50 +171,6 @@ impl GemmEngine {
                 }
             }
             group_start = group_end;
-        }
-        out
-    }
-
-    /// [`GemmEngine::matmul`] with symbol groups fanned out over up to
-    /// `threads` scoped workers.
-    ///
-    /// Groups are independent (crosstalk only mixes channels *within* a
-    /// group), so the split is by group index and each worker keeps its
-    /// own scratch. The result is bit-identical to the serial
-    /// [`GemmEngine::matmul`] for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != core.modes()`.
-    pub fn matmul_par(&self, x: &RMatrix, threads: usize) -> RMatrix {
-        assert_eq!(x.rows(), self.core.modes(), "matmul: dimension mismatch");
-        let n = self.core.modes();
-        let cols = x.cols();
-        let par = self.mode.parallelism();
-        let groups = cols.div_ceil(par);
-        let channel_matrices = self.channel_matrices();
-        let group_outputs = parallel::par_map_indexed(groups, threads, |g| {
-            let group_start = g * par;
-            let group_end = (group_start + par).min(cols);
-            let width = group_end - group_start;
-            let mut scratch = GemmScratch::new(n, par);
-            self.run_group(x, group_start, group_end, &channel_matrices, &mut scratch);
-            let mut mixed = vec![0.0; width * n];
-            for gi in 0..width {
-                for r in 0..n {
-                    mixed[gi * n + r] = scratch.mixed(gi, r, width, self.crosstalk);
-                }
-            }
-            mixed
-        });
-        let mut out = RMatrix::zeros(n, cols);
-        for (g, mixed) in group_outputs.iter().enumerate() {
-            let group_start = g * par;
-            for (gi, column) in mixed.chunks_exact(n).enumerate() {
-                for (r, &v) in column.iter().enumerate() {
-                    out[(r, group_start + gi)] = v;
-                }
-            }
         }
         out
     }
@@ -467,24 +423,6 @@ mod tests {
         assert_eq!(s.macs, 4 * 4 * 10);
         assert!(s.energy_per_mac > 0.0);
         assert!(s.energy.total() > 0.0);
-    }
-
-    #[test]
-    fn parallel_matmul_is_bit_identical_for_any_thread_count() {
-        let w = random_matrix(6, 6, 30);
-        let x = random_matrix(6, 13, 31);
-        for engine in [
-            GemmEngine::new(MvmCore::new(&w), GemmMode::Tdm),
-            GemmEngine::new(MvmCore::new(&w), GemmMode::Wdm { channels: 4 })
-                .with_crosstalk(0.02)
-                .with_dispersion(1e-3),
-        ] {
-            let serial = engine.matmul(&x);
-            for threads in [1, 2, 3, 8] {
-                let par = engine.matmul_par(&x, threads);
-                assert_eq!(par.as_slice(), serial.as_slice(), "threads = {threads}");
-            }
-        }
     }
 
     #[test]

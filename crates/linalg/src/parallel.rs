@@ -1,8 +1,8 @@
 //! Deterministic scoped-thread parallelism helpers.
 //!
-//! Every fan-out in the workspace (GeMM column batches, Monte-Carlo
-//! robustness sweeps, per-neuron SNN updates) goes through this module,
-//! which enforces one invariant: **results are a pure function of the
+//! The workspace's fan-outs (fault and drift campaigns, chaos scenarios,
+//! conformance cases, the mesh grid sweep) go through this module, which
+//! enforces one invariant: **results are a pure function of the
 //! inputs and the seed — never of the thread count**. Two rules make
 //! that hold:
 //!
@@ -94,40 +94,6 @@ where
     out
 }
 
-/// Splits `data` into up to `threads` contiguous chunks and runs
-/// `f(chunk_start_index, chunk)` on scoped workers.
-///
-/// The chunk boundaries are a pure function of `data.len()` and
-/// `threads`; `f` receives the absolute start index so per-item seeding
-/// stays position-based. Runs inline when one worker suffices.
-pub fn par_chunks_mut<T, F>(data: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    let workers = threads.max(1).min(len.max(1));
-    if workers <= 1 || len <= 1 {
-        f(0, data);
-        return;
-    }
-    let base = len / workers;
-    let rem = len % workers;
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut start = 0;
-        for w in 0..workers {
-            let count = base + usize::from(w < rem);
-            let (chunk, tail) = rest.split_at_mut(count);
-            rest = tail;
-            let f = &f;
-            let chunk_start = start;
-            start += count;
-            scope.spawn(move || f(chunk_start, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,24 +132,8 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_covers_every_item_once() {
-        for threads in [1, 2, 4, 9] {
-            let mut data = vec![0u32; 17];
-            par_chunks_mut(&mut data, threads, |start, chunk| {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x += (start + k) as u32 + 1;
-                }
-            });
-            let expect: Vec<u32> = (1..=17).collect();
-            assert_eq!(data, expect);
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_inputs_are_fine() {
         assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_indexed(1, 4, |i| i), vec![0]);
-        let mut empty: [u8; 0] = [];
-        par_chunks_mut(&mut empty, 4, |_, _| {});
     }
 }

@@ -7,7 +7,6 @@ use crate::encoding::SpikeTrain;
 use crate::neuron::NeuronArray;
 use crate::stdp::StdpRule;
 use crate::synapse::PcmSynapse;
-use neuropulsim_linalg::parallel;
 use neuropulsim_photonics::pcm::PcmMaterial;
 use rand::Rng;
 
@@ -46,10 +45,6 @@ pub struct SpikingLayer {
     pub inhibition: bool,
     /// Threshold boost added to a neuron each time it wins.
     pub homeostasis_boost: f64,
-    /// Worker count for the per-timestep drive computation (1 = serial).
-    /// Drives are pure reads of the weight cache, so any value yields
-    /// bit-identical results; widths > 1 only pay off for large layers.
-    pub drive_threads: usize,
 }
 
 /// Result of presenting one stimulus.
@@ -87,7 +82,6 @@ impl SpikingLayer {
             rule: StdpRule::default(),
             inhibition: true,
             homeostasis_boost: 0.12,
-            drive_threads: 1,
         }
     }
 
@@ -220,30 +214,19 @@ impl SpikingLayer {
     }
 
     /// Impulse drive per neuron: the sum of cached weights of this step's
-    /// spiking inputs. Pure reads of the weight cache, so fanning rows
-    /// out over `drive_threads` scoped workers cannot change the result.
+    /// spiking inputs.
     fn compute_drives(&self, impulses: &[usize], inhibited: &[bool], drives: &mut [f64]) {
-        let inputs = self.inputs;
-        let weights = &self.weight_cache;
-        let fill = |start: usize, chunk: &mut [f64]| {
-            for (k, d) in chunk.iter_mut().enumerate() {
-                let j = start + k;
-                if inhibited[j] {
-                    *d = 0.0;
-                    continue;
-                }
-                let row = &weights[j * inputs..(j + 1) * inputs];
-                let mut acc = 0.0;
-                for &i in impulses {
-                    acc += row[i];
-                }
-                *d = acc;
+        for (j, d) in drives.iter_mut().enumerate() {
+            if inhibited[j] {
+                *d = 0.0;
+                continue;
             }
-        };
-        if self.drive_threads > 1 {
-            parallel::par_chunks_mut(drives, self.drive_threads, fill);
-        } else {
-            fill(0, drives);
+            let row = self.weight_row(j);
+            let mut acc = 0.0;
+            for &i in impulses {
+                acc += row[i];
+            }
+            *d = acc;
         }
     }
 
@@ -332,22 +315,6 @@ mod tests {
         for (e, &w) in after.iter().enumerate() {
             let truth = layer.synapses[e].weight();
             assert_eq!(w, truth, "cache stale at flat index {e}");
-        }
-    }
-
-    #[test]
-    fn parallel_drive_is_bit_identical() {
-        let patterns = orthogonal_patterns();
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut layer = SpikingLayer::new(9, 3, &mut rng);
-            layer.drive_threads = threads;
-            let winners = layer.train_patterns(&patterns, 6);
-            (winners, layer.weights().to_vec())
-        };
-        let reference = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "threads = {threads}");
         }
     }
 

@@ -776,8 +776,9 @@ impl EventNet {
             fired = f;
             stats.add(s);
         } else {
-            // Contiguous ranges, first `rem` workers one item larger —
-            // the same split rule as linalg::parallel::par_chunks_mut.
+            // Contiguous ranges of `n / workers` neurons; the first
+            // `n % workers` ranges take one extra, so the split depends
+            // only on `n` and `workers`.
             let base = n / workers;
             let rem = n % workers;
             let mut views: Vec<RangeView<'_>> = Vec::with_capacity(workers);

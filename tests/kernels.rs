@@ -1,17 +1,11 @@
 //! Property tests for the fast-path kernel layer: the packed
 //! split-complex matmul against the naive reference across sizes 1–64,
-//! compiled mesh application against the rebuild path, the cached
-//! realized-instance matrix, and bit-determinism of every scoped-thread
-//! parallel sweep regardless of thread count.
+//! compiled mesh application against the rebuild path, and the cached
+//! realized-instance matrix.
 
-use neuropulsim::core::analysis;
-use neuropulsim::core::architecture::MeshArchitecture;
 use neuropulsim::core::clements::decompose;
-use neuropulsim::core::crossbar::{CrossbarCore, CrossbarNoise};
-use neuropulsim::core::gemm::{GemmEngine, GemmMode};
 use neuropulsim::core::mvm::{MvmCore, MvmNoiseConfig};
 use neuropulsim::linalg::{random, CMatrix, CVector, MatmulScratch, RMatrix, C64};
-use neuropulsim::photonics::pcm::PcmMaterial;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,51 +78,5 @@ proptest! {
         for i in 0..n {
             prop_assert!((got[i] - want[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn parallel_gemm_is_bit_identical_to_serial(
-        seed in 0u64..500,
-        n in 1usize..8,
-        threads in 1usize..9,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = random_rmatrix(&mut rng, n, n);
-        let x = random_rmatrix(&mut rng, n, 7);
-        let engine = GemmEngine::new(MvmCore::new(&w), GemmMode::Wdm { channels: 3 });
-        prop_assert_eq!(
-            engine.matmul(&x).as_slice(),
-            engine.matmul_par(&x, threads).as_slice()
-        );
-    }
-
-    #[test]
-    fn parallel_sweeps_are_bit_deterministic(seed in 0u64..200, threads in 2usize..9) {
-        let e1 = analysis::expressivity_sweep_par(MeshArchitecture::Clements, 4, 6, seed, 1);
-        let e2 = analysis::expressivity_sweep_par(MeshArchitecture::Clements, 4, 6, seed, threads);
-        prop_assert_eq!(e1.mean.to_bits(), e2.mean.to_bits());
-        prop_assert_eq!(e1.std.to_bits(), e2.std.to_bits());
-        let r1 = analysis::robustness_sweep_par(MeshArchitecture::Clements, 4, 0.05, 0.0, 6, seed, 1);
-        let r2 = analysis::robustness_sweep_par(
-            MeshArchitecture::Clements, 4, 0.05, 0.0, 6, seed, threads,
-        );
-        prop_assert_eq!(r1.mean.to_bits(), r2.mean.to_bits());
-        prop_assert_eq!(r1.std.to_bits(), r2.std.to_bits());
-    }
-
-    #[test]
-    fn crossbar_error_sweep_is_bit_deterministic(seed in 0u64..200, threads in 2usize..9) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 4;
-        let w = random_rmatrix(&mut rng, n, n);
-        let core = CrossbarCore::new(&w, PcmMaterial::Gst225, 64);
-        let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let noise = CrossbarNoise {
-            programming_sigma: 0.02,
-            readout_sigma: 0.01,
-        };
-        let serial = core.error_sweep_par(&x, &noise, 8, seed, 1);
-        let fanned = core.error_sweep_par(&x, &noise, 8, seed, threads);
-        prop_assert_eq!(serial, fanned);
     }
 }
