@@ -21,6 +21,7 @@ use crate::{clements, reck};
 use neuropulsim_linalg::{metrics, parallel, CMatrix, C64};
 use neuropulsim_photonics::coupler::Coupler;
 use neuropulsim_photonics::mzi::Mzi;
+use neuropulsim_photonics::pcm::drift_fraction;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
@@ -202,8 +203,7 @@ impl FabricatedMesh {
 
 /// Configuration of a calibration-under-drift campaign: every
 /// programmed phase is held by a multi-level PCM cell whose crystalline
-/// fraction ages by `nu * ln(1 + t)` (the same law as
-/// `neuropulsim_photonics::pcm::PcmCell::apply_drift`), and a
+/// fraction ages by `nu * ln(1 + t)` through [`drift_fraction`], and a
 /// recalibration loop re-programs the stored levels whenever the
 /// realized fidelity falls below `retain_frac` of the freshly-stored
 /// fidelity.
@@ -357,12 +357,6 @@ fn quantize_phase(phase: f64, levels: u32) -> f64 {
     (f * steps).round() / steps
 }
 
-/// Fraction after `age_s` seconds of amorphous relaxation — the same
-/// law as `PcmCell::apply_drift` applied once from the stored state.
-fn drifted_fraction(stored: f64, nu: f64, age_s: f64) -> f64 {
-    (stored + nu * (1.0 + age_s.max(0.0)).ln()).clamp(0.0, 1.0)
-}
-
 /// The campaign's shared target: a Haar-like unitary that is *exactly*
 /// representable by an ideal-coupler layered mesh, so every
 /// architecture competes on the same footing (the analytic
@@ -456,7 +450,7 @@ pub fn drift_campaign(
         let drifted: Vec<f64> = stored
             .iter()
             .zip(&nus)
-            .map(|(&f, &nu)| drifted_fraction(f, nu, age) * TAU)
+            .map(|(&f, &nu)| drift_fraction(f, age, nu) * TAU)
             .collect();
         realization.set_phases(&drifted);
         let mut fidelity = realization.fidelity(&target);
@@ -578,22 +572,6 @@ mod tests {
     fn transfer_is_unitary_for_lossless_fabrication() {
         let (_, mesh) = setup(6, 0.1, 11);
         assert!(mesh.transfer_matrix().is_unitary(1e-10));
-    }
-
-    #[test]
-    fn drift_law_matches_pcm_cell() {
-        use neuropulsim_photonics::pcm::{PcmCell, PcmMaterial};
-        for &(f0, nu, age) in &[(0.2, 1e-3, 50.0), (0.9, 5e-3, 1e4), (0.0, 1e-2, 3.0)] {
-            let mut cell = PcmCell::new(PcmMaterial::Gsst);
-            cell.set_state(f0);
-            cell.apply_drift(age, nu);
-            let ours = drifted_fraction(f0, nu, age);
-            assert!(
-                (cell.crystalline_fraction() - ours).abs() < 1e-15,
-                "f0={f0} nu={nu} age={age}: {} vs {ours}",
-                cell.crystalline_fraction()
-            );
-        }
     }
 
     #[test]

@@ -32,6 +32,15 @@ fn scale_columns(m: &mut CMatrix, a: &[f64]) {
     }
 }
 
+/// `Re(U · diag(a) · V) · scale` — the one real matrix a U/Σ/V chain
+/// implements for real inputs.
+fn compose(mut u: CMatrix, a: &[f64], v: &CMatrix, scale: f64) -> RMatrix {
+    let n = a.len();
+    scale_columns(&mut u, a);
+    let m = u.mul_mat(v);
+    RMatrix::from_fn(n, n, |i, j| m[(i, j)].re * scale)
+}
+
 /// Noise/imperfection configuration for a physical MVM execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MvmNoiseConfig {
@@ -237,44 +246,14 @@ impl MvmCore {
         RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
     }
 
-    /// Realizes one physical instance with an **explicit** attenuator
-    /// vector instead of the programmed one — the hook for device models
-    /// that evolve the attenuator state outside the core (e.g. PCM drift
-    /// advancing with simulated time). Entries are clamped to `[0, 1]`;
-    /// mesh imperfections and readout noise still come from `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attenuation.len() != modes()`.
-    pub fn realize_with_attenuation<R: Rng + ?Sized>(
-        &self,
-        attenuation: &[f64],
-        config: &MvmNoiseConfig,
-        rng: &mut R,
-    ) -> RealizedMvm {
-        assert_eq!(
-            attenuation.len(),
-            self.n,
-            "realize_with_attenuation: attenuator count mismatch"
-        );
-        let u = config.hardware.realize(&self.u_program, rng);
-        let v = config.hardware.realize(&self.v_program, rng);
-        let attenuation: Vec<f64> = attenuation.iter().map(|a| a.clamp(0.0, 1.0)).collect();
-        RealizedMvm::new(u, v, attenuation, self.scale, config.readout_sigma)
-    }
-
     /// The effective real matrix seen by a carrier whose wavelength
     /// detuning scales every mesh phase by `factor` (1.0 = the design
     /// wavelength). First-order chromatic-dispersion model for DWDM
     /// operation.
     pub fn dispersed_matrix(&self, factor: f64) -> RMatrix {
-        let mut u = self.u_program.with_scaled_phases(factor).transfer_matrix();
+        let u = self.u_program.with_scaled_phases(factor).transfer_matrix();
         let v = self.v_program.with_scaled_phases(factor).transfer_matrix();
-        // U · diag(a) is a column scaling — one O(n²) pass instead of an
-        // O(n³) product against a mostly-zero matrix.
-        scale_columns(&mut u, &self.attenuation);
-        let m = u.mul_mat(&v);
-        RMatrix::from_fn(self.n, self.n, |i, j| m[(i, j)].re * self.scale)
+        compose(u, &self.attenuation, &v, self.scale)
     }
 
     /// The effective matrix realized by one sampled physical instance.
@@ -292,36 +271,52 @@ impl MvmCore {
 ///
 /// The instance's static hardware is fully summarized by one real
 /// matrix — the input is real, so `y = Re(U·diag(a)·V)·x·scale + noise`.
-/// That matrix is computed **once** here at realization time; every
-/// multiply and every [`RealizedMvm::effective_matrix`] call reads the
-/// cached copy instead of re-composing the U/Σ/V chain.
+/// That matrix is computed here at realization time; every multiply and
+/// every [`RealizedMvm::effective_matrix`] call reads the cached copy
+/// instead of re-composing the U/Σ/V chain. The realized meshes stay
+/// frozen: [`RealizedMvm::set_attenuation`] (PCM drift, recalibration)
+/// re-composes against them without realizing them again.
 #[derive(Debug, Clone)]
 pub struct RealizedMvm {
+    u: CMatrix,
+    v: CMatrix,
     attenuation: Vec<f64>,
     scale: f64,
     readout_sigma: f64,
-    /// Cached `Re(U · diag(a) · V) · scale`, frozen at realization.
+    /// Cached `Re(U · diag(a) · V) · scale` for the current attenuation.
     effective: RMatrix,
 }
 
 impl RealizedMvm {
-    fn new(
-        mut u: CMatrix,
-        v: CMatrix,
-        attenuation: Vec<f64>,
-        scale: f64,
-        readout_sigma: f64,
-    ) -> Self {
-        let n = attenuation.len();
-        scale_columns(&mut u, &attenuation);
-        let m = u.mul_mat(&v);
-        let effective = RMatrix::from_fn(n, n, |i, j| m[(i, j)].re * scale);
+    fn new(u: CMatrix, v: CMatrix, attenuation: Vec<f64>, scale: f64, readout_sigma: f64) -> Self {
+        let effective = compose(u.clone(), &attenuation, &v, scale);
         RealizedMvm {
+            u,
+            v,
             attenuation,
             scale,
             readout_sigma,
             effective,
         }
+    }
+
+    /// Re-sets the attenuator column between the frozen meshes (entries
+    /// clamped to `[0, 1]`) and re-composes the cached effective matrix —
+    /// one O(n³) product, no mesh realization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attenuation.len()` does not match the core dimension.
+    pub fn set_attenuation(&mut self, attenuation: &[f64]) {
+        assert_eq!(
+            attenuation.len(),
+            self.attenuation.len(),
+            "set_attenuation: attenuator count mismatch"
+        );
+        for (dst, &a) in self.attenuation.iter_mut().zip(attenuation) {
+            *dst = a.clamp(0.0, 1.0);
+        }
+        self.effective = compose(self.u.clone(), &self.attenuation, &self.v, self.scale);
     }
 
     /// Multiplies through the frozen imperfect hardware, adding fresh
@@ -346,8 +341,7 @@ impl RealizedMvm {
     ///
     /// Panics if `x.len()` or `y.len()` does not match the core dimension.
     pub fn multiply_noisy_into<R: Rng + ?Sized>(&self, x: &[f64], y: &mut [f64], rng: &mut R) {
-        assert_eq!(x.len(), self.attenuation.len(), "dimension mismatch");
-        self.effective.mul_vec_into(x, y);
+        self.multiply_into(x, y);
         if self.readout_sigma != 0.0 {
             for yi in y.iter_mut() {
                 *yi += self.readout_sigma * neuropulsim_linalg::random::gaussian(rng) * self.scale;
@@ -355,8 +349,20 @@ impl RealizedMvm {
         }
     }
 
+    /// Noiseless multiply against the cached effective matrix into `y` —
+    /// what a chip with ideal detectors reads out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` or `y.len()` does not match the core dimension.
+    pub fn multiply_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.attenuation.len(), "dimension mismatch");
+        self.effective.mul_vec_into(x, y);
+    }
+
     /// The effective real matrix implemented by this instance (real part
-    /// of `U * diag(a) * V` times scale), cached at realization time.
+    /// of `U * diag(a) * V` times scale), cached whenever the attenuation
+    /// is set.
     pub fn effective_matrix(&self) -> RMatrix {
         self.effective.clone()
     }

@@ -292,30 +292,38 @@ impl PcmCell {
         };
     }
 
-    /// Applies resistance/index *drift*: amorphous-phase structural
-    /// relaxation slowly shifts the effective fraction toward crystalline
-    /// by `nu * ln(1 + t / tau)`. A small effect for GSST but a real
-    /// accuracy hazard for multi-level storage; exposed so experiments can
-    /// toggle it (E3 ablation).
-    ///
-    /// Total function for arbitrary inputs: negative elapsed time is
-    /// treated as zero (no un-drifting), `+inf` saturates, and a `NaN`
-    /// shift (e.g. `nu = NaN`) leaves the state untouched — the fraction
-    /// invariant `∈ [0, 1]` holds for every `(elapsed_s, nu)`.
+    /// Applies resistance/index *drift* through [`drift_fraction`]. A
+    /// small effect for GSST but a real accuracy hazard for multi-level
+    /// storage; exposed so experiments can toggle it (E3 ablation).
     pub fn apply_drift(&mut self, elapsed_s: f64, nu: f64) {
-        let tau = 1.0; // normalization time: 1 s
-        let t = if elapsed_s.is_finite() {
-            (elapsed_s / tau).max(0.0)
-        } else if elapsed_s > 0.0 {
-            f64::MAX
-        } else {
-            0.0
-        };
-        let shift = nu * (1.0 + t).ln();
-        let next = self.fraction + shift;
-        if !next.is_nan() {
-            self.fraction = next.clamp(0.0, 1.0);
-        }
+        self.fraction = drift_fraction(self.fraction, elapsed_s, nu);
+    }
+}
+
+/// The PCM drift law: amorphous-phase structural relaxation shifts a
+/// crystalline `fraction` toward crystalline by `nu * ln(1 + t / tau)`
+/// after `elapsed_s` seconds (`tau` = 1 s). Every drifting PCM model —
+/// [`PcmCell::apply_drift`], the accelerator's attenuators, the mesh
+/// drift campaign — ages through this one function.
+///
+/// Total function for arbitrary inputs: negative elapsed time is
+/// treated as zero (no un-drifting), `+inf` saturates, and a `NaN`
+/// shift (e.g. `nu = NaN`) returns `fraction` untouched — a fraction in
+/// `[0, 1]` stays there for every `(elapsed_s, nu)`.
+pub fn drift_fraction(fraction: f64, elapsed_s: f64, nu: f64) -> f64 {
+    let tau = 1.0; // normalization time: 1 s
+    let t = if elapsed_s.is_finite() {
+        (elapsed_s / tau).max(0.0)
+    } else if elapsed_s > 0.0 {
+        f64::MAX
+    } else {
+        0.0
+    };
+    let next = fraction + nu * (1.0 + t).ln();
+    if next.is_nan() {
+        fraction
+    } else {
+        next.clamp(0.0, 1.0)
     }
 }
 

@@ -1,8 +1,9 @@
 //! The memory-mapped photonic MVM accelerator — the "Compute Unit +
 //! Communications Interface" of the paper's Fig. 3.
 //!
-//! The Compute Unit wraps a [`MvmCore`]; the Communications Interface is
-//! a bank of memory-mapped registers (MMRs), scratchpad-resident operand
+//! The Compute Unit is one programmed chip — a noiseless [`RealizedMvm`]
+//! frozen at [`AccelDevice::load_matrix`]; the Communications Interface
+//! is a bank of memory-mapped registers (MMRs), scratchpad-resident operand
 //! buffers, and an interrupt line, exactly the gem5-MARVEL device
 //! template: "MMRs consist of configurable status, control, and data
 //! registers ... the host can utilize the provided interrupt signals for
@@ -17,7 +18,7 @@
 //!   interrupt-enable bit;
 //! - a [`mmr::WATCHDOG`] deadline that aborts an overdue job;
 //! - a recalibration doorbell (CTRL bit 3) that re-programs the PCM
-//!   attenuators and re-realizes the mesh, countering the drift model
+//!   attenuators to their nominal column, countering the drift model
 //!   ([`PcmDriftModel`]) that ages the weights with simulated time.
 
 use crate::fixed::{from_fixed, to_fixed};
@@ -25,14 +26,14 @@ use crate::ram::Ram;
 use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig, RealizedMvm};
 use neuropulsim_linalg::RMatrix;
 use neuropulsim_photonics::energy::TechnologyProfile;
-use neuropulsim_photonics::pcm::{PcmCell, PcmMaterial};
+use neuropulsim_photonics::pcm::{drift_fraction, PcmCell, PcmMaterial};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// MMR offsets (bytes from the device base).
 pub mod mmr {
     /// Write 1 to start; 2 to clear `done`; 4 to clear `ERROR`; 8 to
-    /// request a recalibration (re-program weights, re-realize mesh).
+    /// request a recalibration (re-program the attenuator weights).
     pub const CTRL: u32 = 0x00;
     /// Bit 0 = busy, bit 1 = done, bit 2 = error pending.
     pub const STATUS: u32 = 0x04;
@@ -99,10 +100,11 @@ pub mod errcode {
 /// simulated time (Chakraborty et al., arXiv:1808.01241), degrading MVM
 /// accuracy until the host requests a recalibration.
 ///
-/// The device maps each attenuator setting `a` to a crystalline fraction
-/// `1 - a`, ages it through [`PcmCell::apply_drift`] with
-/// `nu · ln(1 + t/τ)`, and re-realizes the mesh with the drifted
-/// attenuations at every job start.
+/// The device maps each nominal attenuator setting `a` to a crystalline
+/// fraction `1 - a`, ages it through [`drift_fraction`] with
+/// `nu · ln(1 + t/τ)`, and at every job start re-sets the chip's
+/// attenuator column to the drifted values. The two meshes around that
+/// column do not drift in this model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcmDriftModel {
     /// PCM material of the attenuator cells.
@@ -158,10 +160,9 @@ impl PcmDriftModel {
 /// The accelerator device state.
 #[derive(Debug, Clone)]
 pub struct AccelDevice {
-    core: Option<MvmCore>,
-    instance: Option<RealizedMvm>,
-    noise: MvmNoiseConfig,
-    rng: StdRng,
+    /// The programmed chip and the nominal attenuator column it was
+    /// programmed with; drift and recalibration re-set only that column.
+    chip: Option<(RealizedMvm, Vec<f64>)>,
     // MMRs
     in_addr: u32,
     out_addr: u32,
@@ -210,10 +211,7 @@ impl AccelDevice {
     /// Creates an unconfigured device (host must load a matrix first).
     pub fn new(cpu_hz: f64) -> Self {
         AccelDevice {
-            core: None,
-            instance: None,
-            noise: MvmNoiseConfig::ideal(),
-            rng: StdRng::seed_from_u64(0x5EED),
+            chip: None,
             in_addr: 0,
             out_addr: 0,
             batch: 1,
@@ -248,22 +246,17 @@ impl AccelDevice {
     /// heaters; it happens out-of-band of the MMR interface.
     pub fn load_matrix(&mut self, w: &RMatrix) {
         let core = MvmCore::new(w);
-        self.instance = Some(core.realize(&self.noise, &mut self.rng));
-        self.core = Some(core);
-    }
-
-    /// Sets the noise configuration for subsequent [`AccelDevice::load_matrix`]
-    /// calls (and re-realizes the current matrix if one is loaded).
-    pub fn set_noise(&mut self, noise: MvmNoiseConfig) {
-        self.noise = noise;
-        if let Some(core) = &self.core {
-            self.instance = Some(core.realize(&self.noise, &mut self.rng));
-        }
+        // An ideal realization's draws are all scaled by zero, so a
+        // throwaway generator yields the same chip as any other.
+        let chip = core.realize(&MvmNoiseConfig::ideal(), &mut StdRng::seed_from_u64(0));
+        self.chip = Some((chip, core.attenuation().to_vec()));
     }
 
     /// The configured dimension, 0 if no matrix loaded.
     pub fn dim(&self) -> u32 {
-        self.core.as_ref().map(|c| c.modes() as u32).unwrap_or(0)
+        self.chip
+            .as_ref()
+            .map_or(0, |(_, nominal)| nominal.len() as u32)
     }
 
     /// `true` while a job is in flight.
@@ -446,20 +439,23 @@ impl AccelDevice {
     /// `None` when drift is disabled / zero time has passed.
     fn drifted_attenuation(&self, now: u64) -> Option<Vec<f64>> {
         let model = self.drift.as_ref()?;
-        let core = self.core.as_ref()?;
+        let (_, nominal) = self.chip.as_ref()?;
         let elapsed =
             self.age_s + now.saturating_sub(self.programmed_at) as f64 * model.seconds_per_cycle;
         if elapsed <= 0.0 {
             return None;
         }
         Some(
-            core.attenuation()
+            nominal
                 .iter()
                 .map(|&a| {
-                    let mut cell = PcmCell::new(model.material);
-                    cell.set_state(1.0 - a);
-                    cell.apply_drift(elapsed, model.nu);
-                    (1.0 - cell.crystalline_fraction()).clamp(0.0, 1.0)
+                    // `PcmCell::set_state`'s policy: clamp, NaN → amorphous.
+                    let stored = if a.is_nan() {
+                        0.0
+                    } else {
+                        (1.0 - a).clamp(0.0, 1.0)
+                    };
+                    (1.0 - drift_fraction(stored, elapsed, model.nu)).clamp(0.0, 1.0)
                 })
                 .collect(),
         )
@@ -480,17 +476,16 @@ impl AccelDevice {
             self.error |= errcode::BUSY_REJECT;
             return false;
         }
-        let n = self.dim() as usize;
         let batch = self.batch;
-        if self.instance.is_none() || n == 0 || batch == 0 {
+        let drifted = self.drifted_attenuation(now);
+        let Some((chip, nominal)) = self.chip.as_mut().filter(|_| batch > 0) else {
             self.error |= errcode::BAD_JOB;
             return false;
+        };
+        if let Some(att) = drifted {
+            chip.set_attenuation(&att);
         }
-        if let Some(att) = self.drifted_attenuation(now) {
-            let core = self.core.as_ref().expect("drift requires a core");
-            self.instance = Some(core.realize_with_attenuation(&att, &self.noise, &mut self.rng));
-        }
-        let instance = self.instance.as_ref().expect("checked above");
+        let n = nominal.len();
         let mut in_addr = self.in_addr;
         let mut out_addr = self.out_addr;
         let mut x = vec![0.0f64; n];
@@ -517,7 +512,7 @@ impl AccelDevice {
                     in_addr += 4;
                 }
             }
-            instance.multiply_noisy_into(&x, &mut y, &mut self.rng);
+            chip.multiply_into(&x, &mut y);
             for (w, &val) in words.iter_mut().zip(&y) {
                 *w = to_fixed(val) as u32;
             }
@@ -547,8 +542,8 @@ impl AccelDevice {
         true
     }
 
-    /// Re-programs the PCM attenuators to their nominal states and
-    /// re-realizes the mesh — the drift-recovery path behind CTRL bit 3.
+    /// Re-programs the PCM attenuators to their nominal states — the
+    /// drift-recovery path behind CTRL bit 3.
     /// Charges the programming pulses to the energy ledger, resets the
     /// weight age, and occupies the device for
     /// [`AccelDevice::recal_cycles`] (completion raises `done` like a
@@ -563,14 +558,14 @@ impl AccelDevice {
             self.error |= errcode::BUSY_REJECT;
             return;
         }
-        let Some(core) = self.core.as_ref() else {
+        let Some((chip, nominal)) = self.chip.as_mut() else {
             self.error |= errcode::BAD_JOB;
             return;
         };
         let mut pulses_energy = 0.0;
         if let Some(model) = &self.drift {
             let levels = model.levels.max(2);
-            for &a in core.attenuation() {
+            for &a in nominal.iter() {
                 // Iterative write: melt-quench erase, then SET pulses up
                 // to the quantized target level.
                 let mut cell = PcmCell::new(model.material);
@@ -580,7 +575,7 @@ impl AccelDevice {
                 pulses_energy += cell.programming_energy();
             }
         }
-        self.instance = Some(core.realize(&self.noise, &mut self.rng));
+        chip.set_attenuation(nominal);
         self.programming_energy_j += pulses_energy;
         self.programmed_at = now;
         self.age_s = 0.0;
@@ -950,7 +945,7 @@ mod tests {
             stale.iter().any(|v| (v - 1.0).abs() > 0.05),
             "drift must degrade the job: {stale:?}"
         );
-        // Recalibrate: reprogram + re-realize, busy for recal_cycles.
+        // Recalibrate: reprogram the attenuators, busy for recal_cycles.
         let e0 = d.energy();
         assert!(!d.mmr_store(mmr::CTRL, 8), "recal is not a job start");
         assert!(d.take_recal_request());

@@ -165,6 +165,18 @@ impl PeSpec {
     }
 }
 
+/// Consecutive job failures before a PE is ejected.
+pub const RETRY_BUDGET: u32 = 3;
+
+/// Attempts per request before it is dropped (safety valve against
+/// pathological retry loops).
+pub const MAX_ATTEMPTS: u32 = 32;
+
+/// Per-element tolerance of the ABFT column-checksum row every joined
+/// output is verified against \[Q16.16 units as f64\]; the job-level
+/// tolerance is `n * CHECKSUM_TOLERANCE`.
+pub const CHECKSUM_TOLERANCE: f64 = 0.02;
+
 /// Tuning knobs of the serving front-end.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -175,16 +187,6 @@ pub struct ServeConfig {
     /// Max cycles a request may wait for its batch to fill before a
     /// partial batch is flushed.
     pub batch_window: u64,
-    /// Consecutive job failures before a PE is ejected.
-    pub retry_budget: u32,
-    /// Attempts per request before it is dropped (safety valve against
-    /// pathological retry loops).
-    pub max_attempts: u32,
-    /// Verify joined outputs against the ABFT column-checksum row.
-    pub verify_outputs: bool,
-    /// Per-element tolerance of the output checksum \[Q16.16 units as
-    /// f64\]; the job-level tolerance is `n * checksum_tolerance`.
-    pub checksum_tolerance: f64,
     /// Checksum failures a single request may accumulate before it is
     /// dropped as poison (a bad payload, not bad hardware).
     pub request_retry_cap: u32,
@@ -221,10 +223,6 @@ impl Default for ServeConfig {
         ServeConfig {
             watchdog: 4096,
             batch_window: 64,
-            retry_budget: 3,
-            max_attempts: 32,
-            verify_outputs: true,
-            checksum_tolerance: 0.02,
             request_retry_cap: 3,
             queue_cap: 0,
             shed_backoff: 512,
@@ -296,7 +294,7 @@ pub enum DropReason {
     /// Poison payload: failed its checksum on
     /// [`ServeConfig::request_retry_cap`] distinct attempts.
     Poison,
-    /// Hit the [`ServeConfig::max_attempts`] safety valve.
+    /// Hit the [`MAX_ATTEMPTS`] safety valve.
     AttemptCap,
 }
 
@@ -1361,7 +1359,7 @@ impl InferenceServer {
             .sum();
         // Tightened tolerance: the canary must miss while production
         // jobs still pass, so recalibration pre-empts job failures.
-        let threshold = self.cfg.drift_margin * self.cfg.checksum_tolerance * n as f64;
+        let threshold = self.cfg.drift_margin * CHECKSUM_TOLERANCE * n as f64;
         let pass = (lhs - self.canary_rhs[model]).abs() <= threshold;
         match self.pes[i].health {
             PeHealth::Probation => {
@@ -1423,19 +1421,14 @@ impl InferenceServer {
                     )
                 })
                 .collect();
-            let ok = if self.cfg.verify_outputs {
-                // ABFT plain-checksum identity: Σ·(W x) = (1ᵀW)·x.
-                let lhs: f64 = y.iter().sum();
-                let rhs: f64 = self.checksum_rows[model]
-                    .iter()
-                    .zip(&p.req.x)
-                    .map(|(&c, &x)| c * from_fixed(to_fixed(x)))
-                    .sum();
-                (lhs - rhs).abs() <= self.cfg.checksum_tolerance * n as f64
-            } else {
-                true
-            };
-            if ok {
+            // ABFT plain-checksum identity: Σ·(W x) = (1ᵀW)·x.
+            let lhs: f64 = y.iter().sum();
+            let rhs: f64 = self.checksum_rows[model]
+                .iter()
+                .zip(&p.req.x)
+                .map(|(&c, &x)| c * from_fixed(to_fixed(x)))
+                .sum();
+            if (lhs - rhs).abs() <= CHECKSUM_TOLERANCE * n as f64 {
                 good += 1;
                 st.responses.push(Response {
                     id: p.req.id,
@@ -1495,7 +1488,7 @@ impl InferenceServer {
         for mut p in job.requests.into_iter().rev() {
             p.attempts += 1;
             st.retries += 1;
-            if p.attempts >= self.cfg.max_attempts {
+            if p.attempts >= MAX_ATTEMPTS {
                 st.drop_req(p.req.id, DropReason::AttemptCap);
             } else {
                 st.queue.push_front(p);
@@ -1508,10 +1501,9 @@ impl InferenceServer {
     /// Charges one consecutive failure against PE `i`, ejecting it at
     /// the retry budget.
     fn device_strike(&mut self, i: usize) {
-        let budget = self.cfg.retry_budget.max(1);
         let pe = &mut self.pes[i];
         pe.consecutive_failures += 1;
-        if pe.consecutive_failures >= budget {
+        if pe.consecutive_failures >= RETRY_BUDGET {
             self.eject(i);
         } else if pe.health == PeHealth::Healthy {
             pe.health = PeHealth::Suspect;

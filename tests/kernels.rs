@@ -1,11 +1,15 @@
 //! Property tests for the fast-path kernel layer: the packed
 //! split-complex matmul against the naive reference across sizes 1–64,
 //! compiled mesh application against the rebuild path, and the cached
-//! realized-instance matrix.
+//! realized-instance matrix, including its re-composition when the
+//! attenuator column is re-set between the frozen meshes.
 
 use neuropulsim::core::clements::decompose;
 use neuropulsim::core::mvm::{MvmCore, MvmNoiseConfig};
 use neuropulsim::linalg::{random, CMatrix, CVector, MatmulScratch, RMatrix, C64};
+use neuropulsim::oracle::decomp_ref::transfer_matrix_ref;
+use neuropulsim::oracle::harness::Domain;
+use neuropulsim::oracle::linalg_ref::mul_mat_ref;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,6 +81,35 @@ proptest! {
         let want = instance.effective_matrix().mul_vec(&x);
         for i in 0..n {
             prop_assert!((got[i] - want[i]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn set_attenuation_recomposes_the_frozen_meshes(seed in 0u64..1000, n in 1usize..9) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let core = MvmCore::new(&random_rmatrix(&mut rng, n, n));
+        let mut instance = core.realize(&MvmNoiseConfig::ideal(), &mut rng);
+        let fresh = instance.effective_matrix();
+        let a: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        instance.set_attenuation(&a);
+        // Oracle: Re(U · diag(a) · V) · scale from dense reference meshes.
+        let diag = CMatrix::from_fn(n, n, |i, j| C64::real(if i == j { a[i] } else { 0.0 }));
+        let u = transfer_matrix_ref(core.u_program());
+        let v = transfer_matrix_ref(core.v_program());
+        let m = mul_mat_ref(&mul_mat_ref(&u, &diag), &v);
+        let got = instance.effective_matrix();
+        let tol = Domain::Mesh.tolerance();
+        for i in 0..n {
+            for j in 0..n {
+                let want = m[(i, j)].re * core.scale();
+                prop_assert!((got[(i, j)] - want).abs() <= tol, "({i},{j}) at n={n}");
+            }
+        }
+        // Re-setting the nominal column restores the realized chip exactly.
+        instance.set_attenuation(core.attenuation());
+        let restored = instance.effective_matrix();
+        for (x, y) in restored.as_slice().iter().zip(fresh.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

@@ -3,9 +3,14 @@
 //! from a 1-PE to a 4-PE fleet under the same saturating load, (b)
 //! survive the permanent loss of one fleet member with zero dropped
 //! requests and correct outputs throughout, and (c) produce bit-exact
-//! results and statistics regardless of host thread count.
+//! results and statistics regardless of host thread count. Each PE is
+//! one frozen chip: (d) recalibrating a drifted device restores exactly
+//! the chip a fresh device is programmed with.
 
 use neuropulsim::linalg::RMatrix;
+use neuropulsim::sim::accel::{mmr, AccelDevice, PcmDriftModel};
+use neuropulsim::sim::fixed::to_fixed;
+use neuropulsim::sim::ram::Ram;
 use neuropulsim::sim::serve::{
     synthetic_load, InferenceServer, LoadSpec, PeFault, PeSpec, ServeConfig, ServeOutcome,
 };
@@ -115,4 +120,49 @@ fn serving_results_are_independent_of_thread_count() {
     let a = serve(&fleet(3, fault));
     let b = serve(&fleet(3, fault));
     assert_eq!(a, b, "serving outcome must be bit-deterministic");
+}
+
+/// Runs one single-vector job on `dev` at cycle `now` and returns the
+/// raw Q16.16 output words.
+fn run_job(dev: &mut AccelDevice, now: u64) -> Vec<u32> {
+    let mut spm = Ram::new(0, 4096);
+    for k in 0..N as u32 {
+        let x = 0.25 * k as f64 - 0.8;
+        spm.poke(0x100 + 4 * k, to_fixed(x) as u32).unwrap();
+    }
+    dev.mmr_store(mmr::IN_ADDR, 0x100);
+    dev.mmr_store(mmr::OUT_ADDR, 0x200);
+    dev.mmr_store(mmr::BATCH, 1);
+    assert!(dev.start(now, &mut spm), "job rejected");
+    dev.tick(now + dev.job_cycles(1));
+    dev.mmr_store(mmr::CTRL, 2);
+    (0..N as u32)
+        .map(|k| spm.peek(0x200 + 4 * k).unwrap())
+        .collect()
+}
+
+#[test]
+fn recalibration_restores_the_freshly_programmed_chip_bit_for_bit() {
+    let mut fresh = AccelDevice::new(1e9);
+    fresh.load_matrix(&model());
+    let want = run_job(&mut fresh, 0);
+
+    // Weights aged 30 years at boot, and a frozen clock: the drift seen
+    // before recalibration is large, and none accrues after it.
+    let mut dev = AccelDevice::new(1e9);
+    dev.load_matrix(&model());
+    dev.enable_drift(PcmDriftModel {
+        nu: 0.05,
+        seconds_per_cycle: 0.0,
+        initial_age_s: 1e9,
+        ..PcmDriftModel::default()
+    });
+    assert_ne!(run_job(&mut dev, 0), want, "drift must move the output");
+    dev.mmr_store(mmr::CTRL, 8);
+    assert!(dev.take_recal_request());
+    dev.recalibrate(100);
+    dev.tick(100 + dev.recal_cycles);
+    dev.mmr_store(mmr::CTRL, 2);
+    assert_eq!(dev.recal_count(), 1);
+    assert_eq!(run_job(&mut dev, 1000), want);
 }
