@@ -78,7 +78,6 @@ fn build_system(workload: Workload, mode: Mode) -> System {
     let mut sys = System::new();
     sys.cpu.set_block_cache_enabled(mode != Mode::Seed);
     sys.cpu.set_trace_compiler_enabled(mode == Mode::Fast);
-    sys.wfi_fast_forward = mode != Mode::Seed;
     for v in 0..batch {
         let x: Vec<f64> = (0..N)
             .map(|k| 0.2 * ((v * N + k) as f64 * 0.17).cos())
@@ -145,12 +144,14 @@ fn identical(a: &ModeRun, b: &ModeRun, words: usize) -> bool {
 }
 
 /// Times `reps` runs of `(workload, mode)`, consuming prebuilt systems
-/// so the timed op is `System::run` alone. Returns the median ns.
+/// so the timed op is `System::run` alone. Returns the median ns. Each
+/// rep is paired with its own calibration sample, so host-load drift
+/// across the probe cancels out of `norm`.
 fn time_runs(runner: &mut Runner, id: &str, reps: usize, workload: Workload, mode: Mode) -> f64 {
     let proto = build_system(workload, mode);
     let mut pool: Vec<System> = (0..reps).map(|_| proto.clone()).collect();
     let meta = [("max_cycles", format!("{MAX_CYCLES}"))];
-    runner.measure_with_meta(id, reps, &meta, || {
+    runner.measure_ratio_with_meta(id, reps, &meta, || {
         let mut sys = pool.pop().expect("one system per rep");
         std::hint::black_box(sys.run(MAX_CYCLES));
     })

@@ -249,7 +249,6 @@ pub fn lockstep_source(name: &str, source: &str, max_cycles: u64) -> Result<u64,
     let mut mem = FlatMemory::new(CASE_MEM);
     mem.load_words(0, &words);
     let mut cpu = Cpu::new(0);
-    cpu.set_block_cache_enabled(false);
     let mut ref_mem = RefMemory::new(CASE_MEM);
     ref_mem.load_words(0, &words);
     let mut oracle = RefCpu::new(0);
@@ -390,7 +389,6 @@ pub fn lockstep_elf(elf: &[u8], max_cycles: u64) -> Result<ElfLockstep, String> 
     let heap_base = (image.load_end() + 0xfff) & !0xfff;
     let heap_limit = DRAM_SIZE as u32 - STACK_RESERVE;
     let mut cpu = Cpu::new(image.entry);
-    cpu.set_block_cache_enabled(false);
     cpu.set_reg(2, sp);
     let mut oracle = RefCpu::new(image.entry);
     oracle.regs[2] = sp;

@@ -8,20 +8,14 @@
 //! ending at the first control transfer or system op) and dispatched
 //! from the pre-decoded form afterwards.
 //!
-//! Correctness rests on two tiers. The precise path
-//! ([`crate::cpu::Cpu::step_cached`]) issues a per-instruction *verify
-//! fetch*: a normal accounted fetch through
-//! [`crate::bus::Bus::fetch_word`] whose word is compared against the
-//! cached decode, so code rewritten under the cache — by stores, DMA, or
-//! fault injection — is picked up on the exact cycle the seed
-//! interpreter would see it. The bulk path
-//! ([`crate::cpu::Cpu::run_cached_span`]) replaces the verify fetch with
-//! *explicit invalidation*: the cache tracks the address range its
-//! blocks cover, CPU stores into that range drop the cache before the
-//! next instruction, and external writers (DMA, host pokes) are reported
-//! via [`crate::cpu::Cpu::note_external_writes`]. Blocks are built from
-//! side-effect-free [`crate::bus::Bus::peek_word`] reads, so
-//! pre-decoding ahead of execution never perturbs the accounting.
+//! Coherence rests on *explicit invalidation*: the cache tracks the
+//! address range its blocks cover, CPU stores into that range drop the
+//! cache before the next instruction, and external writers (DMA, host
+//! pokes) are reported via [`crate::cpu::Cpu::note_external_writes`].
+//! Blocks are built from side-effect-free
+//! [`crate::bus::Bus::peek_word`] reads, so pre-decoding ahead of
+//! execution never perturbs the accounting. The precise path
+//! ([`crate::cpu::Cpu::step`]) never consults the cache.
 
 use crate::bus::Bus;
 use crate::isa::{decode, Instruction};
@@ -32,16 +26,6 @@ pub const MAX_BLOCK_LEN: usize = 64;
 /// Default number of direct-mapped block slots.
 pub const DEFAULT_SLOTS: usize = 512;
 
-/// One pre-decoded instruction: the raw word it was decoded from (for
-/// the verify fetch) and the decoded form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedOp {
-    /// The raw instruction word the decode came from.
-    pub word: u32,
-    /// The decoded instruction.
-    pub inst: Instruction,
-}
-
 /// A straight-line run of pre-decoded instructions starting at
 /// [`DecodedBlock::start`]. The last op is the block terminator: a
 /// branch, jump, `ecall`/`ebreak`, or `wfi` — or simply the
@@ -51,7 +35,7 @@ pub struct DecodedBlock {
     /// Address of the first instruction.
     pub start: u32,
     /// The pre-decoded instructions, in address order.
-    pub ops: Vec<DecodedOp>,
+    pub ops: Vec<Instruction>,
 }
 
 /// `true` for instructions that end a straight-line block: anything that
@@ -88,7 +72,7 @@ impl DecodedBlock {
         while ops.len() < MAX_BLOCK_LEN {
             let Some(word) = bus.peek_word(pc) else { break };
             let Ok(inst) = decode(word) else { break };
-            ops.push(DecodedOp { word, inst });
+            ops.push(inst);
             if is_block_terminator(&inst) {
                 break;
             }
@@ -212,11 +196,6 @@ impl BlockCache {
         self.code_lo != self.code_hi && lo < self.code_hi && hi > self.code_lo
     }
 
-    /// Drops the block in `slot`.
-    pub fn evict(&mut self, slot: usize) {
-        self.slots[slot] = None;
-    }
-
     /// Drops every cached block (used on checkpoint restore and bulk
     /// code rewrites). Counters are preserved — they describe the run,
     /// not the cache contents. Free when nothing was inserted since the
@@ -336,7 +315,7 @@ mod tests {
         ]);
         let block = DecodedBlock::build(&mem, 0).expect("block builds");
         assert_eq!(block.ops.len(), 3, "terminates at the branch, inclusive");
-        assert!(is_block_terminator(&block.ops[2].inst));
+        assert!(is_block_terminator(&block.ops[2]));
     }
 
     #[test]
@@ -408,14 +387,12 @@ mod tests {
         // Same slot, different start address evicts (direct-mapped).
         let colliding = DecodedBlock {
             start: 4 * (cache.mask as u32 + 1),
-            ops: block.ops.clone(),
+            ops: block.ops,
         };
         assert_eq!(cache.slot_of(colliding.start), slot, "collision by design");
         cache.insert(colliding);
         assert_ne!(cache.block(slot).unwrap().start, 0, "evicted");
-        cache.evict(slot);
-        assert!(cache.block(slot).is_none());
-        cache.insert(block);
+        assert_eq!(cache.conflict_evictions, 1);
         cache.invalidate_all();
         assert!(cache.block(slot).is_none());
     }

@@ -642,96 +642,6 @@ impl Cpu {
         Ok(None)
     }
 
-    /// Executes one instruction through the decoded-block fast path.
-    ///
-    /// Observably identical to [`Cpu::step`]: every retired instruction
-    /// still issues one accounted fetch (via [`Bus::fetch_word`]) whose
-    /// word is compared against the cached decode, so self-modifying
-    /// code, DMA writes into text and fault injections take effect on
-    /// exactly the cycle the plain interpreter would see them. When the
-    /// cache is disabled or the address is uncacheable this *is*
-    /// [`Cpu::step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`Trap`] on illegal instructions or memory faults.
-    pub fn step_cached<B: Bus + ?Sized>(&mut self, bus: &mut B) -> Result<Option<Halt>, Trap> {
-        if self.waiting_for_interrupt {
-            self.cycles += 1;
-            return Ok(None);
-        }
-        if !self.block_cache.is_enabled() {
-            return self.step(bus);
-        }
-        let pc = self.pc;
-
-        // Continue inside the current block when the cursor still points
-        // at `pc`; otherwise this is a block entry (lookup or decode).
-        let position = self.cursor.filter(|&(slot, idx)| {
-            self.block_cache
-                .block(slot)
-                .is_some_and(|b| idx < b.ops.len() && b.start.wrapping_add(4 * idx as u32) == pc)
-        });
-        let (slot, idx) = match position {
-            Some(p) => p,
-            None => {
-                let slot = self.block_cache.slot_of(pc);
-                if self.block_cache.block(slot).is_some_and(|b| b.start == pc) {
-                    self.block_cache.hits += 1;
-                } else {
-                    self.block_cache.misses += 1;
-                    match DecodedBlock::build(&*bus, pc) {
-                        Some(b) => {
-                            self.block_cache.insert(b);
-                        }
-                        None => {
-                            // Unpeekable or undecodable first word: the
-                            // plain path reproduces the seed behavior
-                            // (including the trap).
-                            self.cursor = None;
-                            return self.step(bus);
-                        }
-                    }
-                }
-                (slot, 0)
-            }
-        };
-
-        let op = self
-            .block_cache
-            .block(slot)
-            .expect("position validated")
-            .ops[idx];
-        // Verify fetch: the one accounted fetch this instruction makes.
-        let word = bus
-            .fetch_word(pc)
-            .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-        if word != op.word {
-            // Code changed under the cached block — drop it and run what
-            // is really in memory, exactly as the seed would.
-            self.block_cache.evict(slot);
-            self.cursor = None;
-            let inst = decode(word).map_err(|_| Trap::IllegalInstruction {
-                pc,
-                word: Some(word),
-            })?;
-            return self.execute(bus, inst, pc);
-        }
-
-        let halt = self.execute(bus, op.inst, pc)?;
-        let block_len = self.block_cache.block(slot).map_or(0, |b| b.ops.len());
-        self.cursor = if halt.is_none()
-            && idx + 1 < block_len
-            && self.pc == pc.wrapping_add(4)
-            && !self.waiting_for_interrupt
-        {
-            Some((slot, idx + 1))
-        } else {
-            None
-        };
-        Ok(halt)
-    }
-
     /// Executes cached instructions in a tight dispatch loop until the
     /// cycle budget is met, the program halts, traps, or sleeps, or the
     /// path needs the precise per-instruction interpreter.
@@ -749,10 +659,9 @@ impl Cpu {
     /// with its device clock synced (leaving the window when the access
     /// starts device work or raises an interrupt), or declines, in which
     /// case the access is left **unexecuted** for the caller to run
-    /// through [`Cpu::step_cached`] under the full per-cycle protocol.
-    /// Returning with no cycles
-    /// consumed means exactly that: the caller must make progress via
-    /// the precise path.
+    /// through [`Cpu::step`] under the full per-cycle protocol.
+    /// Returning with no cycles consumed means exactly that: the caller
+    /// must make progress via the precise path.
     ///
     /// # Errors
     ///
@@ -769,8 +678,8 @@ impl Cpu {
         }
         while self.cycles < budget_end && !self.waiting_for_interrupt {
             // Resume mid-block through the cursor when it still points at
-            // `pc` (e.g. after the precise path ran one MMIO access out
-            // of the middle of a block); otherwise this is a block entry.
+            // `pc` (the previous span left at its budget or after an MMIO
+            // access closed the window); otherwise this is a block entry.
             // A resume is a cache hit: the dispatch is served from the
             // decoded block without touching memory.
             let resume = self.cursor.filter(|&(slot, idx)| {
@@ -845,7 +754,7 @@ impl Cpu {
                 if block.start.wrapping_add(4 * idx as u32) != self.pc {
                     break;
                 }
-                let Some(&op) = block.ops.get(idx) else {
+                let Some(&inst) = block.ops.get(idx) else {
                     break;
                 };
                 if self.cycles >= budget_end {
@@ -855,7 +764,7 @@ impl Cpu {
                 // Memory ops that might leave plain RAM take the precise
                 // path — checked against the effective address before any
                 // side effect happens.
-                let touches_mmio = match op.inst {
+                let touches_mmio = match inst {
                     Lb { rs1, offset, .. }
                     | Lh { rs1, offset, .. }
                     | Lw { rs1, offset, .. }
@@ -876,7 +785,7 @@ impl Cpu {
                     break;
                 }
                 let pc = self.pc;
-                match self.execute(bus, op.inst, pc) {
+                match self.execute(bus, inst, pc) {
                     Ok(None) => {
                         executed += 1;
                         idx += 1;
@@ -884,7 +793,7 @@ impl Cpu {
                         // way did this conditional branch retire?
                         if self.traces.is_enabled()
                             && matches!(
-                                op.inst,
+                                inst,
                                 Beq { .. }
                                     | Bne { .. }
                                     | Blt { .. }
@@ -927,9 +836,9 @@ impl Cpu {
                 debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
             }
             if leave {
-                // Hand the in-block position to the precise path so the
-                // bailed instruction (and the next span) continues here
-                // without re-decoding.
+                // Remember the in-block position so the next span
+                // resumes here without re-decoding when `pc` has not
+                // moved in between.
                 self.cursor = Some((slot, idx));
                 return Ok(None);
             }
@@ -996,7 +905,7 @@ impl Cpu {
                 }
                 let pc = self.pc;
                 debug_assert_eq!(pc, top.pc, "trace position out of sync");
-                match self.execute(bus, top.op.inst, pc) {
+                match self.execute(bus, top.inst, pc) {
                     Ok(None) => {
                         executed += 1;
                         // A store of this very trace may have rewritten
@@ -1079,7 +988,7 @@ impl Cpu {
                     continue;
                 }
             }
-            if let Some(h) = self.step_cached(bus)? {
+            if let Some(h) = self.step(bus)? {
                 halt = h;
                 break;
             }
@@ -1678,8 +1587,9 @@ mod tests {
     #[test]
     fn self_modifying_code_is_seen_by_cached_dispatch() {
         // The program overwrites an instruction later in its own
-        // straight-line block; the verify fetch must pick up the new
-        // word on the very instruction the plain interpreter would.
+        // straight-line block; store invalidation must drop the cached
+        // decode so the new word runs on the very instruction the plain
+        // interpreter would.
         let patched = encode(Addi {
             rd: 5,
             rs1: 0,
@@ -1951,5 +1861,77 @@ mod tests {
         let perf = cpu.perf_counters();
         assert_eq!(perf.block_hits, 0);
         assert_eq!(perf.block_misses, 0);
+    }
+
+    /// Flat memory whose fetches cannot be charged in bulk, so every
+    /// instruction must take the precise path.
+    #[derive(PartialEq, Debug)]
+    struct PreciseOnly(FlatMemory);
+
+    impl Bus for PreciseOnly {
+        fn load_word(&mut self, addr: u32) -> Result<u32, BusFault> {
+            self.0.load_word(addr)
+        }
+        fn store_word(&mut self, addr: u32, value: u32) -> Result<(), BusFault> {
+            self.0.store_word(addr, value)
+        }
+        fn peek_word(&self, addr: u32) -> Option<u32> {
+            self.0.peek_word(addr)
+        }
+    }
+
+    #[test]
+    fn precise_path_never_consults_the_block_cache() {
+        // sum 1..=10 in a loop, with the cache enabled but bulk dispatch
+        // unavailable: the precise path neither looks up nor builds
+        // blocks, and retires exactly what the cache-off core retires.
+        let words: Vec<u32> = [
+            Addi {
+                rd: 1,
+                rs1: 0,
+                imm: 0,
+            },
+            Addi {
+                rd: 2,
+                rs1: 0,
+                imm: 10,
+            },
+            Add {
+                rd: 1,
+                rs1: 1,
+                rs2: 2,
+            },
+            Addi {
+                rd: 2,
+                rs1: 2,
+                imm: -1,
+            },
+            Bne {
+                rs1: 2,
+                rs2: 0,
+                offset: -8,
+            },
+            Ecall,
+        ]
+        .iter()
+        .map(|&i| encode(i))
+        .collect();
+        let mut flat = FlatMemory::new(1024);
+        flat.load_words(0, &words);
+        let run = |cached: bool| {
+            let mut mem = PreciseOnly(flat.clone());
+            let mut cpu = Cpu::new(0);
+            cpu.set_block_cache_enabled(cached);
+            assert_eq!(cpu.run(&mut mem, 10_000).unwrap(), Halt::Ecall);
+            (cpu, mem)
+        };
+        let (cached, cached_mem) = run(true);
+        let (plain, plain_mem) = run(false);
+        assert!(cached.block_cache_enabled());
+        assert_eq!(cached.reg(1), 55);
+        let perf = cached.perf_counters();
+        assert_eq!((perf.block_hits, perf.block_misses), (0, 0), "{perf:?}");
+        assert_eq!(cached, plain);
+        assert_eq!(cached_mem, plain_mem);
     }
 }

@@ -44,7 +44,6 @@
 //! counter lets an executing trace detect that it was invalidated *by
 //! one of its own ops* and side-exit before dispatching a stale decode.
 
-use crate::block::DecodedOp;
 use crate::bus::Bus;
 use crate::isa::{decode, Instruction};
 use std::collections::{HashMap, HashSet};
@@ -87,8 +86,8 @@ pub const SIDE_EXIT_KINDS: usize = 5;
 /// match.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOp {
-    /// The pre-decoded instruction (word kept for diagnostics).
-    pub op: DecodedOp,
+    /// The pre-decoded instruction.
+    pub inst: Instruction,
     /// Address of this instruction.
     pub pc: u32,
     /// The pc the trace expects after this op retires; a mismatch after
@@ -191,7 +190,7 @@ pub fn compile<B: Bus + ?Sized>(
             _ => None,
         };
         ops.push(TraceOp {
-            op: DecodedOp { word, inst },
+            inst,
             pc,
             expected_next,
             mem,

@@ -474,13 +474,10 @@ pub struct System {
     pub cpu_hz: f64,
     /// Digital energy constants.
     pub digital_energy: DigitalEnergy,
-    /// When set (the default), `wfi` sleeps skip straight to the next
-    /// device event instead of idling one cycle at a time. Cycle counts
-    /// and device state are bit-identical either way; disabling it
-    /// reproduces the seed stepping loop for A/B comparison.
-    pub wfi_fast_forward: bool,
     /// Sleep cycles crossed in bulk by the `wfi` fast-forward (stats,
-    /// accumulated across runs).
+    /// accumulated across runs). The fast-forward runs exactly when the
+    /// CPU's block cache is enabled; with it disabled, [`System::run`]
+    /// is the seed stepping loop.
     pub fast_forwarded_cycles: u64,
 }
 
@@ -497,7 +494,6 @@ impl System {
             platform: Platform::new(cpu_hz),
             cpu_hz,
             digital_energy: DigitalEnergy::default(),
-            wfi_fast_forward: true,
             fast_forwarded_cycles: 0,
         }
     }
@@ -544,10 +540,14 @@ impl System {
     /// Runs until halt, trap or `max_cycles`. Devices advance in lockstep
     /// with CPU cycles; the level-triggered IRQ line wakes `wfi`.
     ///
-    /// Two accelerations keep this loop fast without changing a single
-    /// observable: instructions dispatch through the decoded-block cache
-    /// ([`Cpu::step_cached`]), and `wfi` sleeps across quiet device
-    /// windows are crossed in bulk ([`System::wfi_fast_forward`]).
+    /// With the CPU's block cache enabled (the default), two
+    /// accelerations keep this loop fast without changing a single
+    /// observable: between device events, cached instructions and
+    /// compiled traces retire in bulk ([`Cpu::run_cached_span`]), and
+    /// `wfi` sleeps across quiet device windows are crossed in one jump.
+    /// Everything else — MMIO accesses the bus declines in bulk, busy
+    /// DMA, the DRAM-latency model — takes the precise path
+    /// ([`Cpu::step`]). With the cache disabled this is the seed loop.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         // The host may have rewritten memory since the last run (fault
         // injections, firmware pokes): drop cached decoded code so the
@@ -563,7 +563,7 @@ impl System {
             if self.platform.irq_level() {
                 self.cpu.interrupt();
             }
-            if self.wfi_fast_forward
+            if self.cpu.block_cache_enabled()
                 && self.cpu.waiting_for_interrupt
                 && self.platform.now == self.cpu.cycles
             {
@@ -617,7 +617,7 @@ impl System {
                 // No progress (MMIO access or uncacheable entry next):
                 // fall through to the precise per-instruction path.
             }
-            match self.cpu.step_cached(&mut self.platform) {
+            match self.cpu.step(&mut self.platform) {
                 Ok(Some(halt)) => {
                     self.cpu.cycles += self.platform.take_stalls();
                     break RunOutcome::Halted(halt);
@@ -952,9 +952,10 @@ mod tests {
         assert!(cached >= flat, "cache cannot beat flat memory");
     }
 
-    /// Builds a system in fast (block cache + wfi fast-forward) or
-    /// seed-identical slow mode, runs `firmware`, and returns the report
-    /// and final system for observability comparison.
+    /// Builds a system in fast (block cache, which also turns on the
+    /// `wfi` fast-forward) or seed-identical slow mode, runs `firmware`,
+    /// and returns the report and final system for observability
+    /// comparison.
     fn run_mode(
         fast: bool,
         setup: impl Fn(&mut System),
@@ -963,7 +964,6 @@ mod tests {
     ) -> (RunReport, System) {
         let mut sys = System::new();
         sys.cpu.set_block_cache_enabled(fast);
-        sys.wfi_fast_forward = fast;
         setup(&mut sys);
         sys.load_firmware_source(firmware);
         let report = sys.run(max_cycles);

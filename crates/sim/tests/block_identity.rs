@@ -80,7 +80,6 @@ fn random_program(seed: u64, len: usize) -> Vec<u32> {
 fn system_in_mode(fast: bool) -> System {
     let mut sys = System::new();
     sys.cpu.set_block_cache_enabled(fast);
-    sys.wfi_fast_forward = fast;
     sys
 }
 

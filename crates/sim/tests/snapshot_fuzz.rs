@@ -189,7 +189,7 @@ fn snapshot_roundtrip_mid_block_over_random_programs() {
 }
 
 #[test]
-fn snapshot_roundtrip_mid_wfi_fast_forward() {
+fn snapshot_roundtrip_inside_a_fast_forwarded_wfi() {
     // The offload firmware sleeps in wfi while the DMA/accelerator
     // pipeline runs; with fast-forward on (the default), bounded runs
     // stop inside those windows. At least some cuts must land there
