@@ -1,8 +1,8 @@
 //! **Kernel throughput probe.** Times the hot simulator kernels (mesh
-//! application, complex matmul, MVM multiply, GeMM streaming) and emits
-//! one unified `neuropulsim-bench/v1` report (see `bench::runner`):
-//! median-of-N timings, machine-normalized `norm` per measurement, MAC
-//! throughput in each measurement's `meta`.
+//! application, complex matmul, MVM multiply, the MVM drift step, GeMM
+//! streaming) and emits one unified `neuropulsim-bench/v1` report (see
+//! `bench::runner`): median-of-N timings, machine-normalized `norm` per
+//! measurement, MAC throughput in each measurement's `meta`.
 //!
 //! `macs_per_op` counts real multiply–accumulates (a complex MAC is
 //! four real MACs). Iteration counts are fixed per case so runs are
@@ -14,7 +14,7 @@
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_core::clements::decompose;
 use neuropulsim_core::gemm::{GemmEngine, GemmMode};
-use neuropulsim_core::mvm::MvmCore;
+use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig};
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::{CMatrix, CVector, MatmulScratch, RMatrix};
 use rand::rngs::StdRng;
@@ -26,19 +26,12 @@ const REPS: usize = 5;
 /// Times `op` under the unified runner: one measured rep = `iters`
 /// calls (inversely proportional to per-op work), median of [`REPS`],
 /// with per-op and throughput figures in `meta`.
-fn report<F: FnMut()>(
-    runner: &mut Runner,
-    bench: &str,
-    variant: &str,
-    n: usize,
-    macs_per_op: f64,
-    mut op: F,
-) {
+fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f64, mut op: F) {
     let iters = iters_for(macs_per_op);
     for _ in 0..iters / 8 + 1 {
         op();
     }
-    let id = format!("{bench}/{variant}/n{n}");
+    let id = format!("{bench}/n{n}");
     let median_ns = runner.measure_with_meta(
         &id,
         REPS,
@@ -76,12 +69,12 @@ fn bench_mesh_apply(runner: &mut Runner, n: usize) {
     let x = CVector::from_reals(&vec![0.5; n]);
     // Each MZI block is a 2x2 complex update: 8 complex MACs = 32 real.
     let macs = (program.block_count() * 32) as f64;
-    report(runner, "mesh_apply", "rebuild", n, macs, || {
+    report(runner, "mesh_apply/rebuild", n, macs, || {
         std::hint::black_box(program.apply(&x));
     });
     let plan = program.compile();
     let mut buf = x.clone();
-    report(runner, "mesh_apply", "compiled", n, macs, || {
+    report(runner, "mesh_apply/compiled", n, macs, || {
         buf.as_mut_slice().copy_from_slice(x.as_slice());
         plan.apply_in_place(buf.as_mut_slice());
         std::hint::black_box(buf[0]);
@@ -93,15 +86,15 @@ fn bench_mul_mat(runner: &mut Runner, n: usize) {
     let a = haar_unitary(&mut rng, n);
     let b = haar_unitary(&mut rng, n);
     let macs = (4 * n * n * n) as f64;
-    report(runner, "cmatrix_mul_mat", "naive", n, macs, || {
+    report(runner, "cmatrix_mul_mat/naive", n, macs, || {
         std::hint::black_box(a.mul_mat_naive(&b));
     });
-    report(runner, "cmatrix_mul_mat", "packed", n, macs, || {
+    report(runner, "cmatrix_mul_mat/packed", n, macs, || {
         std::hint::black_box(a.mul_mat(&b));
     });
     let mut out = CMatrix::zeros(n, n);
     let mut scratch = MatmulScratch::new();
-    report(runner, "cmatrix_mul_mat", "packed_into", n, macs, || {
+    report(runner, "cmatrix_mul_mat/packed_into", n, macs, || {
         a.mul_mat_into(&b, &mut out, &mut scratch);
         std::hint::black_box(out[(0, 0)]);
     });
@@ -111,14 +104,27 @@ fn bench_mvm_multiply(runner: &mut Runner, n: usize) {
     let core = MvmCore::new(&random_rmatrix(n, n, 2));
     let x = vec![0.3; n];
     let macs = (n * n) as f64;
-    report(runner, "mvm_multiply", "alloc", n, macs, || {
+    report(runner, "mvm_multiply/alloc", n, macs, || {
         std::hint::black_box(core.multiply(&x));
     });
     let mut y = vec![0.0; n];
     let mut scratch = CVector::zeros(n);
-    report(runner, "mvm_multiply", "into", n, macs, || {
+    report(runner, "mvm_multiply/into", n, macs, || {
         core.multiply_into(&x, &mut y, &mut scratch);
         std::hint::black_box(y[0]);
+    });
+}
+
+/// One drift step of a realized chip: re-setting the attenuator column
+/// re-composes `Re(U·diag(a)·V)·scale`, two real MACs per complex term.
+fn bench_set_attenuation(runner: &mut Runner, n: usize) {
+    let core = MvmCore::new(&random_rmatrix(n, n, 4));
+    let mut chip = core.realize(&MvmNoiseConfig::ideal(), &mut StdRng::seed_from_u64(0));
+    let aged: Vec<f64> = core.attenuation().iter().map(|a| 0.97 * a).collect();
+    let macs = (2 * n * n * n) as f64;
+    report(runner, "mvm_set_attenuation", n, macs, || {
+        chip.set_attenuation(&aged);
+        std::hint::black_box(&chip);
     });
 }
 
@@ -131,7 +137,7 @@ fn bench_gemm(runner: &mut Runner, n: usize) {
         ("wdm8", GemmMode::Wdm { channels: 8 }),
     ] {
         let engine = GemmEngine::new(MvmCore::new(&random_rmatrix(n, n, 5)), mode);
-        report(runner, "gemm_matmul", variant, n, macs, || {
+        report(runner, &format!("gemm_matmul/{variant}"), n, macs, || {
             std::hint::black_box(engine.matmul(&x));
         });
     }
@@ -145,5 +151,7 @@ fn main() {
         bench_mvm_multiply(&mut runner, n);
         bench_gemm(&mut runner, n);
     }
+    // The served MLP's n.
+    bench_set_attenuation(&mut runner, 32);
     print!("{}", runner.to_json());
 }

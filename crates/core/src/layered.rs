@@ -285,7 +285,7 @@ impl LayeredMesh {
     }
 
     /// Right-multiplies `u` by `diag(e^{i * sign * phases})`.
-    fn scale_columns(u: &mut CMatrix, phases: &[f64], sign: f64) {
+    fn rotate_columns(u: &mut CMatrix, phases: &[f64], sign: f64) {
         for (j, &p) in phases.iter().enumerate() {
             let e = C64::cis(sign * p);
             for i in 0..u.rows() {
@@ -346,11 +346,11 @@ impl LayeredMesh {
             // pass appending each column on the right.
             let mut pre = CMatrix::identity(self.n);
             let mut b = t_adj.clone();
-            Self::scale_columns(&mut b, &self.output_phases, 1.0);
+            Self::rotate_columns(&mut b, &self.output_phases, 1.0);
             for l in (0..layers).rev() {
                 self.apply_coupler_column_right(&mut b, l);
                 if l > 0 {
-                    Self::scale_columns(&mut b, &self.phase_layers[l], 1.0);
+                    Self::rotate_columns(&mut b, &self.phase_layers[l], 1.0);
                 }
             }
             // Optimize each interior phase column in increasing order.
@@ -364,7 +364,7 @@ impl LayeredMesh {
                 // the right.
                 self.apply_coupler_column_inv_right(&mut b, l);
                 if l + 1 < layers {
-                    Self::scale_columns(&mut b, &self.phase_layers[l + 1], -1.0);
+                    Self::rotate_columns(&mut b, &self.phase_layers[l + 1], -1.0);
                 }
             }
             // Optimize the output screen: U = D * Rest, overlap
@@ -702,11 +702,11 @@ mod tests {
 
         let mut pre = CMatrix::identity(n);
         let mut b = t_adj.clone();
-        LayeredMesh::scale_columns(&mut b, &mesh.output_phases, 1.0);
+        LayeredMesh::rotate_columns(&mut b, &mesh.output_phases, 1.0);
         for l in (0..layers).rev() {
             mesh.apply_coupler_column_right(&mut b, l);
             if l > 0 {
-                LayeredMesh::scale_columns(&mut b, &mesh.phase_layers[l], 1.0);
+                LayeredMesh::rotate_columns(&mut b, &mesh.phase_layers[l], 1.0);
             }
         }
         let mut diag = vec![C64::ZERO; n];
@@ -724,7 +724,7 @@ mod tests {
             mesh.apply_coupler_column(&mut pre, l);
             mesh.apply_coupler_column_inv_right(&mut b, l);
             if l + 1 < layers {
-                LayeredMesh::scale_columns(&mut b, &mesh.phase_layers[l + 1], -1.0);
+                LayeredMesh::rotate_columns(&mut b, &mesh.phase_layers[l + 1], -1.0);
             }
         }
     }

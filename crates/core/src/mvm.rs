@@ -19,27 +19,10 @@ use crate::clements::decompose;
 use crate::error::HardwareModel;
 use crate::program::{CompiledMesh, MeshProgram};
 use neuropulsim_linalg::decomp::svd;
-use neuropulsim_linalg::{CMatrix, CVector, RMatrix, C64};
+use neuropulsim_linalg::soa::real_udv_into;
+use neuropulsim_linalg::{CMatrix, CVector, RMatrix, SplitMatrix, C64};
 
 use rand::Rng;
-
-/// Scales column `k` of `m` by `a[k]` in place — `m · diag(a)` without
-/// materializing the diagonal matrix or paying an O(n³) product.
-fn scale_columns(m: &mut CMatrix, a: &[f64]) {
-    let cols = m.cols();
-    for (idx, z) in m.as_mut_slice().iter_mut().enumerate() {
-        *z = z.scale(a[idx % cols]);
-    }
-}
-
-/// `Re(U · diag(a) · V) · scale` — the one real matrix a U/Σ/V chain
-/// implements for real inputs.
-fn compose(mut u: CMatrix, a: &[f64], v: &CMatrix, scale: f64) -> RMatrix {
-    let n = a.len();
-    scale_columns(&mut u, a);
-    let m = u.mul_mat(v);
-    RMatrix::from_fn(n, n, |i, j| m[(i, j)].re * scale)
-}
 
 /// Noise/imperfection configuration for a physical MVM execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,7 +236,15 @@ impl MvmCore {
     pub fn dispersed_matrix(&self, factor: f64) -> RMatrix {
         let u = self.u_program.with_scaled_phases(factor).transfer_matrix();
         let v = self.v_program.with_scaled_phases(factor).transfer_matrix();
-        compose(u, &self.attenuation, &v, self.scale)
+        let mut m = RMatrix::zeros(self.n, self.n);
+        real_udv_into(
+            &SplitMatrix::from_matrix(&u),
+            &self.attenuation,
+            &SplitMatrix::from_matrix(&v),
+            self.scale,
+            &mut m,
+        );
+        m
     }
 
     /// The effective matrix realized by one sampled physical instance.
@@ -274,12 +265,14 @@ impl MvmCore {
 /// That matrix is computed here at realization time; every multiply and
 /// every [`RealizedMvm::effective_matrix`] call reads the cached copy
 /// instead of re-composing the U/Σ/V chain. The realized meshes stay
-/// frozen: [`RealizedMvm::set_attenuation`] (PCM drift, recalibration)
-/// re-composes against them without realizing them again.
+/// frozen in split-complex form, packed once:
+/// [`RealizedMvm::set_attenuation`] (PCM drift, recalibration)
+/// re-composes against them in place — the real half of the product
+/// only, so half the flops and no allocation.
 #[derive(Debug, Clone)]
 pub struct RealizedMvm {
-    u: CMatrix,
-    v: CMatrix,
+    u: SplitMatrix,
+    v: SplitMatrix,
     attenuation: Vec<f64>,
     scale: f64,
     readout_sigma: f64,
@@ -289,20 +282,36 @@ pub struct RealizedMvm {
 
 impl RealizedMvm {
     fn new(u: CMatrix, v: CMatrix, attenuation: Vec<f64>, scale: f64, readout_sigma: f64) -> Self {
-        let effective = compose(u.clone(), &attenuation, &v, scale);
-        RealizedMvm {
-            u,
-            v,
+        let n = attenuation.len();
+        let mut chip = RealizedMvm {
+            u: SplitMatrix::from_matrix(&u),
+            v: SplitMatrix::from_matrix(&v),
             attenuation,
             scale,
             readout_sigma,
-            effective,
-        }
+            effective: RMatrix::zeros(n, n),
+        };
+        chip.recompose();
+        chip
     }
 
-    /// Re-sets the attenuator column between the frozen meshes (entries
-    /// clamped to `[0, 1]`) and re-composes the cached effective matrix —
-    /// one O(n³) product, no mesh realization.
+    fn recompose(&mut self) {
+        real_udv_into(
+            &self.u,
+            &self.attenuation,
+            &self.v,
+            self.scale,
+            &mut self.effective,
+        );
+    }
+
+    /// Re-sets the attenuator column between the frozen meshes and
+    /// re-composes the cached effective matrix in place — half the
+    /// flops of a complex product, no allocation, no mesh realization.
+    ///
+    /// Entries are clamped to `[0, 1]`. A NaN entry reads as a fully
+    /// amorphous PCM cell, amplitude 1.0 — the policy of
+    /// `PcmCell::set_state` — so one bad setting cannot poison the chip.
     ///
     /// # Panics
     ///
@@ -314,9 +323,9 @@ impl RealizedMvm {
             "set_attenuation: attenuator count mismatch"
         );
         for (dst, &a) in self.attenuation.iter_mut().zip(attenuation) {
-            *dst = a.clamp(0.0, 1.0);
+            *dst = if a.is_nan() { 1.0 } else { a.clamp(0.0, 1.0) };
         }
-        self.effective = compose(self.u.clone(), &self.attenuation, &self.v, self.scale);
+        self.recompose();
     }
 
     /// Multiplies through the frozen imperfect hardware, adding fresh
@@ -497,6 +506,26 @@ mod tests {
         let a = inst.multiply_noisy(&x, &mut rng);
         let b = inst.multiply_noisy(&x, &mut rng);
         assert!(mse(&a, &b) < 1e-18, "same instance, no readout noise");
+    }
+
+    #[test]
+    fn nan_attenuation_keeps_the_chip_finite() {
+        let core = MvmCore::new(&random_matrix(6, 17));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut chip = core.realize(&MvmNoiseConfig::ideal(), &mut rng);
+        let mut drifted = core.attenuation().to_vec();
+        drifted[2] = f64::NAN;
+        chip.set_attenuation(&drifted);
+        let eff = chip.effective_matrix();
+        assert!(
+            eff.as_slice().iter().all(|x| x.is_finite()),
+            "NaN poisoned the chip"
+        );
+        // NaN reads as a fully amorphous cell: amplitude 1.0.
+        drifted[2] = 1.0;
+        let mut want = core.realize(&MvmNoiseConfig::ideal(), &mut rng);
+        want.set_attenuation(&drifted);
+        assert_eq!(eff, want.effective_matrix());
     }
 
     #[test]

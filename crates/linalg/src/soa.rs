@@ -12,12 +12,15 @@
 //!   turns the inner loop into SIMD;
 //! - all kernels have `*_into` forms writing into caller-owned buffers,
 //!   so steady-state callers (mesh programming loops, GeMM column
-//!   streaming) allocate nothing per call.
+//!   streaming) allocate nothing per call;
+//! - [`real_udv_into`] takes operands packed once up front and computes
+//!   only the real half of `U·diag(a)·V`, the matrix a realized MVM chip
+//!   reads out, so its drift step packs and allocates nothing.
 //!
 //! The packing cost is O(n²) against the O(n³) product, so the kernels
 //! win from roughly n ≥ 8 and are never significantly worse below that.
 
-use crate::{CMatrix, CVector, C64};
+use crate::{CMatrix, CVector, RMatrix, C64};
 
 /// A complex matrix stored as two row-major real planes.
 #[derive(Debug, Clone, PartialEq)]
@@ -499,6 +502,49 @@ pub fn mul_mat_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix, scratch: &mut M
     }
 }
 
+/// `out = Re(U · diag(a) · V) · scale` over frozen split operands — the
+/// one real matrix a U/Σ/V chain implements for real inputs.
+///
+/// Computes only the real half of the product, in place: each output
+/// row is its own accumulator, so nothing is packed or allocated. The
+/// loop runs in i-k-j order like [`mul_mat_into`], and every term is
+/// evaluated as `(u_re·a)·v_re − (u_im·a)·v_im` with the same skip when
+/// both scaled entries are zero, `scale` applied last. That is exactly
+/// the real-part arithmetic of [`CMatrix::mul_mat`] on `U · diag(a)`
+/// and `V` (packed and naive alike), so the result is bit-identical to
+/// `Re(mul_mat(U·diag(a), V)) · scale` at every size.
+///
+/// # Panics
+///
+/// Panics if `u` is not `rows × a.len()`, `v` is not `a.len() × cols`,
+/// or `out` is not `rows × cols`.
+pub fn real_udv_into(u: &SplitMatrix, a: &[f64], v: &SplitMatrix, scale: f64, out: &mut RMatrix) {
+    assert_eq!(u.cols(), a.len(), "real_udv_into: bad diagonal length");
+    assert_eq!(v.rows(), a.len(), "real_udv_into: dimension mismatch");
+    assert_eq!(out.rows(), u.rows(), "real_udv_into: bad output rows");
+    assert_eq!(out.cols(), v.cols(), "real_udv_into: bad output cols");
+    let cols = v.cols();
+    let dst = out.as_mut_slice();
+    for i in 0..u.rows() {
+        let (ur, ui) = u.row(i);
+        let acc = &mut dst[i * cols..(i + 1) * cols];
+        acc.fill(0.0);
+        for (k, &ak) in a.iter().enumerate() {
+            let (are, aim) = (ur[k] * ak, ui[k] * ak);
+            if are == 0.0 && aim == 0.0 {
+                continue;
+            }
+            let (vr, vi) = v.row(k);
+            for ((o, &br), &bi) in acc.iter_mut().zip(vr).zip(vi) {
+                *o += are * br - aim * bi;
+            }
+        }
+        for o in acc.iter_mut() {
+            *o *= scale;
+        }
+    }
+}
+
 /// Allocating convenience wrapper over [`mul_mat_into`].
 pub fn mul_mat(a: &CMatrix, b: &CMatrix) -> CMatrix {
     let mut out = CMatrix::zeros(a.rows(), b.cols());
@@ -669,6 +715,57 @@ mod tests {
         col.finish();
         assert_eq!(col.uniform_start, None);
         assert_eq!(col.len(), 4);
+    }
+
+    #[test]
+    fn real_udv_matches_real_part_of_mul_mat_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5ca1e);
+        for n in [1usize, 2, 3, 7, 8, 9, 16, 32, 33] {
+            let entry =
+                |rng: &mut StdRng| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+            // Purely real and purely imaginary entries in U pin the
+            // skip to "both scaled parts are zero".
+            let u = CMatrix::from_fn(n, n, |i, k| match (i + 2 * k) % 5 {
+                0 => C64::new(0.0, rng.gen_range(-1.0..1.0)),
+                1 => C64::new(rng.gen_range(-1.0..1.0), -0.0),
+                _ => entry(&mut rng),
+            });
+            let a: Vec<f64> = (0..n)
+                .map(|k| match k % 4 {
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            // A fully attenuated mode blocks its V row, so a non-finite
+            // entry there must never reach the output.
+            let v = CMatrix::from_fn(n, n, |k, j| {
+                if a[k] == 0.0 && j == 0 {
+                    C64::new(f64::INFINITY, f64::NAN)
+                } else {
+                    entry(&mut rng)
+                }
+            });
+            let scale = rng.gen_range(0.5..3.0);
+            let ua = CMatrix::from_fn(n, n, |i, k| u[(i, k)].scale(a[k]));
+            let want = ua.mul_mat(&v);
+            let mut got = RMatrix::from_fn(n, n, |_, _| f64::NAN);
+            real_udv_into(
+                &SplitMatrix::from_matrix(&u),
+                &a,
+                &SplitMatrix::from_matrix(&v),
+                scale,
+                &mut got,
+            );
+            for i in 0..n {
+                for j in 0..n {
+                    let w = want[(i, j)].re * scale;
+                    assert_eq!(got.row(i)[j].to_bits(), w.to_bits(), "n={n} ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -163,6 +163,8 @@ pub struct AccelDevice {
     /// The programmed chip and the nominal attenuator column it was
     /// programmed with; drift and recalibration re-set only that column.
     chip: Option<(RealizedMvm, Vec<f64>)>,
+    /// Reused buffer for the aged attenuator column of each drifted job.
+    drifted: Vec<f64>,
     // MMRs
     in_addr: u32,
     out_addr: u32,
@@ -212,6 +214,7 @@ impl AccelDevice {
     pub fn new(cpu_hz: f64) -> Self {
         AccelDevice {
             chip: None,
+            drifted: Vec::new(),
             in_addr: 0,
             out_addr: 0,
             batch: 1,
@@ -435,30 +438,30 @@ impl AccelDevice {
         self.setup_cycles + streaming.max(1)
     }
 
-    /// The attenuator states aged by the drift model at time `now`, or
-    /// `None` when drift is disabled / zero time has passed.
-    fn drifted_attenuation(&self, now: u64) -> Option<Vec<f64>> {
-        let model = self.drift.as_ref()?;
-        let (_, nominal) = self.chip.as_ref()?;
+    /// Ages the nominal attenuator states by the drift model to time
+    /// `now`, writing them into the device-owned `drifted` buffer.
+    /// Returns `false` (buffer untouched) when drift is disabled, no
+    /// matrix is loaded, or zero time has passed.
+    fn age_attenuation(&mut self, now: u64) -> bool {
+        let (Some(model), Some((_, nominal))) = (self.drift.as_ref(), self.chip.as_ref()) else {
+            return false;
+        };
         let elapsed =
             self.age_s + now.saturating_sub(self.programmed_at) as f64 * model.seconds_per_cycle;
         if elapsed <= 0.0 {
-            return None;
+            return false;
         }
-        Some(
-            nominal
-                .iter()
-                .map(|&a| {
-                    // `PcmCell::set_state`'s policy: clamp, NaN → amorphous.
-                    let stored = if a.is_nan() {
-                        0.0
-                    } else {
-                        (1.0 - a).clamp(0.0, 1.0)
-                    };
-                    (1.0 - drift_fraction(stored, elapsed, model.nu)).clamp(0.0, 1.0)
-                })
-                .collect(),
-        )
+        self.drifted.clear();
+        self.drifted.extend(nominal.iter().map(|&a| {
+            // `PcmCell::set_state`'s policy: clamp, NaN → amorphous.
+            let stored = if a.is_nan() {
+                0.0
+            } else {
+                (1.0 - a).clamp(0.0, 1.0)
+            };
+            (1.0 - drift_fraction(stored, elapsed, model.nu)).clamp(0.0, 1.0)
+        }));
+        true
     }
 
     /// Starts a job at time `now`: consumes inputs from SPM, computes, and
@@ -477,13 +480,13 @@ impl AccelDevice {
             return false;
         }
         let batch = self.batch;
-        let drifted = self.drifted_attenuation(now);
+        let aged = self.age_attenuation(now);
         let Some((chip, nominal)) = self.chip.as_mut().filter(|_| batch > 0) else {
             self.error |= errcode::BAD_JOB;
             return false;
         };
-        if let Some(att) = drifted {
-            chip.set_attenuation(&att);
+        if aged {
+            chip.set_attenuation(&self.drifted);
         }
         let n = nominal.len();
         let mut in_addr = self.in_addr;
