@@ -1,8 +1,9 @@
 //! **Kernel throughput probe.** Times the hot simulator kernels (mesh
-//! application, complex matmul, MVM multiply, the MVM drift step, GeMM
-//! streaming) and emits one unified `neuropulsim-bench/v1` report (see
-//! `bench::runner`): median-of-N timings, machine-normalized `norm` per
-//! measurement, MAC throughput in each measurement's `meta`.
+//! application, complex matmul, MVM multiply, the MVM drift step, the
+//! accelerator's batched job product, GeMM streaming) and emits one
+//! unified `neuropulsim-bench/v1` report (see `bench::runner`):
+//! median-of-N timings, machine-normalized `norm` per measurement, MAC
+//! throughput in each measurement's `meta`.
 //!
 //! `macs_per_op` counts real multiply–accumulates (a complex MAC is
 //! four real MACs). Iteration counts are fixed per case so runs are
@@ -23,17 +24,22 @@ use rand::{Rng, SeedableRng};
 /// Median repetitions per measurement.
 const REPS: usize = 5;
 
+/// Times `op` as `{bench}/n{n}` (see [`report_id`]).
+fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f64, op: F) {
+    report_id(runner, &format!("{bench}/n{n}"), macs_per_op, op);
+}
+
 /// Times `op` under the unified runner: one measured rep = `iters`
 /// calls (inversely proportional to per-op work), median of [`REPS`],
-/// with per-op and throughput figures in `meta`.
-fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f64, mut op: F) {
+/// with per-op and throughput figures in `meta`. Returns the median
+/// nanoseconds per op.
+fn report_id<F: FnMut()>(runner: &mut Runner, id: &str, macs_per_op: f64, mut op: F) -> f64 {
     let iters = iters_for(macs_per_op);
     for _ in 0..iters / 8 + 1 {
         op();
     }
-    let id = format!("{bench}/n{n}");
     let median_ns = runner.measure_with_meta(
-        &id,
+        id,
         REPS,
         &[
             ("iters", format!("{iters}")),
@@ -50,6 +56,7 @@ fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f
     let ns_per_op = median_ns / iters as f64;
     let macs_per_s = macs_per_op / (ns_per_op * 1e-9);
     runner.derived(&format!("{id}:macs_per_s"), format!("{macs_per_s:.4e}"));
+    ns_per_op
 }
 
 /// Picks an iteration count inversely proportional to the work per op,
@@ -128,6 +135,37 @@ fn bench_set_attenuation(runner: &mut Runner, n: usize) {
     });
 }
 
+/// One accelerator job's product at the served MLP's `n`: the whole
+/// lane-major batch through the lane-blocked kernel, against the
+/// per-vector `mul_vec_into` loop it replaces (the bench-local
+/// baseline). The speedup is an in-process ratio, so host noise cancels.
+fn bench_mul_lanes(runner: &mut Runner, n: usize) {
+    let w = random_rmatrix(n, n, 7);
+    let [_, lanes_ns] = [8usize, 32].map(|lanes| {
+        let xt = random_rmatrix(n, lanes, 9);
+        let mut yt = vec![0.0; n * lanes];
+        let id = format!("rmatrix_mul_lanes/n{n}_b{lanes}");
+        report_id(runner, &id, (n * n * lanes) as f64, || {
+            w.mul_lanes_into(xt.as_slice(), lanes, &mut yt);
+            std::hint::black_box(&yt);
+        })
+    });
+    let lanes = 32;
+    let xs = random_rmatrix(lanes, n, 9);
+    let mut y = vec![0.0; n];
+    let id = format!("rmatrix_mul_vec_loop/n{n}_b{lanes}");
+    let baseline_ns = report_id(runner, &id, (n * n * lanes) as f64, || {
+        for v in 0..lanes {
+            w.mul_vec_into(xs.row(v), &mut y);
+            std::hint::black_box(&y);
+        }
+    });
+    runner.derived(
+        &format!("rmatrix_mul_lanes/speedup_n{n}_b{lanes}"),
+        format!("{:.3}", baseline_ns / lanes_ns),
+    );
+}
+
 fn bench_gemm(runner: &mut Runner, n: usize) {
     let cols = 64;
     let x = random_rmatrix(n, cols, 6);
@@ -153,5 +191,6 @@ fn main() {
     }
     // The served MLP's n.
     bench_set_attenuation(&mut runner, 32);
+    bench_mul_lanes(&mut runner, 32);
     print!("{}", runner.to_json());
 }

@@ -369,6 +369,19 @@ impl RealizedMvm {
         self.effective.mul_vec_into(x, y);
     }
 
+    /// Noiseless multiply of a whole lane-major batch — one dense-WDM
+    /// pass: `xt[k·lanes + v]` is element `k` of input `v`, output `v`
+    /// lands in `yt[i·lanes + v]`. Each lane is bit-identical to
+    /// [`RealizedMvm::multiply_into`] (see [`RMatrix::mul_lanes_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xt.len()` or `yt.len()` is not the core dimension
+    /// times `lanes`.
+    pub fn multiply_lanes_into(&self, xt: &[f64], lanes: usize, yt: &mut [f64]) {
+        self.effective.mul_lanes_into(xt, lanes, yt);
+    }
+
     /// The effective real matrix implemented by this instance (real part
     /// of `U * diag(a) * V` times scale), cached whenever the attenuation
     /// is set.

@@ -5,6 +5,9 @@ use crate::CMatrix;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
+/// Lanes per accumulator block of [`RMatrix::mul_lanes_into`].
+const LANE_BLOCK: usize = 8;
+
 /// A dense, row-major `f64` matrix.
 ///
 /// # Examples
@@ -125,6 +128,56 @@ impl RMatrix {
         assert_eq!(out.len(), self.rows, "mul_vec_into: bad output length");
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.row(i).iter().zip(v).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    /// Batched product `Y = self · X` over a lane-major batch of `lanes`
+    /// vectors: `xt[k·lanes + v]` is element `k` of input `v`, and output
+    /// `v` lands in `yt[i·lanes + v]`.
+    ///
+    /// Every output is bit-identical to [`RMatrix::mul_vec_into`] on its
+    /// lane: it starts from `-0.0` (the `f64: Sum` identity) and adds
+    /// `self[(i, k)] · x[k]` in ascending `k`. Full blocks of eight lanes
+    /// keep fixed-size accumulators, so the adds vectorize across the
+    /// batch; the lanes left over run the plain per-lane dot product, so
+    /// a one-lane call costs one `mul_vec_into`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xt.len() != cols · lanes` or `yt.len() != rows · lanes`.
+    pub fn mul_lanes_into(&self, xt: &[f64], lanes: usize, yt: &mut [f64]) {
+        assert_eq!(
+            xt.len(),
+            self.cols * lanes,
+            "mul_lanes_into: bad input length"
+        );
+        assert_eq!(
+            yt.len(),
+            self.rows * lanes,
+            "mul_lanes_into: bad output length"
+        );
+        if lanes == 0 {
+            return;
+        }
+        let full = lanes - lanes % LANE_BLOCK;
+        for (i, y) in yt.chunks_exact_mut(lanes).enumerate() {
+            let w = self.row(i);
+            for c in (0..full).step_by(LANE_BLOCK) {
+                let mut acc = [-0.0f64; LANE_BLOCK];
+                for (&wk, x) in w.iter().zip(xt.chunks_exact(lanes)) {
+                    for (a, &xv) in acc.iter_mut().zip(&x[c..c + LANE_BLOCK]) {
+                        *a += wk * xv;
+                    }
+                }
+                y[c..c + LANE_BLOCK].copy_from_slice(&acc);
+            }
+            for (v, out) in y.iter_mut().enumerate().skip(full) {
+                *out = w
+                    .iter()
+                    .zip(xt[v..].iter().step_by(lanes))
+                    .map(|(a, b)| a * b)
+                    .sum();
+            }
         }
     }
 
@@ -278,6 +331,60 @@ mod tests {
         assert_eq!(id.mul_mat(&a), a);
         let v = a.mul_vec(&[1.0, 0.0, -1.0]);
         assert_eq!(v, vec![-2.0, -2.0]);
+    }
+
+    /// The lane-blocked batch product must reproduce `mul_vec_into` bit
+    /// for bit on every lane: full blocks, leftover lanes, and the
+    /// signed-zero and non-finite cases where summation order and start
+    /// value show.
+    #[test]
+    fn mul_lanes_matches_mul_vec_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Rust leaves the sign and payload of an arithmetic NaN
+        // unspecified (codegen may commute operands), so every NaN
+        // compares as one class; all other results compare by bits.
+        let bits = |v: f64| {
+            if v.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in [1usize, 2, 3, 7, 8, 9, 32, 33] {
+            for lanes in [1usize, 2, 7, 8, 9, 32, 33] {
+                let mut w = RMatrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+                let mut xs: Vec<Vec<f64>> = (0..lanes)
+                    .map(|_| (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect())
+                    .collect();
+                // Row 0 is all zero and lane 0 all negative: each term is
+                // -0.0, so only a -0.0 start keeps the sign.
+                w.as_mut_slice()[..n].fill(0.0);
+                xs[0].iter_mut().for_each(|x| *x = -x.abs() - 1.0);
+                if n > 1 && lanes > 1 {
+                    w[(n - 1, 0)] = f64::INFINITY;
+                    xs[lanes - 1][n - 1] = f64::NAN;
+                    xs[1][0] = f64::NEG_INFINITY;
+                }
+                let xt: Vec<f64> = (0..n).flat_map(|k| xs.iter().map(move |x| x[k])).collect();
+                let mut yt = vec![0.0; n * lanes];
+                w.mul_lanes_into(&xt, lanes, &mut yt);
+                let mut y = vec![0.0; n];
+                for (v, x) in xs.iter().enumerate() {
+                    w.mul_vec_into(x, &mut y);
+                    for (i, want) in y.iter().enumerate() {
+                        assert_eq!(
+                            bits(yt[i * lanes + v]),
+                            bits(*want),
+                            "n={n} lanes={lanes} row={i} lane={v}: {} vs {want}",
+                            yt[i * lanes + v]
+                        );
+                    }
+                }
+                assert_eq!(yt[0].to_bits(), (-0.0f64).to_bits(), "n={n} lanes={lanes}");
+            }
+        }
     }
 
     #[test]

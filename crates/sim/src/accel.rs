@@ -165,6 +165,11 @@ pub struct AccelDevice {
     chip: Option<(RealizedMvm, Vec<f64>)>,
     /// Reused buffer for the aged attenuator column of each drifted job.
     drifted: Vec<f64>,
+    /// Reused staging buffers of the whole-window path: the batch's
+    /// SPM words, then its inputs and outputs lane-major. No job reads
+    /// what an earlier job left in them.
+    stage_words: Vec<u32>,
+    stage_lanes: Vec<f64>,
     // MMRs
     in_addr: u32,
     out_addr: u32,
@@ -215,6 +220,8 @@ impl AccelDevice {
         AccelDevice {
             chip: None,
             drifted: Vec::new(),
+            stage_words: Vec::new(),
+            stage_lanes: Vec::new(),
             in_addr: 0,
             out_addr: 0,
             batch: 1,
@@ -489,48 +496,71 @@ impl AccelDevice {
             chip.set_attenuation(&self.drifted);
         }
         let n = nominal.len();
-        let mut in_addr = self.in_addr;
-        let mut out_addr = self.out_addr;
-        let mut x = vec![0.0f64; n];
-        let mut y = vec![0.0f64; n];
-        let mut words = vec![0u32; n];
-        for _ in 0..batch {
-            // Bulk-streamed operand windows: one counted slice copy per
-            // vector instead of a counted word access per element. The
-            // per-word loop remains as the fallback so a window that
-            // leaves the SPM charges exactly the partial accesses the
-            // streaming engine would have issued before faulting.
-            if spm.read_words_into(in_addr, &mut words) {
-                for (v, &word) in x.iter_mut().zip(&words) {
-                    *v = from_fixed(word as i32);
-                }
-                in_addr += 4 * n as u32;
-            } else {
-                for v in x.iter_mut() {
-                    let Ok(word) = spm.load(in_addr) else {
-                        self.error |= errcode::SPM_RANGE;
-                        return false;
-                    };
-                    *v = from_fixed(word as i32);
-                    in_addr += 4;
-                }
-            }
-            chip.multiply_into(&x, &mut y);
-            for (w, &val) in words.iter_mut().zip(&y) {
-                *w = to_fixed(val) as u32;
-            }
-            if spm.write_words(out_addr, &words) {
-                out_addr += 4 * n as u32;
-            } else {
-                for &w in &words {
-                    if spm.store(out_addr, w).is_err() {
-                        self.error |= errcode::SPM_RANGE;
-                        return false;
+        let lanes = batch as usize;
+        // Both windows are sized with checked arithmetic before any
+        // buffer is: a garbage BATCH falls through to the per-word path,
+        // which faults at the SPM edge instead of allocating for it.
+        let windows = n.checked_mul(lanes).and_then(|m| {
+            Some((
+                spm.word_span(self.in_addr, m)?,
+                spm.word_span(self.out_addr, m)?,
+            ))
+        });
+        match windows {
+            Some((src, dst)) if src.end <= dst.start || dst.end <= src.start => {
+                // Whole-window path: one counted read of the batch, one
+                // lane-blocked product (the batch rides one dense-WDM
+                // pass), one counted write.
+                let m = src.len();
+                let words = &mut self.stage_words;
+                words.resize(m, 0);
+                spm.read_words_into(self.in_addr, words);
+                self.stage_lanes.resize(2 * m, 0.0);
+                let (xt, yt) = self.stage_lanes.split_at_mut(m);
+                for (v, x) in words.chunks_exact(n).enumerate() {
+                    for (k, &word) in x.iter().enumerate() {
+                        xt[k * lanes + v] = from_fixed(word as i32);
                     }
-                    out_addr += 4;
+                }
+                chip.multiply_lanes_into(xt, lanes, yt);
+                for (v, y) in words.chunks_exact_mut(n).enumerate() {
+                    for (i, word) in y.iter_mut().enumerate() {
+                        *word = to_fixed(yt[i * lanes + v]) as u32;
+                    }
+                }
+                spm.write_words(self.out_addr, words);
+                self.vectors_processed += u64::from(batch);
+            }
+            _ => {
+                // Per-word path for windows that leave the SPM or
+                // overlap: vector by vector, word by word, so a fault
+                // charges exactly the partial accesses the streaming
+                // engine issued before it, and an output that lands on
+                // a later input is read back as that input.
+                let mut in_addr = self.in_addr;
+                let mut out_addr = self.out_addr;
+                let mut x = vec![0.0f64; n];
+                let mut y = vec![0.0f64; n];
+                for _ in 0..batch {
+                    for v in x.iter_mut() {
+                        let Ok(word) = spm.load(in_addr) else {
+                            self.error |= errcode::SPM_RANGE;
+                            return false;
+                        };
+                        *v = from_fixed(word as i32);
+                        in_addr += 4;
+                    }
+                    chip.multiply_into(&x, &mut y);
+                    for &val in &y {
+                        if spm.store(out_addr, to_fixed(val) as u32).is_err() {
+                            self.error |= errcode::SPM_RANGE;
+                            return false;
+                        }
+                        out_addr += 4;
+                    }
+                    self.vectors_processed += 1;
                 }
             }
-            self.vectors_processed += 1;
         }
         let cycles = self.job_cycles(batch);
         self.busy = true;
@@ -870,6 +900,83 @@ mod tests {
         assert!(!d.start(0, &mut spm));
         assert_eq!(d.error_bits(), errcode::SPM_RANGE);
         assert_ne!(d.mmr_load(mmr::STATUS) & status::ERROR, 0);
+    }
+
+    /// The per-vector streaming semantics every job must reproduce:
+    /// vector by vector, `n` counted word loads, one multiply, `n`
+    /// counted word stores, faulting at the first word outside the SPM.
+    fn per_vector_reference(d: &mut AccelDevice, spm: &mut Ram) -> bool {
+        let (chip, nominal) = d.chip.as_ref().expect("matrix loaded");
+        let n = nominal.len();
+        let (mut src, mut dst) = (d.in_addr, d.out_addr);
+        let (mut x, mut y) = (vec![0.0; n], vec![0.0; n]);
+        for _ in 0..d.batch {
+            for v in x.iter_mut() {
+                let Ok(word) = spm.load(src) else {
+                    d.error |= errcode::SPM_RANGE;
+                    return false;
+                };
+                *v = from_fixed(word as i32);
+                src += 4;
+            }
+            chip.multiply_into(&x, &mut y);
+            for &val in &y {
+                if spm.store(dst, to_fixed(val) as u32).is_err() {
+                    d.error |= errcode::SPM_RANGE;
+                    return false;
+                }
+                dst += 4;
+            }
+            d.vectors_processed += 1;
+        }
+        true
+    }
+
+    /// Disjoint, aliased, half-overlapping, SPM-leaving and garbage-batch
+    /// windows all leave the same SPM contents, access counters, vector
+    /// count and error bits as the per-vector reference loop.
+    #[test]
+    fn job_windows_match_the_per_vector_reference() {
+        let n = 8usize;
+        let w = RMatrix::from_fn(n, n, |i, j| ((3 * i + 5 * j) % 7) as f64 / 7.0 - 0.4);
+        let mut spm = Ram::new(0x1000, 4096);
+        for k in 0..1024u32 {
+            spm.poke(0x1000 + 4 * k, to_fixed((k as f64 * 0.37).sin()) as u32)
+                .unwrap();
+        }
+        let word = 4 * n as u32;
+        let cases = [
+            ("disjoint", 0x1000, 0x1800, 11),
+            ("aliased", 0x1100, 0x1100, 9),
+            ("half-overlap", 0x1100, 0x1100 + word, 9),
+            ("leaves SPM", 0x1000, 0x2000 - 5 * word / 2, 4),
+            ("garbage batch", 0x1000, 0x1800, u32::MAX),
+        ];
+        for (name, in_addr, out_addr, batch) in cases {
+            let mut dev = AccelDevice::new(1e9);
+            dev.load_matrix(&w);
+            dev.mmr_store(mmr::IN_ADDR, in_addr);
+            dev.mmr_store(mmr::OUT_ADDR, out_addr);
+            dev.mmr_store(mmr::BATCH, batch);
+            let mut reference = dev.clone();
+            let (mut got_spm, mut want_spm) = (spm.clone(), spm.clone());
+            let started = dev.start(0, &mut got_spm);
+            let want = per_vector_reference(&mut reference, &mut want_spm);
+            assert_eq!(started, want, "{name}: start result");
+            assert!(
+                got_spm == want_spm,
+                "{name}: SPM contents or counters differ"
+            );
+            assert_eq!(
+                dev.vectors_processed, reference.vectors_processed,
+                "{name}: vectors processed"
+            );
+            assert_eq!(dev.error_bits(), reference.error, "{name}: error bits");
+            assert!(
+                dev.stage_words.capacity() <= spm.size() / 4,
+                "{name}: staging sized by the SPM, not by BATCH"
+            );
+        }
     }
 
     #[test]

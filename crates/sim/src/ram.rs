@@ -6,6 +6,7 @@
 //! a first-class energy line item here.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A word-addressable RAM with base address and access counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,25 +146,54 @@ impl Ram {
         Ok(())
     }
 
-    /// Loads a slice of words starting at `addr` (host-side).
+    /// Writes a slice of words starting at `addr` without counting
+    /// (host-side program loading and operand staging): one bounds check,
+    /// then one slice copy. An empty slice writes nothing.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds.
+    /// Panics if any word of the range lies outside the RAM. The check
+    /// runs before the copy, so a panicking call writes no word at all.
     pub fn poke_words(&mut self, addr: u32, words: &[u32]) {
-        for (k, &w) in words.iter().enumerate() {
-            self.poke(addr + 4 * k as u32, w)
-                .expect("poke_words in range");
+        if words.is_empty() {
+            return;
         }
+        let first = self
+            .span_index(addr, words.len())
+            .expect("poke_words in range");
+        self.data[first..first + words.len()].copy_from_slice(words);
+    }
+
+    /// Borrows `count` words starting at `addr` without counting
+    /// (host-side readback of an operand window).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RamFault`] when any word of the range lies outside the
+    /// RAM.
+    pub fn peek_words(&self, addr: u32, count: usize) -> Result<&[u32], RamFault> {
+        let first = self.span_index(addr, count)?;
+        Ok(&self.data[first..first + count])
+    }
+
+    /// The word-index range of `count` words starting at `addr`, or
+    /// `None` when any of them lies outside the RAM. The arithmetic is
+    /// checked, so a hostile `count` yields `None`, never an overflow.
+    pub fn word_span(&self, addr: u32, count: usize) -> Option<Range<usize>> {
+        let first = self.span_index(addr, count).ok()?;
+        Some(first..first + count)
     }
 
     /// Resolves `addr` to a word index and checks that `count` words fit
     /// from there to the end of the RAM.
     fn span_index(&self, addr: u32, count: usize) -> Result<usize, RamFault> {
         let first = self.index(addr)?;
-        if first + count > self.data.len() {
+        if first
+            .checked_add(count)
+            .is_none_or(|end| end > self.data.len())
+        {
             return Err(RamFault {
-                addr: addr.wrapping_add(4 * (count as u32 - 1)),
+                addr: addr.wrapping_add((count as u32).wrapping_sub(1).wrapping_mul(4)),
             });
         }
         Ok(first)
@@ -367,6 +397,30 @@ mod tests {
         let mut r = Ram::new(0x100, 32);
         r.poke_words(0x104, &[1, 2, 3]);
         assert_eq!(r.peek(0x108).unwrap(), 2);
+    }
+
+    #[test]
+    fn slice_helpers_do_not_count() {
+        let mut r = Ram::new(0x100, 32);
+        r.poke_words(0x104, &[1, 2, 3]);
+        assert_eq!(r.peek_words(0x104, 3).unwrap(), &[1, 2, 3]);
+        assert_eq!(r.peek_words(0x100, 8).unwrap().len(), 8);
+        assert_eq!(r.peek_words(0x110, 5).unwrap_err().addr, 0x120);
+        assert!(r.peek_words(0x100, usize::MAX).is_err(), "checked span");
+        assert_eq!(r.word_span(0x104, 3), Some(1..4));
+        assert_eq!(r.word_span(0x104, 8), None);
+        assert_eq!((r.reads, r.writes), (0, 0));
+    }
+
+    #[test]
+    fn out_of_range_poke_words_writes_nothing() {
+        let mut r = Ram::new(0x100, 16);
+        let before = r.clone();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.poke_words(0x108, &[7, 8, 9]);
+        }));
+        assert!(result.is_err(), "a range past the end panics");
+        assert_eq!(r, before, "no prefix is written before the panic");
     }
 
     #[test]

@@ -563,6 +563,9 @@ struct Pending {
 #[derive(Debug, Clone)]
 struct Job {
     requests: Vec<Pending>,
+    /// Per-request ABFT right-hand side `(1ᵀW)·x` over the quantized
+    /// payload the device consumed, recorded at dispatch.
+    rhs: Vec<f64>,
 }
 
 /// One fleet member and its bus identity.
@@ -658,6 +661,8 @@ pub struct InferenceServer {
     /// and drains newly-orphaned queued requests.
     fleet_changed: bool,
     spm: Ram,
+    /// Reused staging buffer: a job's quantized payloads, in SPM order.
+    stage: Vec<u32>,
     now: u64,
     /// In-progress run (between [`InferenceServer::begin`] and
     /// [`InferenceServer::finish`]).
@@ -767,6 +772,7 @@ impl InferenceServer {
             servable,
             fleet_changed: false,
             spm: Ram::new(SPM_BASE, SPM_SIZE),
+            stage: Vec::new(),
             now: 0,
             state: None,
         }
@@ -1268,19 +1274,31 @@ impl InferenceServer {
     // ---- device protocol -------------------------------------------------
 
     /// Stages a job's inputs into the PE's SPM window and rings the
-    /// doorbell. Returns the job back on immediate rejection (bricked
-    /// device, malformed job).
-    fn dispatch(&mut self, i: usize, job: Job) -> Result<(), Job> {
-        let n = self.models[self.pes[i].spec.model].rows();
-        let pe = &mut self.pes[i];
-        for (k, p) in job.requests.iter().enumerate() {
+    /// doorbell. Each payload is quantized once: the staged words feed
+    /// both the device and the job's recorded ABFT right-hand sides.
+    /// Returns the job back on immediate rejection (bricked device,
+    /// malformed job).
+    fn dispatch(&mut self, i: usize, mut job: Job) -> Result<(), Job> {
+        let model = self.pes[i].spec.model;
+        let n = self.models[model].rows();
+        let checksum_row = &self.checksum_rows[model];
+        self.stage.clear();
+        job.rhs.clear();
+        for p in &job.requests {
             debug_assert_eq!(p.req.x.len(), n, "request length matches its model");
-            for (j, &v) in p.req.x.iter().enumerate() {
-                self.spm
-                    .poke(pe.spm_in + (k * n + j) as u32 * 4, to_fixed(v) as u32)
-                    .expect("PE window inside SPM");
-            }
+            let start = self.stage.len();
+            self.stage
+                .extend(p.req.x.iter().map(|&v| to_fixed(v) as u32));
+            job.rhs.push(
+                checksum_row
+                    .iter()
+                    .zip(&self.stage[start..])
+                    .map(|(&c, &q)| c * from_fixed(q as i32))
+                    .sum(),
+            );
         }
+        let pe = &mut self.pes[i];
+        self.spm.poke_words(pe.spm_in, &self.stage);
         // Same MMR protocol the bus-mapped firmware path uses.
         pe.dev.mmr_store(mmr::CTRL, 4); // clear stale error latch
         pe.dev.mmr_store(mmr::IN_ADDR, pe.spm_in);
@@ -1411,23 +1429,24 @@ impl InferenceServer {
         }
         let mut bad: Vec<Pending> = Vec::new();
         let mut good = 0usize;
-        for (k, p) in job.requests.into_iter().enumerate() {
-            let y: Vec<f64> = (0..n)
-                .map(|j| {
-                    from_fixed(
-                        self.spm
-                            .peek(pe.spm_out + (k * n + j) as u32 * 4)
-                            .expect("PE window inside SPM") as i32,
-                    )
-                })
-                .collect();
+        debug_assert_eq!(
+            job.rhs.len(),
+            job.requests.len(),
+            "dispatch records every rhs"
+        );
+        let out = self
+            .spm
+            .peek_words(pe.spm_out, job.requests.len() * n)
+            .expect("PE window inside SPM");
+        for ((p, rhs), words) in job
+            .requests
+            .into_iter()
+            .zip(job.rhs)
+            .zip(out.chunks_exact(n))
+        {
+            let y: Vec<f64> = words.iter().map(|&w| from_fixed(w as i32)).collect();
             // ABFT plain-checksum identity: Σ·(W x) = (1ᵀW)·x.
             let lhs: f64 = y.iter().sum();
-            let rhs: f64 = self.checksum_rows[model]
-                .iter()
-                .zip(&p.req.x)
-                .map(|(&c, &x)| c * from_fixed(to_fixed(x)))
-                .sum();
             if (lhs - rhs).abs() <= CHECKSUM_TOLERANCE * n as f64 {
                 good += 1;
                 st.responses.push(Response {
@@ -1658,7 +1677,10 @@ fn take_batch(
         requests.push(queue.remove(k).expect("index valid"));
     }
     requests.reverse();
-    Some(Job { requests })
+    Some(Job {
+        requests,
+        rhs: Vec::new(),
+    })
 }
 
 /// Specification of a synthetic request load.
