@@ -15,7 +15,8 @@
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_core::clements::decompose;
 use neuropulsim_core::gemm::{GemmEngine, GemmMode};
-use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig};
+use neuropulsim_core::mvm::MvmCore;
+use neuropulsim_core::program::MeshScratch;
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::{CMatrix, CVector, MatmulScratch, RMatrix};
 use rand::rngs::StdRng;
@@ -80,10 +81,11 @@ fn bench_mesh_apply(runner: &mut Runner, n: usize) {
         std::hint::black_box(program.apply(&x));
     });
     let plan = program.compile();
-    let mut buf = x.clone();
+    let mut buf = x.as_slice().to_vec();
+    let mut scratch = MeshScratch::new();
     report(runner, "mesh_apply/compiled", n, macs, || {
-        buf.as_mut_slice().copy_from_slice(x.as_slice());
-        plan.apply_in_place(buf.as_mut_slice());
+        buf.copy_from_slice(x.as_slice());
+        plan.apply_in_place(&mut buf, &mut scratch);
         std::hint::black_box(buf[0]);
     });
 }
@@ -115,9 +117,8 @@ fn bench_mvm_multiply(runner: &mut Runner, n: usize) {
         std::hint::black_box(core.multiply(&x));
     });
     let mut y = vec![0.0; n];
-    let mut scratch = CVector::zeros(n);
     report(runner, "mvm_multiply/into", n, macs, || {
-        core.multiply_into(&x, &mut y, &mut scratch);
+        core.multiply_into(&x, &mut y);
         std::hint::black_box(y[0]);
     });
 }
@@ -126,7 +127,7 @@ fn bench_mvm_multiply(runner: &mut Runner, n: usize) {
 /// re-composes `Re(U·diag(a)·V)·scale`, two real MACs per complex term.
 fn bench_set_attenuation(runner: &mut Runner, n: usize) {
     let core = MvmCore::new(&random_rmatrix(n, n, 4));
-    let mut chip = core.realize(&MvmNoiseConfig::ideal(), &mut StdRng::seed_from_u64(0));
+    let mut chip = core.chip().clone();
     let aged: Vec<f64> = core.attenuation().iter().map(|a| 0.97 * a).collect();
     let macs = (2 * n * n * n) as f64;
     report(runner, "mvm_set_attenuation", n, macs, || {

@@ -1,5 +1,6 @@
 //! **Large-mesh scaling probe** — times the blocked/fused mesh
-//! application kernels against the per-block path at n = 64 and n = 128
+//! application kernels against the oracle per-block plan
+//! (`oracle::decomp_ref::PerBlockPlan`) at n = 64 and n = 128
 //! and runs the deterministic topology × size grid sweep plus the
 //! calibration-under-drift campaign, emitting one unified
 //! `neuropulsim-bench/v1` report (see `bench::runner`).
@@ -24,6 +25,7 @@ use neuropulsim_core::program::MeshScratch;
 use neuropulsim_linalg::parallel::available_threads;
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::C64;
+use neuropulsim_oracle::decomp_ref::PerBlockPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,12 +76,13 @@ fn random_cvec(rng: &mut StdRng, n: usize) -> Vec<C64> {
         .collect()
 }
 
-/// Times the rectangular per-block vs blocked vs batched apply paths at
-/// size `n`, verifying bit-identity along the way. Returns
-/// `(blocked_speedup, batch_per_vector_speedup, bit_identical)`.
+/// Times the rectangular per-block baseline vs the blocked and batched
+/// apply paths at size `n`, verifying bit-identity along the way.
+/// Returns `(blocked_speedup, batch_per_vector_speedup, bit_identical)`.
 fn bench_rect_apply(runner: &mut Runner, n: usize) -> (f64, f64, bool) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let program = decompose(&haar_unitary(&mut rng, n));
+    let per_block = PerBlockPlan::new(&program);
     let compiled = program.compile();
     let x = random_cvec(&mut rng, n);
     let mut scratch = MeshScratch::new();
@@ -89,32 +92,32 @@ fn bench_rect_apply(runner: &mut Runner, n: usize) -> (f64, f64, bool) {
     let mut buf = x.clone();
     let per_block_ns = report(runner, "per_block", n, macs, || {
         buf.copy_from_slice(&x);
-        compiled.apply_in_place(&mut buf);
+        per_block.apply_in_place(&mut buf);
         std::hint::black_box(buf[0]);
     });
     buf.copy_from_slice(&x);
-    compiled.apply_in_place(&mut buf);
+    per_block.apply_in_place(&mut buf);
     let reference = buf.clone();
 
     let mut blk = x.clone();
     let blocked_ns = report(runner, "blocked", n, macs, || {
         blk.copy_from_slice(&x);
-        compiled.apply_blocked_in_place(&mut blk, &mut scratch);
+        compiled.apply_in_place(&mut blk, &mut scratch);
         std::hint::black_box(blk[0]);
     });
     blk.copy_from_slice(&x);
-    compiled.apply_blocked_in_place(&mut blk, &mut scratch);
+    compiled.apply_in_place(&mut blk, &mut scratch);
     let mut bit_identical = bits_equal(&reference, &blk);
 
     let batch_src: Vec<C64> = (0..BATCH).flat_map(|_| x.iter().copied()).collect();
     let mut batch = batch_src.clone();
     let batch_ns = report(runner, "batch32", n, macs * BATCH as f64, || {
         batch.copy_from_slice(&batch_src);
-        compiled.apply_blocked_batch(&mut batch, &mut scratch);
+        compiled.apply_batch(&mut batch, &mut scratch);
         std::hint::black_box(batch[0]);
     });
     batch.copy_from_slice(&batch_src);
-    compiled.apply_blocked_batch(&mut batch, &mut scratch);
+    compiled.apply_batch(&mut batch, &mut scratch);
     for col in 0..BATCH {
         bit_identical &= bits_equal(&reference, &batch[col * n..(col + 1) * n]);
     }

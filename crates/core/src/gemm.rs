@@ -8,7 +8,7 @@
 
 use crate::abft::{AbftReport, AbftWeights, ColumnCheck};
 use crate::mvm::{MvmCore, MvmNoiseConfig};
-use neuropulsim_linalg::{CVector, RMatrix};
+use neuropulsim_linalg::RMatrix;
 use neuropulsim_photonics::energy::{EnergyLedger, TechnologyProfile};
 use rand::Rng;
 
@@ -52,13 +52,11 @@ pub struct GemmSchedule {
     pub energy_per_mac: f64,
 }
 
-/// Reusable buffers for column streaming: the input column,
-/// the complex field vector threaded through the meshes, and the raw
+/// Reusable buffers for column streaming: the input column and the raw
 /// outputs of the symbol group in flight (`[channel][row]`, flattened).
 #[derive(Debug, Clone)]
 struct GemmScratch {
     col: Vec<f64>,
-    field: CVector,
     results: Vec<f64>,
 }
 
@@ -66,7 +64,6 @@ impl GemmScratch {
     fn new(n: usize, par: usize) -> Self {
         GemmScratch {
             col: vec![0.0; n],
-            field: CVector::zeros(n),
             results: vec![0.0; par * n],
         }
     }
@@ -130,7 +127,15 @@ impl GemmEngine {
     /// dispersion), builder-style. A 100 GHz DWDM grid at 1550 nm has a
     /// fractional wavelength step of ~5.2e-4; a phase built from a path
     /// difference scales by the same fraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_channel_step` is not finite.
     pub fn with_dispersion(mut self, per_channel_step: f64) -> Self {
+        assert!(
+            per_channel_step.is_finite(),
+            "dispersion step must be finite"
+        );
         self.dispersion = per_channel_step;
         self
     }
@@ -214,7 +219,7 @@ impl GemmEngine {
             let y = &mut scratch.results[gi * n..(gi + 1) * n];
             match channel_matrices {
                 Some(mats) => mats[gi].mul_vec_into(&scratch.col, y),
-                None => self.core.multiply_into(&scratch.col, y, &mut scratch.field),
+                None => self.core.multiply_into(&scratch.col, y),
             }
         }
     }
@@ -499,5 +504,12 @@ mod tests {
     fn rejects_bad_crosstalk() {
         let w = random_matrix(2, 2, 13);
         let _ = GemmEngine::new(MvmCore::new(&w), GemmMode::Tdm).with_crosstalk(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dispersion step must be finite")]
+    fn rejects_non_finite_dispersion() {
+        let w = random_matrix(2, 2, 13);
+        let _ = GemmEngine::new(MvmCore::new(&w), GemmMode::Tdm).with_dispersion(f64::NAN);
     }
 }

@@ -14,15 +14,19 @@
 //! bar-configuration or PCM absorbers). Weights live *in* the mesh —
 //! reading them costs nothing per inference, which is the in-memory
 //! computing claim the paper builds on.
+//! The realized chip is therefore one real matrix `Re(U·diag(a)·V)·σ_max`
+//! ([`RealizedMvm`]): [`MvmCore::new`] realizes the ideal chip once, and
+//! every ideal multiply (GeMM and the accelerator device too) reads it.
 
 use crate::clements::decompose;
 use crate::error::HardwareModel;
-use crate::program::{CompiledMesh, MeshProgram};
+use crate::program::MeshProgram;
 use neuropulsim_linalg::decomp::svd;
 use neuropulsim_linalg::soa::real_udv_into;
-use neuropulsim_linalg::{CMatrix, CVector, RMatrix, SplitMatrix, C64};
+use neuropulsim_linalg::{CMatrix, RMatrix, SplitMatrix};
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Noise/imperfection configuration for a physical MVM execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,15 +77,14 @@ pub struct MvmCore {
     target: RMatrix,
     u_program: MeshProgram,
     v_program: MeshProgram,
-    /// Execution plans compiled once at programming time: all MZI
-    /// trigonometry is evaluated here, so the multiply hot path is pure
-    /// complex multiply-adds.
-    u_plan: CompiledMesh,
-    v_plan: CompiledMesh,
     /// Attenuator amplitudes in `[0, 1]` (singular values / sigma_max).
     attenuation: Vec<f64>,
     /// Overall scale `sigma_max` restoring physical magnitudes.
     scale: f64,
+    /// The ideal realized chip, composed once at programming time: the
+    /// weights live in the phase-shifter state, so every ideal multiply
+    /// reads this one dense matrix.
+    chip: RealizedMvm,
 }
 
 impl MvmCore {
@@ -89,33 +92,40 @@ impl MvmCore {
     ///
     /// # Panics
     ///
-    /// Panics if `m` is not square or is empty.
+    /// Panics if `m` is not square or is empty, if any entry of `m` is
+    /// not finite ("MVM core needs finite weights"), or if its largest
+    /// singular value overflows to infinity ("MVM core needs a finite
+    /// sigma_max", e.g. entries near `1e300`).
     pub fn new(m: &RMatrix) -> Self {
         assert_eq!(m.rows(), m.cols(), "MVM core needs a square matrix");
         assert!(m.rows() > 0, "MVM core needs a non-empty matrix");
+        assert!(
+            m.as_slice().iter().all(|w| w.is_finite()),
+            "MVM core needs finite weights"
+        );
         let n = m.rows();
         let complex = m.to_complex();
         let d = svd(&complex);
         let sigma_max = d.sigma.first().copied().unwrap_or(0.0);
+        assert!(sigma_max.is_finite(), "MVM core needs a finite sigma_max");
         let (attenuation, scale) = if sigma_max > 0.0 {
             (d.sigma.iter().map(|s| s / sigma_max).collect(), sigma_max)
         } else {
             (vec![0.0; n], 0.0)
         };
-        let u_program = decompose(&d.u);
-        let v_program = decompose(&d.v.adjoint());
-        let u_plan = u_program.compile();
-        let v_plan = v_program.compile();
-        MvmCore {
+        let mut core = MvmCore {
             n,
             target: m.clone(),
-            u_program,
-            v_program,
-            u_plan,
-            v_plan,
+            u_program: decompose(&d.u),
+            v_program: decompose(&d.v.adjoint()),
             attenuation,
             scale,
-        }
+            chip: RealizedMvm::default(),
+        };
+        // An ideal realization's draws are all scaled by zero, so a
+        // throwaway generator yields the same chip as any other.
+        core.chip = core.realize(&MvmNoiseConfig::ideal(), &mut StdRng::seed_from_u64(0));
+        core
     }
 
     /// The matrix dimension `n`.
@@ -153,46 +163,34 @@ impl MvmCore {
         self.u_program.block_count() + self.v_program.block_count()
     }
 
-    /// Ideal optical multiply: returns `M * x` computed through the
-    /// photonic pipeline with perfect components.
+    /// The ideal realized chip every ideal multiply reads — the same
+    /// chip [`MvmCore::realize`] yields under [`MvmNoiseConfig::ideal`].
+    pub fn chip(&self) -> &RealizedMvm {
+        &self.chip
+    }
+
+    /// Ideal optical multiply: returns `M * x` as read out from the
+    /// ideal realized chip.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != modes()`.
     pub fn multiply(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n];
-        let mut scratch = CVector::zeros(self.n);
-        self.multiply_into(x, &mut y, &mut scratch);
+        self.multiply_into(x, &mut y);
         y
     }
 
-    /// Ideal optical multiply into a caller-owned output.
-    ///
-    /// The zero-allocation form of [`MvmCore::multiply`]: the input is
-    /// loaded into `scratch`, both compiled meshes are applied in place
-    /// (O(blocks) multiply-adds, no trigonometry, no fresh buffers), and
-    /// the homodyne readout lands in `y`. Column-streaming callers (GeMM)
-    /// reuse `y` and `scratch` across every call.
+    /// Ideal optical multiply into a caller-owned output: one real
+    /// matrix-vector product against the ideal chip's effective matrix
+    /// (see [`RealizedMvm::multiply_into`]), no allocation.
+    /// Column-streaming callers (GeMM) reuse `y` across every call.
     ///
     /// # Panics
     ///
-    /// Panics if `x`, `y`, or `scratch` are not `modes()` long.
-    pub fn multiply_into(&self, x: &[f64], y: &mut [f64], scratch: &mut CVector) {
-        assert_eq!(x.len(), self.n, "multiply_into: dimension mismatch");
-        assert_eq!(y.len(), self.n, "multiply_into: bad output length");
-        assert_eq!(scratch.len(), self.n, "multiply_into: bad scratch length");
-        let buf = scratch.as_mut_slice();
-        for (s, &xi) in buf.iter_mut().zip(x) {
-            *s = C64::real(xi);
-        }
-        self.v_plan.apply_in_place(buf);
-        for (s, &a) in buf.iter_mut().zip(&self.attenuation) {
-            *s = s.scale(a);
-        }
-        self.u_plan.apply_in_place(buf);
-        for (yi, z) in y.iter_mut().zip(buf.iter()) {
-            *yi = z.re * self.scale;
-        }
+    /// Panics if `x` or `y` is not `modes()` long.
+    pub fn multiply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.chip.multiply_into(x, y);
     }
 
     /// Physical optical multiply with sampled hardware imperfections and
@@ -268,8 +266,9 @@ impl MvmCore {
 /// frozen in split-complex form, packed once:
 /// [`RealizedMvm::set_attenuation`] (PCM drift, recalibration)
 /// re-composes against them in place — the real half of the product
-/// only, so half the flops and no allocation.
-#[derive(Debug, Clone)]
+/// only, so half the flops and no allocation. The default is an empty
+/// zero-mode chip.
+#[derive(Debug, Clone, Default)]
 pub struct RealizedMvm {
     u: SplitMatrix,
     v: SplitMatrix,
@@ -545,5 +544,29 @@ mod tests {
     #[should_panic(expected = "square")]
     fn rejects_rectangular() {
         let _ = MvmCore::new(&RMatrix::zeros(2, 3));
+    }
+
+    fn with_entry(value: f64) -> RMatrix {
+        let mut m = random_matrix(3, 19);
+        m[(1, 2)] = value;
+        m
+    }
+
+    #[test]
+    #[should_panic(expected = "MVM core needs finite weights")]
+    fn rejects_nan_weight() {
+        let _ = MvmCore::new(&with_entry(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "MVM core needs finite weights")]
+    fn rejects_infinite_weight() {
+        let _ = MvmCore::new(&with_entry(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "MVM core needs a finite sigma_max")]
+    fn rejects_weights_whose_sigma_max_overflows() {
+        let _ = MvmCore::new(&with_entry(1e300));
     }
 }

@@ -182,7 +182,7 @@ impl MeshProgram {
     ///
     /// Recomputes each block's trigonometry per call; hot loops that
     /// apply the same program many times should [`MeshProgram::compile`]
-    /// once and use [`CompiledMesh::apply_in_place`] instead.
+    /// once and use [`CompiledMesh::apply_in_place`] instead — same bits.
     ///
     /// # Panics
     ///
@@ -226,120 +226,90 @@ impl MeshProgram {
     /// Compiles the program into an execution plan with all per-block
     /// trigonometry evaluated up front.
     pub fn compile(&self) -> CompiledMesh {
-        CompiledMesh::new(self)
+        CompiledMesh::build(self, MziBlock::elements)
     }
 
     /// Compiles the program as realized with compacted (Bell–Walmsley)
     /// cells. Same plan structure and apply paths as
-    /// [`MeshProgram::compile`], with each stage's elements evaluated
+    /// [`MeshProgram::compile`], with each block's elements evaluated
     /// through [`MziBlock::compact_elements`].
     pub fn compile_compact(&self) -> CompiledMesh {
-        CompiledMesh::build(self, |blk| blk.compact_elements())
+        CompiledMesh::build(self, MziBlock::compact_elements)
     }
 }
 
-/// One precomputed MZI stage: top mode index plus the four complex
-/// transfer-matrix elements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CompiledStage {
-    mode: usize,
-    a: C64,
-    b: C64,
-    c: C64,
-    d: C64,
-}
-
 /// An execution plan for a [`MeshProgram`]: every block's 2×2 elements
-/// and every output phasor evaluated once at compile time, leaving the
-/// per-application work as pure complex multiply-adds on a caller buffer.
+/// and every output phasor evaluated once at compile time, packed into
+/// independent cell layers in split re/im (SoA) form, leaving the
+/// per-application work as pure real multiply-adds on lane buffers.
 ///
-/// Applying a compiled mesh costs O(blocks) with **zero** allocations
-/// and **zero** trigonometric calls — [`MeshProgram::apply`] pays a
-/// clone plus `sin`/`cos`/`cis` per block per call. The plan is a
-/// snapshot: recompile after mutating the program's phases.
+/// Applying a compiled mesh costs O(blocks) with **zero** steady-state
+/// allocations and **zero** trigonometric calls — [`MeshProgram::apply`]
+/// pays a clone plus `sin`/`cos`/`cis` per block per call, yet yields
+/// the same bits (DESIGN.md §11). The plan is a snapshot: recompile
+/// after mutating the program's phases.
 ///
 /// # Examples
 ///
 /// ```
-/// use neuropulsim_core::program::{MeshProgram, MziBlock};
+/// use neuropulsim_core::program::{MeshProgram, MeshScratch, MziBlock};
 ///
 /// let program = MeshProgram::new(2, vec![MziBlock::new(0, 0.3, 1.2)], vec![0.0; 2]);
 /// let plan = program.compile();
 /// let x = neuropulsim_linalg::CVector::from_reals(&[1.0, 0.5]);
-/// let mut buf = x.clone();
-/// plan.apply_in_place(buf.as_mut_slice());
-/// assert!(buf.distance(&program.apply(&x)) < 1e-14);
+/// let mut buf = x.as_slice().to_vec();
+/// plan.apply_in_place(&mut buf, &mut MeshScratch::new());
+/// assert_eq!(buf, program.apply(&x).as_slice());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledMesh {
     n: usize,
-    stages: Vec<CompiledStage>,
-    output_phasors: Vec<C64>,
-    /// The same stages re-packed into independent layers (greedy ASAP,
-    /// as [`MeshProgram::depth`]) for the blocked SoA apply path.
+    /// The blocks packed into independent layers (greedy ASAP, as
+    /// [`MeshProgram::depth`]).
     layers: Vec<CellColumn>,
     out_re: Vec<f64>,
     out_im: Vec<f64>,
 }
 
 impl CompiledMesh {
-    fn new(program: &MeshProgram) -> Self {
-        Self::build(program, |blk| blk.elements())
-    }
-
-    fn build(program: &MeshProgram, elements: impl Fn(&MziBlock) -> (C64, C64, C64, C64)) -> Self {
-        let stages: Vec<CompiledStage> = program
-            .blocks
-            .iter()
-            .map(|blk| {
-                let (a, b, c, d) = elements(blk);
-                CompiledStage {
-                    mode: blk.mode,
-                    a,
-                    b,
-                    c,
-                    d,
-                }
-            })
-            .collect();
-        let output_phasors: Vec<C64> = program.output_phases.iter().map(|&p| C64::cis(p)).collect();
-
-        // Pack stages into layers with the same greedy ASAP schedule as
-        // `MeshProgram::depth`. A stage lands in a later layer than every
-        // earlier stage it shares a mode with, so executing layer by
-        // layer preserves each mode's per-stage operation order — and
-        // stages inside one layer touch disjoint mode pairs, so sorting
+    fn build(program: &MeshProgram, elements: fn(&MziBlock) -> (C64, C64, C64, C64)) -> Self {
+        // Pack blocks into layers with the same greedy ASAP schedule as
+        // `MeshProgram::depth`. A block lands in a later layer than every
+        // earlier block it shares a mode with, so executing layer by
+        // layer preserves each mode's per-block operation order — and
+        // blocks inside one layer touch disjoint mode pairs, so sorting
         // them by mode changes no floating-point result.
         let mut mode_free_at = vec![0usize; program.n];
-        let mut per_layer: Vec<Vec<&CompiledStage>> = Vec::new();
-        for s in &stages {
-            let layer = mode_free_at[s.mode].max(mode_free_at[s.mode + 1]);
-            mode_free_at[s.mode] = layer + 1;
-            mode_free_at[s.mode + 1] = layer + 1;
+        let mut per_layer: Vec<Vec<&MziBlock>> = Vec::new();
+        for blk in &program.blocks {
+            let layer = mode_free_at[blk.mode].max(mode_free_at[blk.mode + 1]);
+            mode_free_at[blk.mode] = layer + 1;
+            mode_free_at[blk.mode + 1] = layer + 1;
             if per_layer.len() <= layer {
                 per_layer.resize_with(layer + 1, Vec::new);
             }
-            per_layer[layer].push(s);
+            per_layer[layer].push(blk);
         }
         let layers = per_layer
             .into_iter()
             .map(|mut cells| {
-                cells.sort_by_key(|s| s.mode);
+                cells.sort_by_key(|blk| blk.mode);
                 let mut col = CellColumn::new();
-                for s in cells {
-                    col.push(s.mode as u32, s.a, s.b, s.c, s.d);
+                for blk in cells {
+                    let (a, b, c, d) = elements(blk);
+                    col.push(blk.mode as u32, a, b, c, d);
                 }
                 col.finish();
                 col
             })
             .collect();
-        let (out_re, out_im): (Vec<f64>, Vec<f64>) =
-            output_phasors.iter().map(|p| (p.re, p.im)).unzip();
-
+        let (out_re, out_im) = program
+            .output_phases
+            .iter()
+            .map(|&p| (C64::cis(p).re, C64::cis(p).im))
+            .unzip();
         CompiledMesh {
             n: program.n,
-            stages,
-            output_phasors,
             layers,
             out_re,
             out_im,
@@ -351,65 +321,26 @@ impl CompiledMesh {
         self.n
     }
 
-    /// Number of precomputed MZI stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Applies the mesh to a field vector in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != modes()`.
-    pub fn apply_in_place(&self, v: &mut [C64]) {
-        assert_eq!(v.len(), self.n, "apply_in_place: dimension mismatch");
-        for s in &self.stages {
-            let xp = v[s.mode];
-            let xq = v[s.mode + 1];
-            v[s.mode] = s.a * xp + s.b * xq;
-            v[s.mode + 1] = s.c * xp + s.d * xq;
-        }
-        for (x, &ph) in v.iter_mut().zip(&self.output_phasors) {
-            *x *= ph;
-        }
-    }
-
-    /// Copies `input` into `out` and applies the mesh there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != modes()` or `out.len() != modes()`.
-    pub fn apply_into(&self, input: &CVector, out: &mut CVector) {
-        assert_eq!(out.len(), self.n, "apply_into: bad output length");
-        out.as_mut_slice().copy_from_slice(input.as_slice());
-        self.apply_in_place(out.as_mut_slice());
-    }
-
-    /// Number of independent cell layers in the blocked plan (the
-    /// optical depth of the compiled circuit).
+    /// Number of independent cell layers in the plan (the optical depth
+    /// of the compiled circuit).
     pub fn layer_count(&self) -> usize {
         self.layers.len()
     }
 
-    /// Applies the mesh in place through the blocked SoA path.
+    /// Applies the mesh to a field vector in place.
     ///
-    /// Bit-identical to [`CompiledMesh::apply_in_place`]: the layer
-    /// schedule only reorders stages that touch disjoint modes, and the
-    /// lane arithmetic reproduces scalar `C64` operations exactly (see
-    /// DESIGN.md §11). The win over the per-stage loop is layout — split
-    /// re/im lanes with no interleaving and no store-to-load dependence
-    /// between cells of a layer — which lets the compiler vectorize and
-    /// the core overlap independent cells.
+    /// Bit-identical to [`MeshProgram::apply`]: the layer schedule only
+    /// reorders blocks that touch disjoint modes, and the lane arithmetic
+    /// reproduces scalar `C64` operations exactly (see DESIGN.md §11).
+    /// The layout — split re/im lanes with no interleaving and no
+    /// store-to-load dependence between cells of a layer — lets the
+    /// compiler vectorize and the core overlap independent cells.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != modes()`.
-    pub fn apply_blocked_in_place(&self, v: &mut [C64], scratch: &mut MeshScratch) {
-        assert_eq!(
-            v.len(),
-            self.n,
-            "apply_blocked_in_place: dimension mismatch"
-        );
+    pub fn apply_in_place(&self, v: &mut [C64], scratch: &mut MeshScratch) {
+        assert_eq!(v.len(), self.n, "apply_in_place: dimension mismatch");
         scratch.lanes.pack_slice(v);
         let (re, im) = scratch.lanes.lanes_mut();
         for layer in &self.layers {
@@ -425,16 +356,16 @@ impl CompiledMesh {
     ///
     /// This is the cache-blocked form: each layer's coefficients are
     /// read once per batch instead of once per vector, so at n=128 the
-    /// ~0.5 MB stage stream is amortized over the whole batch and the
-    /// kernel runs compute-bound. Use it to stream GeMM columns.
+    /// ~0.5 MB coefficient stream is amortized over the whole batch and
+    /// the kernel runs compute-bound.
     ///
     /// # Panics
     ///
     /// Panics if `batch.len()` is not a non-zero multiple of `modes()`.
-    pub fn apply_blocked_batch(&self, batch: &mut [C64], scratch: &mut MeshScratch) {
+    pub fn apply_batch(&self, batch: &mut [C64], scratch: &mut MeshScratch) {
         assert!(
             !batch.is_empty() && batch.len().is_multiple_of(self.n),
-            "apply_blocked_batch: batch must hold a whole number of vectors"
+            "apply_batch: batch must hold a whole number of vectors"
         );
         let width = batch.len() / self.n;
         soa::pack_columns(
@@ -518,12 +449,14 @@ mod tests {
         );
         let plan = p.compile();
         assert_eq!(plan.modes(), 4);
-        assert_eq!(plan.stage_count(), 3);
+        assert_eq!(plan.layer_count(), 2);
         let x = CVector::from_reals(&[0.3, -0.5, 0.8, 0.1]);
-        let mut buf = CVector::zeros(4);
-        plan.apply_into(&x, &mut buf);
-        assert!(buf.distance(&p.apply(&x)) < 1e-14);
-        assert!(buf.distance(&p.transfer_matrix().mul_vec(&x)) < 1e-12);
+        let mut buf = x.as_slice().to_vec();
+        plan.apply_in_place(&mut buf, &mut MeshScratch::new());
+        let via_matrix = p.transfer_matrix().mul_vec(&x);
+        for (b, m) in buf.iter().zip(via_matrix.as_slice()) {
+            assert!(b.approx_eq(*m, 1e-12));
+        }
     }
 
     #[test]
@@ -604,75 +537,74 @@ mod tests {
         MeshProgram::new(n, blocks, phases)
     }
 
-    #[test]
-    fn blocked_apply_is_bit_identical_to_per_stage_apply() {
-        for n in [2usize, 3, 5, 8, 16] {
-            let plan = demo_program(n, 0.42).compile();
-            assert!(plan.layer_count() <= n + 1);
-            let mut per_stage = demo_vector(n, 1.7);
-            let mut blocked = per_stage.clone();
-            plan.apply_in_place(&mut per_stage);
-            let mut scratch = MeshScratch::new();
-            plan.apply_blocked_in_place(&mut blocked, &mut scratch);
-            for (b, s) in blocked.iter().zip(&per_stage) {
-                assert_eq!(b.re.to_bits(), s.re.to_bits(), "re bits differ at n={n}");
-                assert_eq!(b.im.to_bits(), s.im.to_bits(), "im bits differ at n={n}");
-            }
+    fn assert_bits_eq(got: &[C64], want: &[C64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.re.to_bits(), w.re.to_bits(), "re bits differ: {what}");
+            assert_eq!(g.im.to_bits(), w.im.to_bits(), "im bits differ: {what}");
         }
     }
 
     #[test]
-    fn blocked_batch_is_bit_identical_per_column() {
+    fn compiled_apply_is_bit_identical_to_program_apply() {
+        let mut scratch = MeshScratch::new();
+        for n in [1usize, 2, 3, 5, 8, 16, 33, 64, 128] {
+            let program = demo_program(n, 0.42);
+            let plan = program.compile();
+            assert!(plan.layer_count() <= n + 1);
+            let x = demo_vector(n, 1.7);
+            let want = program.apply(&CVector::from_slice(&x));
+            let mut got = x;
+            plan.apply_in_place(&mut got, &mut scratch);
+            assert_bits_eq(&got, want.as_slice(), &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn batch_is_bit_identical_per_column() {
         let n = 6;
         let plan = demo_program(n, -0.8).compile();
         let width = 5;
         let mut batch: Vec<C64> = (0..width).flat_map(|j| demo_vector(n, j as f64)).collect();
+        let mut scratch = MeshScratch::new();
         let want: Vec<C64> = batch
             .chunks(n)
             .flat_map(|col| {
                 let mut v = col.to_vec();
-                plan.apply_in_place(&mut v);
+                plan.apply_in_place(&mut v, &mut scratch);
                 v
             })
             .collect();
-        let mut scratch = MeshScratch::new();
-        plan.apply_blocked_batch(&mut batch, &mut scratch);
-        for (g, w) in batch.iter().zip(&want) {
-            assert_eq!(g.re.to_bits(), w.re.to_bits());
-            assert_eq!(g.im.to_bits(), w.im.to_bits());
-        }
+        plan.apply_batch(&mut batch, &mut scratch);
+        assert_bits_eq(&batch, &want, "batch");
     }
 
     #[test]
     fn scratch_reuse_across_sizes_is_safe() {
         let mut scratch = MeshScratch::new();
         for n in [8usize, 3, 12] {
-            let plan = demo_program(n, 0.1).compile();
+            let program = demo_program(n, 0.1);
+            let plan = program.compile();
             let mut a = demo_vector(n, 0.2);
-            let mut b = a.clone();
-            plan.apply_in_place(&mut a);
-            plan.apply_blocked_in_place(&mut b, &mut scratch);
-            assert_eq!(a, b);
+            let want = program.apply(&CVector::from_slice(&a));
+            plan.apply_in_place(&mut a, &mut scratch);
+            assert_eq!(a, want.as_slice());
             let mut batch: Vec<C64> = (0..3).flat_map(|j| demo_vector(n, j as f64)).collect();
             let want: Vec<C64> = batch
                 .chunks(n)
-                .flat_map(|col| {
-                    let mut v = col.to_vec();
-                    plan.apply_in_place(&mut v);
-                    v
-                })
+                .flat_map(|col| program.apply(&CVector::from_slice(col)).as_slice().to_vec())
                 .collect();
-            plan.apply_blocked_batch(&mut batch, &mut scratch);
+            plan.apply_batch(&mut batch, &mut scratch);
             assert_eq!(batch, want);
         }
     }
 
     #[test]
     #[should_panic(expected = "whole number of vectors")]
-    fn blocked_batch_rejects_ragged_input() {
+    fn batch_rejects_ragged_input() {
         let plan = demo_program(4, 0.0).compile();
         let mut batch = demo_vector(6, 0.0);
-        plan.apply_blocked_batch(&mut batch, &mut MeshScratch::new());
+        plan.apply_batch(&mut batch, &mut MeshScratch::new());
     }
 
     #[test]

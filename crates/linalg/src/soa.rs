@@ -23,7 +23,7 @@
 use crate::{CMatrix, CVector, RMatrix, C64};
 
 /// A complex matrix stored as two row-major real planes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SplitMatrix {
     rows: usize,
     cols: usize,

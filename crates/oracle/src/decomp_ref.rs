@@ -1,12 +1,62 @@
 //! Textbook mesh reconstruction: every MZI block becomes a full dense
 //! two-level matrix built from the closed-form Clements cell, and the
 //! program's transfer matrix is the naive product of those matrices.
-//! No `CompiledMesh` plans, no in-place two-level updates.
+//! No `CompiledMesh` plans, no in-place two-level updates — except in
+//! [`PerBlockPlan`], the block-by-block apply the blocked kernel must
+//! reproduce bit for bit.
 
 use crate::linalg_ref::{mul_mat_ref, mul_vec_ref};
 use neuropulsim_core::layered::LayeredMesh;
-use neuropulsim_core::program::MeshProgram;
+use neuropulsim_core::program::{MeshProgram, MziBlock};
 use neuropulsim_linalg::{CMatrix, CVector, C64};
+
+/// A mesh program precompiled block by block: the arithmetic of
+/// `MeshProgram::apply` without its per-call trigonometry, on
+/// interleaved `C64` values. It is the bit-identity reference for the
+/// blocked `CompiledMesh` apply and the `per_block` bench baseline.
+#[derive(Debug, Clone)]
+pub struct PerBlockPlan {
+    stages: Vec<(usize, (C64, C64, C64, C64))>,
+    phasors: Vec<C64>,
+}
+
+impl PerBlockPlan {
+    /// Plans the plain mesh ([`MziBlock::elements`]).
+    pub fn new(program: &MeshProgram) -> Self {
+        Self::build(program, MziBlock::elements)
+    }
+
+    /// Plans the compacted mesh ([`MziBlock::compact_elements`]).
+    pub fn compact(program: &MeshProgram) -> Self {
+        Self::build(program, MziBlock::compact_elements)
+    }
+
+    fn build(program: &MeshProgram, elements: fn(&MziBlock) -> (C64, C64, C64, C64)) -> Self {
+        let stages = program.blocks().iter().map(|b| (b.mode, elements(b)));
+        let phasors = program.output_phases().iter().map(|&p| C64::cis(p));
+        PerBlockPlan {
+            stages: stages.collect(),
+            phasors: phasors.collect(),
+        }
+    }
+
+    /// Applies the mesh to `v` in place, block by block in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not have one entry per mode.
+    pub fn apply_in_place(&self, v: &mut [C64]) {
+        assert_eq!(v.len(), self.phasors.len(), "dimension mismatch");
+        for &(m, (a, b, c, d)) in &self.stages {
+            let (xp, xq) = (v[m], v[m + 1]);
+            v[m] = a * xp + b * xq;
+            v[m + 1] = c * xp + d * xq;
+        }
+        for (x, &ph) in v.iter_mut().zip(&self.phasors) {
+            *x *= ph;
+        }
+    }
+}
 
 /// Closed-form 2×2 transfer matrix of an ideal Clements MZI cell with
 /// internal phase `theta` and input phase `phi`, row-major

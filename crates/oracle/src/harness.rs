@@ -58,7 +58,8 @@ pub enum Domain {
     /// The mesh zoo: all four [`MeshArchitecture`]s (Clements, compacted
     /// Clements, Fldzhyan layered, Reck) vs their dense golden
     /// reconstructions, plus bit-identity of the blocked/fused apply
-    /// kernels against the per-block path.
+    /// kernels against the oracle per-block plan
+    /// ([`decomp_ref::PerBlockPlan`]).
     MeshZoo,
 }
 
@@ -445,16 +446,16 @@ fn mesh_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> Case
     let golden_u = decomp_ref::transfer_matrix_ref(&program);
     let golden_y = linalg_ref::mul_vec_ref(&golden_u, &x);
 
-    // Three fast application paths against the dense rebuild.
+    // Two fast application paths and the fast transfer matrix against
+    // the dense rebuild.
     let mut fast_apply = program.apply(&x);
     if inject {
         fast_apply[0] += C64::new(100.0 * tol, 0.0);
     }
-    let compiled = program.compile();
     let mut buf: Vec<C64> = x.as_slice().to_vec();
-    compiled.apply_in_place(&mut buf);
-    let mut fast_into = CVector::zeros(n);
-    compiled.apply_into(&x, &mut fast_into);
+    program
+        .compile()
+        .apply_in_place(&mut buf, &mut MeshScratch::new());
     let fast_u = program.transfer_matrix();
 
     let e_apply = linalg_ref::max_vec_error(&fast_apply, &golden_y);
@@ -462,7 +463,6 @@ fn mesh_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> Case
     for i in 0..n {
         e_inplace = e_inplace.max((buf[i] - golden_y[i]).abs());
     }
-    let e_into = linalg_ref::max_vec_error(&fast_into, &golden_y);
     let e_u = linalg_ref::max_entry_error(&fast_u, &golden_u);
 
     // Decomposition round-trips: fast decompose, dense oracle rebuild.
@@ -474,17 +474,11 @@ fn mesh_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> Case
     let e_reck =
         linalg_ref::max_entry_error(&decomp_ref::transfer_matrix_ref(&reck::decompose(&u)), &u);
 
-    let worst = e_apply
-        .max(e_inplace)
-        .max(e_into)
-        .max(e_u)
-        .max(e_clements)
-        .max(e_reck);
+    let worst = e_apply.max(e_inplace).max(e_u).max(e_clements).max(e_reck);
     if worst > tol {
         let labels = [
             ("MeshProgram::apply", e_apply),
             ("CompiledMesh::apply_in_place", e_inplace),
-            ("CompiledMesh::apply_into", e_into),
             ("MeshProgram::transfer_matrix", e_u),
             ("clements::decompose round-trip", e_clements),
             ("reck::decompose round-trip", e_reck),
@@ -524,8 +518,8 @@ type ZooLegs = (Vec<(&'static str, f64)>, Option<(&'static str, f64)>);
 /// One mesh-zoo case: draw an architecture, realize a mesh on it,
 /// compare the fast transfer matrix and the blocked/fused apply kernel
 /// against the dense golden reconstruction, and require the blocked
-/// kernel to be *bit-identical* to the per-block path (batch vs single
-/// apply for the layered mesh, which has no per-block compiled path).
+/// kernel to be *bit-identical* to the oracle per-block plan (batch vs
+/// single apply for the layered mesh, which has no per-block plan).
 fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let n = draw_size(&mut rng, Domain::MeshZoo, size_override);
@@ -544,11 +538,10 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             };
             let golden_u = decomp_ref::transfer_matrix_ref(&program);
             let golden_y = linalg_ref::mul_vec_ref(&golden_u, &x);
-            let compiled = program.compile();
             let mut per_block: Vec<C64> = x.as_slice().to_vec();
-            compiled.apply_in_place(&mut per_block);
+            decomp_ref::PerBlockPlan::new(&program).apply_in_place(&mut per_block);
             let mut blocked: Vec<C64> = x.as_slice().to_vec();
-            compiled.apply_blocked_in_place(&mut blocked, &mut scratch);
+            program.compile().apply_in_place(&mut blocked, &mut scratch);
             if inject {
                 blocked[0] += C64::new(100.0 * tol, 0.0);
             }
@@ -571,11 +564,12 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             let program = clements::decompose(&target);
             let golden_u = decomp_ref::compact_transfer_matrix_ref(&program);
             let golden_y = linalg_ref::mul_vec_ref(&golden_u, &x);
-            let compiled = program.compile_compact();
             let mut per_block: Vec<C64> = x.as_slice().to_vec();
-            compiled.apply_in_place(&mut per_block);
+            decomp_ref::PerBlockPlan::compact(&program).apply_in_place(&mut per_block);
             let mut blocked: Vec<C64> = x.as_slice().to_vec();
-            compiled.apply_blocked_in_place(&mut blocked, &mut scratch);
+            program
+                .compile_compact()
+                .apply_in_place(&mut blocked, &mut scratch);
             if inject {
                 blocked[0] += C64::new(100.0 * tol, 0.0);
             }

@@ -23,12 +23,10 @@
 
 use crate::fixed::{from_fixed, to_fixed};
 use crate::ram::Ram;
-use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig, RealizedMvm};
+use neuropulsim_core::mvm::{MvmCore, RealizedMvm};
 use neuropulsim_linalg::RMatrix;
 use neuropulsim_photonics::energy::TechnologyProfile;
 use neuropulsim_photonics::pcm::{drift_fraction, PcmCell, PcmMaterial};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// MMR offsets (bytes from the device base).
 pub mod mmr {
@@ -253,13 +251,16 @@ impl AccelDevice {
 
     /// Loads (programs) a weight matrix into the photonic core. This is
     /// the host-driver step that burns PCM programming pulses / sets
-    /// heaters; it happens out-of-band of the MMR interface.
+    /// heaters; it happens out-of-band of the MMR interface. The device
+    /// keeps the programmed core's own ideal chip ([`MvmCore::chip`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`MvmCore::new`] does: on a non-square or empty `w`, a
+    /// non-finite weight, or a non-finite largest singular value.
     pub fn load_matrix(&mut self, w: &RMatrix) {
         let core = MvmCore::new(w);
-        // An ideal realization's draws are all scaled by zero, so a
-        // throwaway generator yields the same chip as any other.
-        let chip = core.realize(&MvmNoiseConfig::ideal(), &mut StdRng::seed_from_u64(0));
-        self.chip = Some((chip, core.attenuation().to_vec()));
+        self.chip = Some((core.chip().clone(), core.attenuation().to_vec()));
     }
 
     /// The configured dimension, 0 if no matrix loaded.

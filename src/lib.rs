@@ -19,7 +19,9 @@
 //!
 //! # Quickstart
 //!
-//! Program a photonic core with a weight matrix and multiply:
+//! Program a photonic core with a weight matrix and multiply. The
+//! weights live in the meshes' phase-shifter state, so the programmed
+//! chip is one realized matrix, and every ideal multiply reads it:
 //!
 //! ```
 //! use neuropulsim::core::mvm::MvmCore;
@@ -27,6 +29,7 @@
 //!
 //! let w = RMatrix::from_rows(2, 2, &[0.5, -1.0, 2.0, 0.25]);
 //! let core = MvmCore::new(&w);
+//! assert!(core.chip().effective_matrix().approx_eq(&w, 1e-9));
 //! let y = core.multiply(&[1.0, 1.0]);
 //! assert!((y[0] + 0.5).abs() < 1e-9);
 //! assert!((y[1] - 2.25).abs() < 1e-9);

@@ -2,8 +2,8 @@
 //! program cleanly at edge sizes and survive near-degenerate phase
 //! settings, the compact-MZI transfer matrix must match the plain MZI
 //! composition for the same program, and the blocked/batched apply
-//! kernels must be **bit-identical** to the per-block path for random
-//! programs up to n = 128 regardless of worker thread count.
+//! kernels must be **bit-identical** to the oracle per-block plan for
+//! random programs up to n = 128 regardless of worker thread count.
 
 use neuropulsim::core::clements;
 use neuropulsim::core::layered::{LayeredMesh, ProgramOptions};
@@ -11,6 +11,7 @@ use neuropulsim::core::program::MeshScratch;
 use neuropulsim::linalg::parallel::{par_map_indexed, split_seed};
 use neuropulsim::linalg::random::haar_unitary;
 use neuropulsim::linalg::{metrics, C64};
+use neuropulsim::oracle::decomp_ref::PerBlockPlan;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,47 +126,56 @@ proptest! {
 }
 
 /// The blocked single-vector and batched apply paths reproduce the
-/// per-block path bit for bit, from n = 1 up to n = 128, and the
-/// results do not depend on how many worker threads surround them.
+/// oracle per-block plan bit for bit, for plain and compacted cells,
+/// from n = 1 up to n = 128, and the results do not depend on how many
+/// worker threads surround them.
 #[test]
 fn blocked_apply_is_bit_identical_up_to_n128_any_thread_count() {
     for (i, &n) in [1usize, 2, 3, 5, 8, 16, 33, 64, 128].iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(split_seed(4242, i as u64));
         let program = clements::decompose(&haar_unitary(&mut rng, n));
-        let compiled = program.compile();
         let x = random_vec(&mut rng, n);
+        let plans = [
+            ("plain", program.compile(), PerBlockPlan::new(&program)),
+            (
+                "compact",
+                program.compile_compact(),
+                PerBlockPlan::compact(&program),
+            ),
+        ];
+        for (cell, compiled, per_block) in &plans {
+            let mut reference = x.clone();
+            per_block.apply_in_place(&mut reference);
 
-        let mut reference = x.clone();
-        compiled.apply_in_place(&mut reference);
+            // One task per (thread count, lane): each applies the blocked
+            // kernel on its own copy inside a pool of that many workers.
+            for threads in [1usize, 4] {
+                let outs = par_map_indexed(4, threads, |_| {
+                    let mut buf = x.clone();
+                    let mut scratch = MeshScratch::new();
+                    compiled.apply_in_place(&mut buf, &mut scratch);
+                    bits(&buf)
+                });
+                for out in &outs {
+                    assert_eq!(
+                        out,
+                        &bits(&reference),
+                        "{cell} blocked apply diverged from per-block at n={n} ({threads} threads)"
+                    );
+                }
+            }
 
-        // One task per (thread count, lane): each applies the blocked
-        // kernel on its own copy inside a pool of that many workers.
-        for threads in [1usize, 4] {
-            let outs = par_map_indexed(4, threads, |_| {
-                let mut buf = x.clone();
-                let mut scratch = MeshScratch::new();
-                compiled.apply_blocked_in_place(&mut buf, &mut scratch);
-                bits(&buf)
-            });
-            for out in &outs {
+            let width = 5;
+            let mut batch: Vec<C64> = (0..width).flat_map(|_| x.iter().copied()).collect();
+            let mut scratch = MeshScratch::new();
+            compiled.apply_batch(&mut batch, &mut scratch);
+            for col in 0..width {
                 assert_eq!(
-                    out,
-                    &bits(&reference),
-                    "blocked apply diverged from per-block at n={n} ({threads} threads)"
+                    bits(&batch[col * n..(col + 1) * n]),
+                    bits(&reference),
+                    "{cell} batched apply column {col} diverged at n={n}"
                 );
             }
-        }
-
-        let width = 5;
-        let mut batch: Vec<C64> = (0..width).flat_map(|_| x.iter().copied()).collect();
-        let mut scratch = MeshScratch::new();
-        compiled.apply_blocked_batch(&mut batch, &mut scratch);
-        for col in 0..width {
-            assert_eq!(
-                bits(&batch[col * n..(col + 1) * n]),
-                bits(&reference),
-                "batched apply column {col} diverged at n={n}"
-            );
         }
     }
 }
