@@ -28,9 +28,9 @@ fn run_two_layer(n: usize, cluster: bool, seed: u64) -> Run {
 
     let mut sys = System::new();
     if cluster {
-        sys.platform.accel.load_matrix(&w1);
+        sys.platform.pe_mut(0).load_matrix(&w1);
         let _pe1 = sys.platform.add_pe();
-        sys.platform.extra_pes[0].load_matrix(&w2);
+        sys.platform.pe_mut(1).load_matrix(&w2);
         sys.load_firmware_source(&two_layer_offload(n, layout));
     } else {
         sys.write_fixed_vector(layout.w_addr, w1.as_slice());

@@ -21,7 +21,7 @@ fn run_workload(n: usize, batch: usize, offload: bool, seed: u64) -> Run {
     let w = RMatrix::from_fn(n, n, |_, _| rng.gen_range(-0.5..0.5));
     let mut sys = System::new();
     if offload {
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
     }
     sys.write_fixed_vector(layout.w_addr, w.as_slice());
     for v in 0..batch {

@@ -45,7 +45,7 @@ fn main() {
             let x = x.clone();
             move || {
                 let mut sys = System::new();
-                sys.platform.accel.load_matrix(&w);
+                sys.platform.pe_mut(0).load_matrix(&w);
                 for (v, col) in x.iter().enumerate() {
                     sys.write_fixed_vector(layout.x_addr + (v * n * 4) as u32, col);
                 }

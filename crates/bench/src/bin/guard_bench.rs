@@ -112,7 +112,7 @@ fn main() {
             let x = x.clone();
             move || {
                 let mut sys = System::new();
-                sys.platform.accel.load_matrix(&w);
+                sys.platform.pe_mut(0).load_matrix(&w);
                 for (v, col) in x.iter().enumerate() {
                     sys.write_fixed_vector(layout.x_addr + (v * N * 4) as u32, col);
                 }
@@ -153,7 +153,7 @@ fn main() {
             let x = x.clone();
             move || {
                 let mut sys = System::new();
-                sys.platform.accel.load_matrix(&w);
+                sys.platform.pe_mut(0).load_matrix(&w);
                 write_guard_operands(&mut sys, &w, &x, layout);
                 sys.load_firmware_source(&accel_offload_guarded(N, BATCH, layout, &guard_cfg));
                 sys

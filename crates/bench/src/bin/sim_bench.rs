@@ -86,7 +86,7 @@ fn build_system(workload: Workload, mode: Mode) -> System {
     }
     match workload {
         Workload::Offload => {
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
             sys.load_firmware_source(&accel_offload(N, batch, layout));
         }
         Workload::Software => {
@@ -94,12 +94,11 @@ fn build_system(workload: Workload, mode: Mode) -> System {
             sys.load_firmware_source(&software_mvm(N, batch, layout));
         }
         Workload::Cluster => {
-            sys.platform.accel.load_matrix(&w);
             for _ in 0..2 {
                 sys.platform.add_pe();
             }
-            for pe in &mut sys.platform.extra_pes {
-                pe.load_matrix(&w);
+            for k in 0..sys.platform.pe_count() {
+                sys.platform.pe_mut(k).load_matrix(&w);
             }
             sys.load_firmware_source(&cluster_offload(N, batch, 3, 8, layout));
         }

@@ -181,7 +181,6 @@ pub struct AccelDevice {
     error: u32,
     watchdog: u32,
     job_deadline: u64,
-    recal_requested: bool,
     recal_in_flight: bool,
     recal_count: u32,
     /// Latency of a recalibration (PCM reprogramming) \[cycles\].
@@ -231,7 +230,6 @@ impl AccelDevice {
             error: 0,
             watchdog: 0,
             job_deadline: 0,
-            recal_requested: false,
             recal_in_flight: false,
             recal_count: 0,
             recal_cycles: 200,
@@ -301,6 +299,13 @@ impl AccelDevice {
         self.irq_mask & 2 != 0 && self.error != 0
     }
 
+    /// `true` while the device's interrupt line is asserted: an
+    /// unacknowledged completion with the completion IRQ enabled, or the
+    /// error line ([`AccelDevice::error_irq_line`]).
+    pub fn irq_line(&self) -> bool {
+        (self.irq_mask & 1 != 0 && self.done) || self.error_irq_line()
+    }
+
     /// Bricks the device: every subsequent start or recalibration
     /// doorbell is rejected with the sticky [`errcode::HW_FAULT`] latch.
     /// An in-flight job is aborted (`done` rises so polling hosts do not
@@ -345,13 +350,6 @@ impl AccelDevice {
         self.drift.as_ref()
     }
 
-    /// Consumes a pending recalibration request (set by CTRL bit 3). The
-    /// platform calls this after every MMR store so it can invoke
-    /// [`AccelDevice::recalibrate`] with the current simulation time.
-    pub fn take_recal_request(&mut self) -> bool {
-        std::mem::take(&mut self.recal_requested)
-    }
-
     /// Handles an MMR read at byte offset `offset`.
     pub fn mmr_load(&mut self, offset: u32) -> u32 {
         match offset & !3 {
@@ -374,12 +372,14 @@ impl AccelDevice {
         }
     }
 
-    /// Handles an MMR write. Returns `true` if a job start was requested.
-    ///
-    /// A start or recalibration doorbell while [`AccelDevice::is_busy`]
-    /// is *rejected*: the in-flight job is untouched and
-    /// [`errcode::BUSY_REJECT`] latches instead.
-    pub fn mmr_store(&mut self, offset: u32, value: u32) -> bool {
+    /// Handles an MMR write at time `now`; a CTRL write rings the
+    /// device's own doorbells. Bit 1 clears `done`, then bit 2 clears
+    /// `ERROR`. A start (bit 0) or recalibration (bit 3) doorbell while
+    /// [`AccelDevice::is_busy`] is *rejected*: the in-flight job is
+    /// untouched and [`errcode::BUSY_REJECT`] latches instead. Otherwise
+    /// bit 0 starts a job on the operands in `spm`, then bit 3
+    /// recalibrates. A failed doorbell latches its [`errcode`] bit.
+    pub fn mmr_store(&mut self, offset: u32, value: u32, now: u64, spm: &mut Ram) {
         match offset & !3 {
             mmr::CTRL => {
                 if value & 2 != 0 {
@@ -388,49 +388,26 @@ impl AccelDevice {
                 if value & 4 != 0 {
                     self.error = 0;
                 }
-                if value & 8 != 0 {
-                    if self.busy {
-                        self.error |= errcode::BUSY_REJECT;
-                    } else {
-                        self.recal_requested = true;
-                    }
+                if value & (1 | 8) != 0 && self.busy {
+                    self.error |= errcode::BUSY_REJECT;
+                    return;
                 }
                 if value & 1 != 0 {
-                    if self.busy {
-                        self.error |= errcode::BUSY_REJECT;
-                    } else {
-                        return true;
-                    }
+                    self.start(now, spm);
                 }
-                false
+                if value & 8 != 0 {
+                    self.recalibrate(now);
+                }
             }
-            mmr::IN_ADDR => {
-                self.in_addr = value;
-                false
-            }
-            mmr::OUT_ADDR => {
-                self.out_addr = value;
-                false
-            }
-            mmr::BATCH => {
-                self.batch = value;
-                false
-            }
-            mmr::IRQ_ENABLE => {
-                self.irq_mask = value & 3;
-                false
-            }
-            mmr::ERROR => {
-                // Firmware reports detections by OR-ing bits in; the
-                // latch is cleared through CTRL bit 2 only.
-                self.error |= value & errcode::ALL;
-                false
-            }
-            mmr::WATCHDOG => {
-                self.watchdog = value;
-                false
-            }
-            _ => false,
+            mmr::IN_ADDR => self.in_addr = value,
+            mmr::OUT_ADDR => self.out_addr = value,
+            mmr::BATCH => self.batch = value,
+            mmr::IRQ_ENABLE => self.irq_mask = value & 3,
+            // Firmware reports detections by OR-ing bits in; the latch
+            // is cleared through CTRL bit 2 only.
+            mmr::ERROR => self.error |= value & errcode::ALL,
+            mmr::WATCHDOG => self.watchdog = value,
+            _ => {}
         }
     }
 
@@ -472,19 +449,17 @@ impl AccelDevice {
         true
     }
 
-    /// Starts a job at time `now`: consumes inputs from SPM, computes, and
-    /// schedules completion. Returns `false` — with the matching
-    /// [`errcode`] bit latched — when the device is busy, the job is
-    /// malformed (no matrix, zero dim, batch 0), or an operand window
-    /// falls outside the SPM (the device sets `done` with garbage in real
-    /// hardware; here we fail fast and flag it).
-    pub fn start(&mut self, now: u64, spm: &mut Ram) -> bool {
+    /// Starts a job on an idle device at time `now` (CTRL bit 0):
+    /// consumes inputs from SPM, computes, and schedules completion.
+    /// Returns `false` — with the matching [`errcode`] bit latched — when
+    /// the device is bricked, the job is malformed (no matrix, zero dim,
+    /// batch 0), or an operand window falls outside the SPM (the device
+    /// sets `done` with garbage in real hardware; here we fail fast and
+    /// flag it).
+    fn start(&mut self, now: u64, spm: &mut Ram) -> bool {
+        debug_assert!(!self.busy, "the CTRL door rejects a busy start");
         if self.hard_fault {
             self.error |= errcode::HW_FAULT;
-            return false;
-        }
-        if self.busy {
-            self.error |= errcode::BUSY_REJECT;
             return false;
         }
         let batch = self.batch;
@@ -583,7 +558,7 @@ impl AccelDevice {
     /// [`AccelDevice::recal_cycles`] (completion raises `done` like a
     /// job). Rejected with [`errcode::BUSY_REJECT`] while busy and
     /// [`errcode::BAD_JOB`] when no matrix is programmed.
-    pub fn recalibrate(&mut self, now: u64) {
+    fn recalibrate(&mut self, now: u64) {
         if self.hard_fault {
             self.error |= errcode::HW_FAULT;
             return;
@@ -635,7 +610,7 @@ impl AccelDevice {
             self.done = true;
             self.job_deadline = 0;
             self.error |= errcode::WATCHDOG;
-            return self.irq_mask & 1 != 0 || self.error_irq_line();
+            return self.irq_line();
         }
         if self.busy && now >= self.busy_until {
             self.busy = false;
@@ -702,10 +677,11 @@ mod tests {
     #[test]
     fn mmr_roundtrip() {
         let mut d = device_with_identity(4);
-        d.mmr_store(mmr::IN_ADDR, 0x100);
-        d.mmr_store(mmr::OUT_ADDR, 0x200);
-        d.mmr_store(mmr::BATCH, 3);
-        d.mmr_store(mmr::IRQ_ENABLE, 1);
+        let mut spm = Ram::new(0, 4096);
+        d.mmr_store(mmr::IN_ADDR, 0x100, 0, &mut spm);
+        d.mmr_store(mmr::OUT_ADDR, 0x200, 0, &mut spm);
+        d.mmr_store(mmr::BATCH, 3, 0, &mut spm);
+        d.mmr_store(mmr::IRQ_ENABLE, 1, 0, &mut spm);
         assert_eq!(d.mmr_load(mmr::IN_ADDR), 0x100);
         assert_eq!(d.mmr_load(mmr::OUT_ADDR), 0x200);
         assert_eq!(d.mmr_load(mmr::BATCH), 3);
@@ -716,8 +692,40 @@ mod tests {
     #[test]
     fn start_requires_ctrl_write() {
         let mut d = device_with_identity(2);
-        assert!(!d.mmr_store(mmr::BATCH, 1));
-        assert!(d.mmr_store(mmr::CTRL, 1), "CTRL=1 requests start");
+        let mut spm = Ram::new(0, 4096);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
+        assert!(!d.is_busy());
+        d.mmr_store(mmr::CTRL, 1, 0, &mut spm);
+        assert!(d.is_busy(), "CTRL=1 starts the job");
+        assert_eq!(d.error_bits(), 0);
+    }
+
+    /// The order inside the one door: the start doorbell runs before the
+    /// recalibration one, so `CTRL = 1|8` on an idle device starts the
+    /// job and the recal then bounces off the busy device; on a bricked
+    /// device a recal doorbell latches `HW_FAULT` (the serve recovery
+    /// path's failure signal).
+    #[test]
+    fn ctrl_doorbells_start_before_recalibrating() {
+        let mut d = device_with_identity(2);
+        let mut spm = Ram::new(0, 4096);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
+        d.mmr_store(mmr::CTRL, 1 | 8, 0, &mut spm);
+        assert!(d.is_busy());
+        assert!(
+            !d.is_recalibrating(),
+            "the job, not the recal, holds the device"
+        );
+        assert_eq!(d.vectors_processed, 1);
+        assert_eq!(d.recal_count(), 0);
+        assert_eq!(d.error_bits(), errcode::BUSY_REJECT);
+
+        let mut bricked = device_with_identity(2);
+        bricked.inject_hard_fault();
+        bricked.mmr_store(mmr::CTRL, 4 | 8, 0, &mut spm);
+        assert_eq!(bricked.error_bits(), errcode::HW_FAULT);
+        assert_eq!(bricked.recal_count(), 0);
+        assert!(!bricked.is_busy());
     }
 
     #[test]
@@ -729,9 +737,9 @@ mod tests {
         for (k, &x) in inputs.iter().enumerate() {
             spm.poke(0x100 + 4 * k as u32, to_fixed(x) as u32).unwrap();
         }
-        d.mmr_store(mmr::IN_ADDR, 0x100);
-        d.mmr_store(mmr::OUT_ADDR, 0x200);
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::IN_ADDR, 0x100, 0, &mut spm);
+        d.mmr_store(mmr::OUT_ADDR, 0x200, 0, &mut spm);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         assert!(d.start(0, &mut spm));
         assert!(d.is_busy());
         for (k, &x) in inputs.iter().enumerate() {
@@ -744,8 +752,8 @@ mod tests {
     fn completion_and_interrupt() {
         let mut d = device_with_identity(2);
         let mut spm = Ram::new(0, 1024);
-        d.mmr_store(mmr::IRQ_ENABLE, 1);
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::IRQ_ENABLE, 1, 0, &mut spm);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         assert!(d.start(0, &mut spm));
         let cycles = d.job_cycles(1);
         assert!(!d.tick(cycles - 1), "not done yet");
@@ -754,7 +762,7 @@ mod tests {
         assert!(!d.is_busy());
         assert_eq!(d.mmr_load(mmr::STATUS), status::DONE);
         // Clearing done via CTRL bit 1.
-        d.mmr_store(mmr::CTRL, 2);
+        d.mmr_store(mmr::CTRL, 2, 0, &mut spm);
         assert!(!d.is_done());
     }
 
@@ -785,7 +793,7 @@ mod tests {
         b.wdm_channels = 8;
         let mut spm = Ram::new(0, 65536);
         for d in [&mut a, &mut b] {
-            d.mmr_store(mmr::BATCH, 64);
+            d.mmr_store(mmr::BATCH, 64, 0, &mut spm);
             assert!(d.start(0, &mut spm));
         }
         assert!((a.energy() - b.energy()).abs() < 1e-18 * a.energy().abs().max(1.0));
@@ -795,17 +803,17 @@ mod tests {
     fn hard_fault_bricks_the_device_until_cleared() {
         let mut d = device_with_identity(2);
         let mut spm = Ram::new(0, 1024);
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         d.inject_hard_fault();
         assert!(d.is_hard_faulted());
         assert!(!d.start(0, &mut spm), "bricked device rejects the job");
         assert_eq!(d.error_bits() & errcode::HW_FAULT, errcode::HW_FAULT);
-        d.recalibrate(10);
+        d.mmr_store(mmr::CTRL, 8, 10, &mut spm);
         assert_eq!(d.recal_count(), 0, "recal is rejected too");
         assert!(!d.is_busy());
         // Repair + acknowledge: the device serves jobs again.
         d.clear_hard_fault();
-        d.mmr_store(mmr::CTRL, 4);
+        d.mmr_store(mmr::CTRL, 4, 0, &mut spm);
         assert_eq!(d.error_bits(), 0);
         assert!(d.start(0, &mut spm));
     }
@@ -814,7 +822,7 @@ mod tests {
     fn hard_fault_mid_job_aborts_like_a_watchdog() {
         let mut d = device_with_identity(2);
         let mut spm = Ram::new(0, 1024);
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         assert!(d.start(0, &mut spm));
         assert!(d.is_busy());
         d.inject_hard_fault();
@@ -834,8 +842,8 @@ mod tests {
     fn start_fails_on_bad_addresses() {
         let mut d = device_with_identity(4);
         let mut spm = Ram::new(0, 16); // too small
-        d.mmr_store(mmr::IN_ADDR, 0);
-        d.mmr_store(mmr::OUT_ADDR, 0x4000);
+        d.mmr_store(mmr::IN_ADDR, 0, 0, &mut spm);
+        d.mmr_store(mmr::OUT_ADDR, 0x4000, 0, &mut spm);
         assert!(!d.start(0, &mut spm));
     }
 
@@ -843,7 +851,7 @@ mod tests {
     fn energy_grows_with_work() {
         let mut d = device_with_identity(4);
         let mut spm = Ram::new(0, 4096);
-        d.mmr_store(mmr::BATCH, 10);
+        d.mmr_store(mmr::BATCH, 10, 0, &mut spm);
         let e0 = d.energy();
         assert!(d.start(0, &mut spm));
         assert!(d.energy() > e0);
@@ -854,13 +862,12 @@ mod tests {
     fn double_start_is_rejected_without_touching_the_job() {
         let mut d = device_with_identity(2);
         let mut spm = Ram::new(0, 1024);
-        d.mmr_store(mmr::BATCH, 1);
-        assert!(d.mmr_store(mmr::CTRL, 1));
-        assert!(d.start(0, &mut spm));
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
+        d.mmr_store(mmr::CTRL, 1, 0, &mut spm);
         assert!(d.is_busy());
         let before = d.mmr_load(mmr::LAST_CYCLES);
         // Second doorbell while busy: rejected, error latched, job intact.
-        assert!(!d.mmr_store(mmr::CTRL, 1));
+        d.mmr_store(mmr::CTRL, 1, 0, &mut spm);
         assert_eq!(d.error_bits(), errcode::BUSY_REJECT);
         assert_ne!(d.mmr_load(mmr::STATUS) & status::ERROR, 0);
         assert_eq!(d.mmr_load(mmr::LAST_CYCLES), before);
@@ -870,7 +877,7 @@ mod tests {
         d.tick(d.job_cycles(1));
         assert!(d.is_done());
         // CTRL bit 2 acknowledges the error.
-        d.mmr_store(mmr::CTRL, 4);
+        d.mmr_store(mmr::CTRL, 4, 0, &mut spm);
         assert_eq!(d.error_bits(), 0);
         assert_eq!(d.mmr_load(mmr::STATUS) & status::ERROR, 0);
     }
@@ -879,7 +886,7 @@ mod tests {
     fn batch_zero_and_dim_zero_jobs_are_rejected() {
         let mut d = device_with_identity(2);
         let mut spm = Ram::new(0, 1024);
-        d.mmr_store(mmr::BATCH, 0);
+        d.mmr_store(mmr::BATCH, 0, 0, &mut spm);
         assert!(!d.start(0, &mut spm));
         assert_eq!(d.error_bits(), errcode::BAD_JOB);
         assert!(!d.is_busy());
@@ -895,9 +902,9 @@ mod tests {
     fn spm_range_failure_latches_error_bit() {
         let mut d = device_with_identity(4);
         let mut spm = Ram::new(0, 16); // too small for a 4-vector
-        d.mmr_store(mmr::IN_ADDR, 0);
-        d.mmr_store(mmr::OUT_ADDR, 0x4000);
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::IN_ADDR, 0, 0, &mut spm);
+        d.mmr_store(mmr::OUT_ADDR, 0x4000, 0, &mut spm);
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         assert!(!d.start(0, &mut spm));
         assert_eq!(d.error_bits(), errcode::SPM_RANGE);
         assert_ne!(d.mmr_load(mmr::STATUS) & status::ERROR, 0);
@@ -956,9 +963,9 @@ mod tests {
         for (name, in_addr, out_addr, batch) in cases {
             let mut dev = AccelDevice::new(1e9);
             dev.load_matrix(&w);
-            dev.mmr_store(mmr::IN_ADDR, in_addr);
-            dev.mmr_store(mmr::OUT_ADDR, out_addr);
-            dev.mmr_store(mmr::BATCH, batch);
+            dev.mmr_store(mmr::IN_ADDR, in_addr, 0, &mut spm);
+            dev.mmr_store(mmr::OUT_ADDR, out_addr, 0, &mut spm);
+            dev.mmr_store(mmr::BATCH, batch, 0, &mut spm);
             let mut reference = dev.clone();
             let (mut got_spm, mut want_spm) = (spm.clone(), spm.clone());
             let started = dev.start(0, &mut got_spm);
@@ -985,9 +992,9 @@ mod tests {
         let mut d = device_with_identity(4);
         let mut spm = Ram::new(0, 4096);
         d.setup_cycles = 1000; // job takes >> watchdog
-        d.mmr_store(mmr::WATCHDOG, 5);
-        d.mmr_store(mmr::IRQ_ENABLE, 2); // error IRQ only
-        d.mmr_store(mmr::BATCH, 1);
+        d.mmr_store(mmr::WATCHDOG, 5, 0, &mut spm);
+        d.mmr_store(mmr::IRQ_ENABLE, 2, 0, &mut spm); // error IRQ only
+        d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
         assert!(d.start(0, &mut spm));
         assert!(!d.tick(4), "before the deadline");
         assert!(d.tick(5), "watchdog abort raises the error IRQ");
@@ -1001,17 +1008,18 @@ mod tests {
     #[test]
     fn error_register_writes_accumulate_and_clear() {
         let mut d = device_with_identity(2);
-        d.mmr_store(mmr::ERROR, errcode::CHECKSUM);
-        d.mmr_store(mmr::ERROR, errcode::WATCHDOG | 0xFFFF_FF00);
+        let mut spm = Ram::new(0, 4096);
+        d.mmr_store(mmr::ERROR, errcode::CHECKSUM, 0, &mut spm);
+        d.mmr_store(mmr::ERROR, errcode::WATCHDOG | 0xFFFF_FF00, 0, &mut spm);
         assert_eq!(
             d.mmr_load(mmr::ERROR),
             errcode::CHECKSUM | errcode::WATCHDOG,
             "writes OR in, masked to defined bits"
         );
         assert!(!d.error_irq_line(), "error IRQ masked by default");
-        d.mmr_store(mmr::IRQ_ENABLE, 2);
+        d.mmr_store(mmr::IRQ_ENABLE, 2, 0, &mut spm);
         assert!(d.error_irq_line());
-        d.mmr_store(mmr::CTRL, 4);
+        d.mmr_store(mmr::CTRL, 4, 0, &mut spm);
         assert_eq!(d.mmr_load(mmr::ERROR), 0);
         assert!(!d.error_irq_line());
     }
@@ -1033,12 +1041,12 @@ mod tests {
             for k in 0..4u32 {
                 spm.poke(0x100 + 4 * k, to_fixed(1.0) as u32).unwrap();
             }
-            d.mmr_store(mmr::IN_ADDR, 0x100);
-            d.mmr_store(mmr::OUT_ADDR, 0x200);
-            d.mmr_store(mmr::BATCH, 1);
+            d.mmr_store(mmr::IN_ADDR, 0x100, 0, &mut spm);
+            d.mmr_store(mmr::OUT_ADDR, 0x200, 0, &mut spm);
+            d.mmr_store(mmr::BATCH, 1, 0, &mut spm);
             assert!(d.start(now, &mut spm));
             d.tick(now + d.job_cycles(1));
-            d.mmr_store(mmr::CTRL, 2);
+            d.mmr_store(mmr::CTRL, 2, 0, &mut spm);
             (0..4u32)
                 .map(|k| from_fixed(spm.peek(0x200 + 4 * k).unwrap() as i32))
                 .collect()
@@ -1058,13 +1066,13 @@ mod tests {
         );
         // Recalibrate: reprogram the attenuators, busy for recal_cycles.
         let e0 = d.energy();
-        assert!(!d.mmr_store(mmr::CTRL, 8), "recal is not a job start");
-        assert!(d.take_recal_request());
-        d.recalibrate(100_100);
-        assert!(d.is_busy());
+        let mut spm = Ram::new(0, 4096);
+        d.mmr_store(mmr::CTRL, 8, 100_100, &mut spm);
+        assert!(d.is_recalibrating(), "recal is not a job start");
+        assert_eq!(d.vectors_processed, 2);
         d.tick(100_100 + d.recal_cycles);
         assert!(d.is_done());
-        d.mmr_store(mmr::CTRL, 2);
+        d.mmr_store(mmr::CTRL, 2, 0, &mut spm);
         assert_eq!(d.recal_count(), 1);
         assert_eq!(d.mmr_load(mmr::RECAL_COUNT), 1);
         assert!(d.energy() > e0, "recal burns PCM programming pulses");

@@ -10,10 +10,11 @@
 //! [`neuropulsim_riscv::cpu::CpuSnapshot`]), both memories (sparse
 //! [`RamSnapshot`] images), the accelerator devices including their
 //! internal noise RNG, the DMA engine mid-transfer, the optional L1
-//! cache, and the platform's interrupt/stall bookkeeping. A restored
-//! system is therefore bit-identical to the original: resuming from a
-//! checkpoint and running `m` cycles lands in exactly the state an
-//! uninterrupted run of `cycle + m` reaches.
+//! cache, and the platform's stall bookkeeping (each device carries its
+//! own interrupt enables). A restored system is therefore bit-identical
+//! to the original: resuming from a checkpoint and running `m` cycles
+//! lands in exactly the state an uninterrupted run of `cycle + m`
+//! reaches.
 
 use crate::accel::AccelDevice;
 use crate::cache::DirectMappedCache;
@@ -30,16 +31,12 @@ pub struct SystemSnapshot {
     cpu: CpuSnapshot,
     dram: RamSnapshot,
     spm: RamSnapshot,
-    accel: AccelDevice,
-    extra_pes: Vec<AccelDevice>,
+    pes: Vec<AccelDevice>,
     dma: DmaDevice,
     now: u64,
     dram_latency: u64,
     l1_cache: Option<DirectMappedCache>,
     stall_cycles: u64,
-    accel_irq_enabled: bool,
-    extra_irq_enabled: Vec<bool>,
-    dma_irq_enabled: bool,
     cpu_hz: f64,
     digital_energy: DigitalEnergy,
 }
@@ -53,31 +50,30 @@ impl SystemSnapshot {
     }
 
     /// Approximate heap footprint \[bytes\], dominated by the sparse
-    /// memory images.
+    /// memory images; every PE's device struct counts the same.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.dram.approx_bytes() + self.spm.approx_bytes()
+        std::mem::size_of::<Self>()
+            + self.pes.len() * std::mem::size_of::<AccelDevice>()
+            + self.dram.approx_bytes()
+            + self.spm.approx_bytes()
     }
 }
 
 impl System {
-    /// Captures the complete simulation state (CPU, memories, devices,
-    /// interrupt bookkeeping) for later [`System::restore`].
+    /// Captures the complete simulation state (CPU, memories, devices)
+    /// for later [`System::restore`].
     pub fn snapshot(&self) -> SystemSnapshot {
         SystemSnapshot {
             cycle: self.cpu.cycles,
             cpu: self.cpu.snapshot(),
             dram: self.platform.dram.snapshot(),
             spm: self.platform.spm.snapshot(),
-            accel: self.platform.accel.clone(),
-            extra_pes: self.platform.extra_pes.clone(),
+            pes: self.platform.pes.clone(),
             dma: self.platform.dma.clone(),
             now: self.platform.now,
             dram_latency: self.platform.dram_latency,
             l1_cache: self.platform.l1_cache.clone(),
             stall_cycles: self.platform.stall_cycles,
-            accel_irq_enabled: self.platform.accel_irq_enabled,
-            extra_irq_enabled: self.platform.extra_irq_enabled.clone(),
-            dma_irq_enabled: self.platform.dma_irq_enabled,
             cpu_hz: self.cpu_hz,
             digital_energy: self.digital_energy,
         }
@@ -94,16 +90,12 @@ impl System {
         self.cpu.restore(&snapshot.cpu);
         self.platform.dram.restore(&snapshot.dram);
         self.platform.spm.restore(&snapshot.spm);
-        self.platform.accel = snapshot.accel.clone();
-        self.platform.extra_pes = snapshot.extra_pes.clone();
+        self.platform.pes = snapshot.pes.clone();
         self.platform.dma = snapshot.dma.clone();
         self.platform.now = snapshot.now;
         self.platform.dram_latency = snapshot.dram_latency;
         self.platform.l1_cache = snapshot.l1_cache.clone();
         self.platform.stall_cycles = snapshot.stall_cycles;
-        self.platform.accel_irq_enabled = snapshot.accel_irq_enabled;
-        self.platform.extra_irq_enabled = snapshot.extra_irq_enabled.clone();
-        self.platform.dma_irq_enabled = snapshot.dma_irq_enabled;
         self.cpu_hz = snapshot.cpu_hz;
         self.digital_energy = snapshot.digital_energy;
     }
@@ -194,7 +186,7 @@ mod tests {
         let layout = DramLayout::default();
         let build = || {
             let mut sys = System::new();
-            sys.platform.accel.load_matrix(&RMatrix::identity(n));
+            sys.platform.pe_mut(0).load_matrix(&RMatrix::identity(n));
             sys.write_fixed_vector(layout.x_addr, &[0.5, 0.25, -0.5, 0.125]);
             sys.load_firmware_source(&accel_offload(n, 1, layout));
             sys

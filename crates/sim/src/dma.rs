@@ -82,6 +82,12 @@ impl DmaDevice {
         self.done
     }
 
+    /// `true` while the completion interrupt line is asserted: enabled,
+    /// with a completion not yet acknowledged.
+    pub fn irq_line(&self) -> bool {
+        self.irq_enable && self.done
+    }
+
     /// Handles an MMR read.
     pub fn mmr_load(&self, offset: u32) -> u32 {
         match offset & !3 {

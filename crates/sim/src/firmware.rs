@@ -1062,7 +1062,7 @@ mod tests {
             .collect();
         let layout = DramLayout::default();
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         write_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&accel_offload(n, batch, layout));
         let report = sys.run(10_000_000);
@@ -1085,13 +1085,13 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|k| 0.3 * (k as f64 - 1.5)).collect();
 
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w1);
+        sys.platform.pe_mut(0).load_matrix(&w1);
         let pe1_base = sys.platform.add_pe();
         assert_eq!(
             pe1_base,
             crate::system::ACCEL_BASE + crate::system::PE_STRIDE
         );
-        sys.platform.extra_pes[0].load_matrix(&w2);
+        sys.platform.pe_mut(1).load_matrix(&w2);
         sys.write_fixed_vector(layout.x_addr, &x);
         sys.load_firmware_source(&two_layer_offload(n, layout));
         let report = sys.run(10_000_000);
@@ -1146,7 +1146,7 @@ mod tests {
         assert_eq!(sw_report.outcome, RunOutcome::Halted(Halt::Ecall));
 
         let mut hw = System::new();
-        hw.platform.accel.load_matrix(&w);
+        hw.platform.pe_mut(0).load_matrix(&w);
         write_operands(&mut hw, &w, &x, layout);
         hw.load_firmware_source(&accel_offload(n, batch, layout));
         let hw_report = hw.run(100_000_000);
@@ -1176,12 +1176,11 @@ mod tests {
             })
             .collect();
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
         for _ in 1..pes {
             sys.platform.add_pe();
         }
-        for pe in &mut sys.platform.extra_pes {
-            pe.load_matrix(&w);
+        for k in 0..sys.platform.pe_count() {
+            sys.platform.pe_mut(k).load_matrix(&w);
         }
         write_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&cluster_offload(n, batch, pes, tile, layout));
@@ -1196,19 +1195,13 @@ mod tests {
         }
         // The work queue actually sharded: every fleet member pulled
         // tiles, and together they account for the whole batch.
-        let mut jobs = vec![sys.platform.accel.jobs_completed];
-        jobs.extend(sys.platform.extra_pes.iter().map(|pe| pe.jobs_completed));
+        let pes = sys.platform.pes();
+        let jobs: Vec<u64> = pes.iter().map(|pe| pe.jobs_completed).collect();
         assert!(
             jobs.iter().all(|&j| j > 0),
             "idle PE in a saturated cluster: {jobs:?}"
         );
-        let vectors: u64 = sys.platform.accel.vectors_processed
-            + sys
-                .platform
-                .extra_pes
-                .iter()
-                .map(|pe| pe.vectors_processed)
-                .sum::<u64>();
+        let vectors: u64 = pes.iter().map(|pe| pe.vectors_processed).sum();
         assert_eq!(vectors, batch as u64);
     }
 
@@ -1222,7 +1215,7 @@ mod tests {
             .map(|v| (0..n).map(|k| 0.1 * ((v + 2 * k) as f64).cos()).collect())
             .collect();
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         write_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&cluster_offload(n, batch, 1, 3, layout));
         let report = sys.run(10_000_000);
@@ -1259,9 +1252,9 @@ mod tests {
         let mut sys = System::new();
         // Slot 0 is permanently dead; the guarded protocol is simply
         // retargeted at slot 1 and must run clean there.
-        sys.platform.accel.inject_hard_fault();
+        sys.platform.pe_mut(0).inject_hard_fault();
         sys.platform.add_pe();
-        sys.platform.extra_pes[0].load_matrix(&w);
+        sys.platform.pe_mut(1).load_matrix(&w);
         write_guard_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&accel_offload_guarded_at(1, n, batch, layout, &cfg));
         let report = sys.run(10_000_000);
@@ -1276,9 +1269,10 @@ mod tests {
             }
         }
         assert_eq!(
-            sys.platform.accel.jobs_completed, 0,
+            sys.platform.pe(0).jobs_completed,
+            0,
             "the bricked primary must have done no work"
         );
-        assert!(sys.platform.extra_pes[0].jobs_completed > 0);
+        assert!(sys.platform.pe(1).jobs_completed > 0);
     }
 }

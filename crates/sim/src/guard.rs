@@ -137,14 +137,14 @@ mod tests {
             ..GuardConfig::default()
         };
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         write_guard_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&accel_offload_guarded(n, batch, layout, &cfg));
         let report = sys.run(1_000_000);
         assert_eq!(report.outcome, RunOutcome::Halted(Halt::Ecall));
         let rec = read_guard_record(&sys, layout);
         assert_eq!(rec, GuardRecord::default(), "no detections on a clean run");
-        assert_eq!(sys.platform.accel.error_bits(), 0);
+        assert_eq!(sys.platform.pe(0).error_bits(), 0);
         check_outputs(&sys, &w, &x, layout, 2e-3);
     }
 
@@ -161,10 +161,10 @@ mod tests {
             ..GuardConfig::default()
         };
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         // Weights programmed ~30 simulated years ago: badly drifted at
         // boot, near-pristine again right after a recalibration.
-        sys.platform.accel.enable_drift(PcmDriftModel {
+        sys.platform.pe_mut(0).enable_drift(PcmDriftModel {
             nu: 2e-3,
             seconds_per_cycle: 1e-9,
             initial_age_s: 1e9,
@@ -182,7 +182,7 @@ mod tests {
         );
         assert_eq!(rec.fallbacks, 0, "no software fallback needed: {rec:?}");
         assert!(
-            sys.platform.accel.recal_count() > 0,
+            sys.platform.pe(0).recal_count() > 0,
             "the guard must have requested a recalibration"
         );
         check_outputs(&sys, &w, &x, layout, 2e-3);
@@ -214,8 +214,8 @@ mod tests {
         assert_eq!(rec.fallbacks, 2, "both blocks degrade to software");
         assert!(rec.detections >= 2 * (cfg.max_retries + 1));
         // The fault record is escalated through the device error IRQ.
-        assert_ne!(sys.platform.accel.error_bits() & errcode::CHECKSUM, 0);
-        assert!(sys.platform.accel.error_irq_line());
+        assert_ne!(sys.platform.pe(0).error_bits() & errcode::CHECKSUM, 0);
+        assert!(sys.platform.pe(0).error_irq_line());
         // And the results are still correct, from the software path.
         check_outputs(&sys, &w, &x, layout, 1e-3);
     }
@@ -237,9 +237,9 @@ mod tests {
             ..GuardConfig::default()
         };
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         // Pathological device latency: every job overshoots the watchdog.
-        sys.platform.accel.setup_cycles = 100_000;
+        sys.platform.pe_mut(0).setup_cycles = 100_000;
         write_guard_operands(&mut sys, &w, &x, layout);
         sys.load_firmware_source(&accel_offload_guarded(n, batch, layout, &cfg));
         let report = sys.run(2_000_000);

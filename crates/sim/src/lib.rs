@@ -41,7 +41,7 @@
 //! let n = 2;
 //! let layout = DramLayout::default();
 //! let mut sys = System::new();
-//! sys.platform.accel.load_matrix(&RMatrix::identity(n));
+//! sys.platform.pe_mut(0).load_matrix(&RMatrix::identity(n));
 //! sys.write_fixed_vector(layout.x_addr, &[0.5, -0.25]);
 //! sys.load_firmware_source(&accel_offload(n, 1, layout));
 //! let report = sys.run(1_000_000);

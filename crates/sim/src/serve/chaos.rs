@@ -106,8 +106,6 @@ fn base_cfg() -> ServeConfig {
     ServeConfig {
         watchdog: 64,
         recovery_backoff: 128,
-        recovery_attempts: 4,
-        probation_canaries: 2,
         ..ServeConfig::default()
     }
 }
@@ -237,7 +235,6 @@ pub fn standard_campaign(spec: CampaignSpec) -> Vec<ChaosScenario> {
         specs: fleet(pes.min(2), &[]),
         cfg: ServeConfig {
             queue_cap: 96,
-            shed_backoff: 128,
             ..base_cfg()
         },
         load: synthetic_load(

@@ -65,11 +65,10 @@ pub struct Platform {
     pub dram: Ram,
     /// Scratchpad memory.
     pub spm: Ram,
-    /// The photonic MVM accelerator (processing element 0).
-    pub accel: AccelDevice,
-    /// Additional processing elements in the cluster, mapped at
-    /// `ACCEL_BASE + PE_STRIDE * (1 + index)` (paper Fig. 3, right side).
-    pub extra_pes: Vec<AccelDevice>,
+    /// The photonic MVM accelerators (paper Fig. 3, right side): PE
+    /// `slot` is mapped at `ACCEL_BASE + PE_STRIDE * slot`, and slot 0
+    /// always exists.
+    pub(crate) pes: Vec<AccelDevice>,
     /// The DMA engine.
     pub dma: DmaDevice,
     /// Current cycle (synced from the CPU by [`System`]).
@@ -81,9 +80,6 @@ pub struct Platform {
     pub l1_cache: Option<DirectMappedCache>,
     // pub(crate) so the checkpoint module can capture/restore them.
     pub(crate) stall_cycles: u64,
-    pub(crate) accel_irq_enabled: bool,
-    pub(crate) extra_irq_enabled: Vec<bool>,
-    pub(crate) dma_irq_enabled: bool,
     /// Exclusive end of the current bulk-retire window: the earliest
     /// pending device event (or the budget) when [`System::run`] entered
     /// bulk dispatch. In-span MMIO accesses at `cycles < bulk_until` are
@@ -98,92 +94,70 @@ impl Platform {
         Platform {
             dram: Ram::new(DRAM_BASE, DRAM_SIZE),
             spm: Ram::new(SPM_BASE, SPM_SIZE),
-            accel: AccelDevice::new(cpu_hz),
-            extra_pes: Vec::new(),
+            pes: vec![AccelDevice::new(cpu_hz)],
             dma: DmaDevice::default(),
             now: 0,
             dram_latency: 0,
             l1_cache: None,
             stall_cycles: 0,
-            accel_irq_enabled: false,
-            extra_irq_enabled: Vec::new(),
-            dma_irq_enabled: false,
             bulk_until: 0,
         }
     }
 
     /// Adds another processing element to the cluster, returning its MMR
-    /// base address.
+    /// base address (`ACCEL_BASE + PE_STRIDE * slot`).
     pub fn add_pe(&mut self) -> u32 {
-        let cpu_hz = self.accel.cpu_hz;
-        self.add_pe_with(AccelDevice::new(cpu_hz))
+        let cpu_hz = self.pes[0].cpu_hz;
+        self.pes.push(AccelDevice::new(cpu_hz));
+        ACCEL_BASE + PE_STRIDE * (self.pes.len() - 1) as u32
     }
 
-    /// Adds a *pre-configured* processing element — the heterogeneous
-    /// fleet hook: the device may carry its own mesh size, WDM channel
-    /// count, drift model, and timing parameters. Returns its MMR base
-    /// address (`ACCEL_BASE + PE_STRIDE * slot`).
-    pub fn add_pe_with(&mut self, device: AccelDevice) -> u32 {
-        self.extra_pes.push(device);
-        self.extra_irq_enabled.push(false);
-        ACCEL_BASE + PE_STRIDE * self.extra_pes.len() as u32
-    }
-
-    /// Number of processing elements (PE 0 + extras).
+    /// Number of processing elements.
     pub fn pe_count(&self) -> usize {
-        1 + self.extra_pes.len()
+        self.pes.len()
     }
 
-    /// Shared reference to PE `slot` (0 = the primary accelerator).
+    /// Every processing element, in slot order.
+    pub fn pes(&self) -> &[AccelDevice] {
+        &self.pes
+    }
+
+    /// Shared reference to PE `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `slot >= pe_count()`.
     pub fn pe(&self, slot: usize) -> &AccelDevice {
-        if slot == 0 {
-            &self.accel
-        } else {
-            &self.extra_pes[slot - 1]
-        }
+        &self.pes[slot]
     }
 
-    /// Mutable reference to PE `slot` (0 = the primary accelerator).
+    /// Mutable reference to PE `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `slot >= pe_count()`.
     pub fn pe_mut(&mut self, slot: usize) -> &mut AccelDevice {
-        if slot == 0 {
-            &mut self.accel
-        } else {
-            &mut self.extra_pes[slot - 1]
-        }
+        &mut self.pes[slot]
     }
 
     /// Advances all devices one cycle. Returns `true` if any interrupt
     /// line is raised on this cycle.
     pub fn tick(&mut self) -> bool {
         self.now += 1;
-        let mut raised = self.accel.tick(self.now);
-        for pe in &mut self.extra_pes {
+        let mut raised = false;
+        for pe in &mut self.pes {
             raised |= pe.tick(self.now);
         }
         raised |= self.dma.tick(&mut self.dram, &mut self.spm);
         raised
     }
 
-    /// Level-triggered interrupt line: high while any enabled device has
-    /// an unacknowledged completion. This is what makes the
-    /// start-then-`wfi` firmware pattern race-free.
+    /// Level-triggered interrupt line: the OR of every device's own
+    /// line, high while any enabled device has an unacknowledged
+    /// completion or error. This is what makes the start-then-`wfi`
+    /// firmware pattern race-free.
     pub fn irq_level(&self) -> bool {
-        (self.accel_irq_enabled && self.accel.is_done())
-            || self.accel.error_irq_line()
-            || (self.dma_irq_enabled && self.dma.is_done())
-            || self
-                .extra_pes
-                .iter()
-                .zip(&self.extra_irq_enabled)
-                .any(|(pe, &en)| (en && pe.is_done()) || pe.error_irq_line())
+        self.dma.irq_line() || self.pes.iter().any(AccelDevice::irq_line)
     }
 
     /// Charges the memory-hierarchy cost of one CPU access to DRAM.
@@ -211,9 +185,7 @@ impl Platform {
     /// `true` when no device has work in flight — every platform tick
     /// would be a no-op.
     pub(crate) fn quiet(&self) -> bool {
-        !self.accel.is_busy()
-            && !self.dma.is_busy()
-            && self.extra_pes.iter().all(|pe| !pe.is_busy())
+        !self.dma.is_busy() && self.pes.iter().all(|pe| !pe.is_busy())
     }
 
     /// Earliest pending PE event, clamped to the next tick (`now + 1`):
@@ -224,18 +196,14 @@ impl Platform {
     /// deliberately excluded — its ticks move memory words and are
     /// never no-ops.)
     pub(crate) fn earliest_pe_event(&self) -> Option<u64> {
-        let mut event: Option<u64> = None;
-        let pes = std::iter::once(&self.accel).chain(self.extra_pes.iter());
-        for pe in pes {
-            if let Some(t) = pe.next_event() {
-                let t = t.max(self.now + 1);
-                event = Some(event.map_or(t, |cur| cur.min(t)));
-            }
-        }
-        event
+        self.pes
+            .iter()
+            .filter_map(AccelDevice::next_event)
+            .map(|t| t.max(self.now + 1))
+            .min()
     }
 
-    /// Resolves an address to a PE slot (`0` = the primary accelerator).
+    /// Resolves an address to a PE slot and register offset.
     fn pe_slot(&self, addr: u32) -> Option<(usize, u32)> {
         if addr < ACCEL_BASE {
             return None;
@@ -270,11 +238,7 @@ impl Bus for Platform {
             return Ok(self.dma.mmr_load(a - DMA_BASE));
         }
         if let Some((slot, offset)) = self.pe_slot(a) {
-            return Ok(if slot == 0 {
-                self.accel.mmr_load(offset)
-            } else {
-                self.extra_pes[slot - 1].mmr_load(offset)
-            });
+            return Ok(self.pes[slot].mmr_load(offset));
         }
         Err(BusFault {
             addr,
@@ -299,28 +263,7 @@ impl Bus for Platform {
         }
         if (ACCEL_BASE..DMA_BASE).contains(&a) {
             if let Some((slot, offset)) = self.pe_slot(a) {
-                if slot == 0 {
-                    if offset == crate::accel::mmr::IRQ_ENABLE {
-                        self.accel_irq_enabled = value & 1 != 0;
-                    }
-                    if self.accel.mmr_store(offset, value) {
-                        // Doorbell: consume operands, schedule completion.
-                        let _ = self.accel.start(self.now, &mut self.spm);
-                    }
-                    if self.accel.take_recal_request() {
-                        self.accel.recalibrate(self.now);
-                    }
-                } else {
-                    if offset == crate::accel::mmr::IRQ_ENABLE {
-                        self.extra_irq_enabled[slot - 1] = value & 1 != 0;
-                    }
-                    if self.extra_pes[slot - 1].mmr_store(offset, value) {
-                        let _ = self.extra_pes[slot - 1].start(self.now, &mut self.spm);
-                    }
-                    if self.extra_pes[slot - 1].take_recal_request() {
-                        self.extra_pes[slot - 1].recalibrate(self.now);
-                    }
-                }
+                self.pes[slot].mmr_store(offset, value, self.now, &mut self.spm);
                 return Ok(());
             }
             return Err(BusFault {
@@ -329,11 +272,7 @@ impl Bus for Platform {
             });
         }
         if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&a) {
-            let offset = a - DMA_BASE;
-            if offset == crate::dma::mmr::IRQ_ENABLE {
-                self.dma_irq_enabled = value & 1 != 0;
-            }
-            let _ = self.dma.mmr_store(offset, value);
+            let _ = self.dma.mmr_store(a - DMA_BASE, value);
             return Ok(());
         }
         Err(BusFault {
@@ -771,10 +710,7 @@ impl System {
             "spm",
             (self.platform.spm.reads + self.platform.spm.writes) as f64 * de.spm_per_access,
         );
-        let mut accel_energy = self.platform.accel.energy();
-        for pe in &self.platform.extra_pes {
-            accel_energy += pe.energy();
-        }
+        let accel_energy = self.platform.pes.iter().map(AccelDevice::energy).sum();
         energy.add("photonic-accel", accel_energy);
         RunReport {
             outcome,
@@ -811,7 +747,7 @@ mod tests {
     #[test]
     fn cpu_reaches_spm_and_mmrs() {
         let mut sys = System::new();
-        sys.platform.accel.load_matrix(&RMatrix::identity(4));
+        sys.platform.pe_mut(0).load_matrix(&RMatrix::identity(4));
         sys.load_firmware_source(
             "
             li t0, 0x10000000     # SPM
@@ -879,7 +815,7 @@ mod tests {
     fn accel_offload_end_to_end() {
         let mut sys = System::new();
         let w = RMatrix::from_rows(2, 2, &[2.0, 0.0, 0.0, 3.0]);
-        sys.platform.accel.load_matrix(&w);
+        sys.platform.pe_mut(0).load_matrix(&w);
         // Input [1.5, -1.0] directly in SPM at 0x100.
         sys.platform
             .spm
@@ -974,7 +910,7 @@ mod tests {
     fn accel_offload_is_bit_identical_with_fast_paths() {
         let setup = |sys: &mut System| {
             sys.platform
-                .accel
+                .pe_mut(0)
                 .load_matrix(&RMatrix::from_rows(2, 2, &[2.0, 0.0, 0.0, 3.0]));
             sys.platform
                 .spm
@@ -1063,30 +999,42 @@ mod tests {
     #[test]
     fn irq_race_is_level_triggered() {
         // Device completes before the CPU reaches wfi: the level-triggered
-        // line must still wake it (no lost-wakeup hang).
-        let mut sys = System::new();
-        sys.platform.accel.load_matrix(&RMatrix::identity(2));
-        sys.platform.accel.setup_cycles = 0; // completes almost instantly
-        sys.load_firmware_source(
-            "
-            li t0, 0x40000000
-            li t1, 0x10000000
-            sw t1, 12(t0)
-            li t1, 0x10000100
-            sw t1, 16(t0)
-            li t1, 1
-            sw t1, 20(t0)
-            sw t1, 24(t0)
-            sw t1, 0(t0)
-            nop
-            nop
-            nop
-            nop
-            wfi
-            ecall
-            ",
-        );
-        let report = sys.run(100_000);
-        assert_eq!(report.outcome, RunOutcome::Halted(Halt::Ecall));
+        // line must still wake it (no lost-wakeup hang), on any slot of a
+        // 3-PE platform. With the completion IRQ masked, nothing may.
+        let cases = [
+            (0, 1, RunOutcome::Halted(Halt::Ecall)),
+            (2, 1, RunOutcome::Halted(Halt::Ecall)),
+            (2, 0, RunOutcome::TimedOut),
+        ];
+        for (slot, irq_enable, want) in cases {
+            let mut sys = System::new();
+            sys.platform.add_pe();
+            sys.platform.add_pe();
+            sys.platform.pe_mut(slot).load_matrix(&RMatrix::identity(2));
+            sys.platform.pe_mut(slot).setup_cycles = 0; // completes almost instantly
+            sys.load_firmware_source(&format!(
+                "
+                li t0, {base}
+                li t1, 0x10000000
+                sw t1, 12(t0)
+                li t1, 0x10000100
+                sw t1, 16(t0)
+                li t1, 1
+                sw t1, 20(t0)
+                li t2, {irq_enable}
+                sw t2, 24(t0)
+                sw t1, 0(t0)
+                nop
+                nop
+                nop
+                nop
+                wfi
+                ecall
+                ",
+                base = ACCEL_BASE + PE_STRIDE * slot as u32,
+            ));
+            let report = sys.run(100_000);
+            assert_eq!(report.outcome, want, "slot {slot}, IRQ_ENABLE {irq_enable}");
+        }
     }
 }

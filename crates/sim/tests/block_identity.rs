@@ -281,7 +281,7 @@ fn mini_campaign_is_bit_identical_across_modes() {
         let campaign = Campaign::new(
             move || {
                 let mut sys = system_in_mode(fast);
-                sys.platform.accel.load_matrix(&w);
+                sys.platform.pe_mut(0).load_matrix(&w);
                 for (v, col) in x.iter().enumerate() {
                     sys.write_fixed_vector(layout.x_addr + (v * n * 4) as u32, col);
                 }

@@ -6,7 +6,9 @@
 use neuropulsim_linalg::parallel::split_seed;
 use neuropulsim_linalg::RMatrix;
 use neuropulsim_sim::accel::PcmDriftModel;
-use neuropulsim_sim::firmware::{accel_offload, cluster_offload, software_mvm, DramLayout};
+use neuropulsim_sim::firmware::{
+    accel_offload, cluster_offload, software_mvm, two_layer_offload, DramLayout,
+};
 use neuropulsim_sim::serve::{
     synthetic_load, InferenceServer, LoadSpec, PeFault, PeHealth, PeSpec, ServeConfig,
 };
@@ -30,6 +32,10 @@ enum Workload {
     /// Work-queue GeMM sharded over a 3-PE fabric (primary + 2 extra
     /// PEs): cuts land while several devices hold in-flight jobs.
     Cluster,
+    /// Two-layer MLP over PE 0 and PE 1, with the completion IRQ enabled
+    /// on both and a `wfi` sleep on each: cuts land while an extra PE's
+    /// interrupt is awaited or pending.
+    TwoLayer,
 }
 
 /// Builds a randomized MVM workload: matrix order, batch count, weights
@@ -46,6 +52,7 @@ fn build_system(seed: u64, workload: Workload) -> (System, DramLayout, usize) {
             tile * rng.gen_range(2usize..5) // several tiles to shard
         }
         Workload::SoftwareHot => rng.gen_range(8usize..13),
+        Workload::TwoLayer => 1,
         _ => rng.gen_range(1usize..3),
     };
     let layout = DramLayout::default();
@@ -61,22 +68,28 @@ fn build_system(seed: u64, workload: Workload) -> (System, DramLayout, usize) {
             sys.load_firmware_source(&software_mvm(n, batch, layout));
         }
         Workload::Offload => {
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
             sys.load_firmware_source(&accel_offload(n, batch, layout));
         }
         Workload::Cluster => {
-            sys.platform.accel.load_matrix(&w);
             for _ in 0..2 {
                 sys.platform.add_pe();
             }
-            for pe in &mut sys.platform.extra_pes {
-                pe.load_matrix(&w);
+            for k in 0..sys.platform.pe_count() {
+                sys.platform.pe_mut(k).load_matrix(&w);
             }
             let tile = (1..=batch)
                 .rev()
                 .find(|t| batch % t == 0 && *t <= 2)
                 .unwrap_or(1);
             sys.load_firmware_source(&cluster_offload(n, batch, 3, tile, layout));
+        }
+        Workload::TwoLayer => {
+            sys.platform.add_pe();
+            sys.platform.pe_mut(0).load_matrix(&w);
+            let w2 = RMatrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+            sys.platform.pe_mut(1).load_matrix(&w2);
+            sys.load_firmware_source(&two_layer_offload(n, layout));
         }
     }
     (sys, layout, n * batch)
@@ -105,6 +118,9 @@ struct CutStats {
     /// Cuts whose budget boundary sliced a compiled trace mid-body
     /// (the trace executor recorded a budget side exit).
     mid_trace_body: usize,
+    /// Cuts taken with the CPU in `wfi` on, or not yet past, an extra
+    /// PE's completion interrupt: PE 1 busy or its line raised.
+    extra_pe_irq: usize,
 }
 
 /// Runs `seed`'s workload uninterrupted, then re-runs it with a
@@ -129,8 +145,14 @@ fn check_cuts(seed: u64, workload: Workload, cuts: usize) -> CutStats {
         if sys.cpu.waiting_for_interrupt {
             stats.wfi += 1;
         }
-        if sys.platform.accel.is_busy() || sys.platform.extra_pes.iter().any(|pe| pe.is_busy()) {
+        if sys.platform.pes().iter().any(|pe| pe.is_busy()) {
             stats.busy += 1;
+        }
+        if sys.platform.pes()[1..]
+            .iter()
+            .any(|pe| pe.irq_line() || (pe.is_busy() && sys.cpu.waiting_for_interrupt))
+        {
+            stats.extra_pe_irq += 1;
         }
         let perf = sys.cpu.perf_counters();
         if perf.trace_hits > 0 {
@@ -253,7 +275,6 @@ fn build_server(seed: u64) -> (InferenceServer, Vec<neuropulsim_sim::serve::Requ
         canary_period: 100,
         drift_margin: 0.3,
         recovery_backoff: 32,
-        probation_canaries: 3,
         ..ServeConfig::default()
     };
     let load = synthetic_load(
@@ -347,13 +368,21 @@ fn snapshot_roundtrip_with_in_flight_fabric_jobs() {
     // The cluster scheduler keeps up to 3 PEs busy at once; cuts must
     // land while fabric jobs are in flight so the snapshot carries
     // multi-device state (busy/done latches, deadlines, SPM windows,
-    // the in-DRAM work-queue table) and restores it bit-exactly.
-    let mut busy_cuts = 0;
+    // the in-DRAM work-queue table) and restores it bit-exactly. Each
+    // device owns its interrupt enable and line, so a two-layer cut
+    // while the CPU sleeps on PE 1 (or has not yet acknowledged its
+    // raised line) must still wake and resume bit-identically.
+    let (mut busy_cuts, mut irq_cuts) = (0, 0);
     for i in 0..10u64 {
         busy_cuts += check_cuts(split_seed(0x5eed_fab5, i), Workload::Cluster, 4).busy;
+        irq_cuts += check_cuts(split_seed(0x5eed_1a7e, i), Workload::TwoLayer, 6).extra_pe_irq;
     }
     assert!(
         busy_cuts > 0,
         "no cut point landed with a fabric job in flight"
+    );
+    assert!(
+        irq_cuts > 0,
+        "no cut landed on an awaited or pending PE 1 interrupt"
     );
 }

@@ -39,7 +39,7 @@ fn main() {
 
     // --- photonic offload ---------------------------------------------
     let mut hw = System::new();
-    hw.platform.accel.load_matrix(&w);
+    hw.platform.pe_mut(0).load_matrix(&w);
     prepare(&mut hw);
     hw.load_firmware_source(&accel_offload(n, batch, layout));
     let hw_report = hw.run(1_000_000_000);

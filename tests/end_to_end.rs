@@ -131,7 +131,7 @@ fn full_system_offload_matches_digital_reference() {
         .collect();
 
     let mut sys = System::new();
-    sys.platform.accel.load_matrix(&w);
+    sys.platform.pe_mut(0).load_matrix(&w);
     for (v, x) in xs.iter().enumerate() {
         sys.write_fixed_vector(layout.x_addr + (v * n * 4) as u32, x);
     }
@@ -163,7 +163,7 @@ fn software_and_offload_paths_agree() {
     let run = |offload: bool| -> Vec<f64> {
         let mut sys = System::new();
         if offload {
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
         }
         sys.write_fixed_vector(layout.w_addr, w.as_slice());
         sys.write_fixed_vector(layout.x_addr, &x);
@@ -194,7 +194,7 @@ fn fault_campaign_on_offload_workload() {
         move || {
             let mut sys = System::new();
             let w = RMatrix::identity(n);
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
             sys.write_fixed_vector(layout.x_addr, &[0.5, 0.25, -0.5, 0.125]);
             sys.load_firmware_source(&accel_offload(n, 1, layout));
             sys

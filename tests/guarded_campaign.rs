@@ -74,7 +74,7 @@ fn baseline_campaign(layout: DramLayout) -> Campaign<'static> {
     Campaign::new(
         move || {
             let mut sys = System::new();
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
             for (v, col) in x.iter().enumerate() {
                 sys.write_fixed_vector(layout.x_addr + (v * N * 4) as u32, col);
             }
@@ -95,7 +95,7 @@ fn guarded_campaign(layout: DramLayout) -> Campaign<'static> {
     Campaign::new(
         move || {
             let mut sys = System::new();
-            sys.platform.accel.load_matrix(&w);
+            sys.platform.pe_mut(0).load_matrix(&w);
             write_guard_operands(&mut sys, &w, &x, layout);
             sys.load_firmware_source(&accel_offload_guarded(N, BATCH, layout, &cfg));
             sys

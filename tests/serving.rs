@@ -130,12 +130,13 @@ fn run_job(dev: &mut AccelDevice, now: u64) -> Vec<u32> {
         let x = 0.25 * k as f64 - 0.8;
         spm.poke(0x100 + 4 * k, to_fixed(x) as u32).unwrap();
     }
-    dev.mmr_store(mmr::IN_ADDR, 0x100);
-    dev.mmr_store(mmr::OUT_ADDR, 0x200);
-    dev.mmr_store(mmr::BATCH, 1);
-    assert!(dev.start(now, &mut spm), "job rejected");
+    dev.mmr_store(mmr::IN_ADDR, 0x100, now, &mut spm);
+    dev.mmr_store(mmr::OUT_ADDR, 0x200, now, &mut spm);
+    dev.mmr_store(mmr::BATCH, 1, now, &mut spm);
+    dev.mmr_store(mmr::CTRL, 1, now, &mut spm);
+    assert_eq!(dev.error_bits(), 0, "job rejected");
     dev.tick(now + dev.job_cycles(1));
-    dev.mmr_store(mmr::CTRL, 2);
+    dev.mmr_store(mmr::CTRL, 2, now, &mut spm);
     (0..N as u32)
         .map(|k| spm.peek(0x200 + 4 * k).unwrap())
         .collect()
@@ -158,11 +159,10 @@ fn recalibration_restores_the_freshly_programmed_chip_bit_for_bit() {
         ..PcmDriftModel::default()
     });
     assert_ne!(run_job(&mut dev, 0), want, "drift must move the output");
-    dev.mmr_store(mmr::CTRL, 8);
-    assert!(dev.take_recal_request());
-    dev.recalibrate(100);
+    let mut spm = Ram::new(0, 0);
+    dev.mmr_store(mmr::CTRL, 8, 100, &mut spm);
     dev.tick(100 + dev.recal_cycles);
-    dev.mmr_store(mmr::CTRL, 2);
+    dev.mmr_store(mmr::CTRL, 2, 100, &mut spm);
     assert_eq!(dev.recal_count(), 1);
     assert_eq!(run_job(&mut dev, 1000), want);
 }
