@@ -24,6 +24,7 @@ use neuropulsim_photonics::pcm::{transmission_levels, PcmCell, PcmMaterial};
 use neuropulsim_riscv::bus::{Bus, FlatMemory};
 use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
 use neuropulsim_riscv::isa::{encode, Instruction};
+use neuropulsim_riscv::trace::HOT_THRESHOLD;
 use neuropulsim_snn::neuron::NeuronArray;
 use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
 use neuropulsim_snn::stdp::StdpRule;
@@ -775,27 +776,43 @@ fn abft_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> Case
 const RV_MEM_BYTES: usize = 4096;
 /// Cycle budget per program.
 const RV_BUDGET: u64 = 50_000;
+/// The loop counter: the generator draws every other register below 16,
+/// so the body never touches it.
+const RV_LOOP_REG: u8 = 31;
+/// Body iterations: the loop head sees [`HOT_THRESHOLD`] block entries,
+/// compiles a trace and then runs several passes of it.
+const RV_LOOP_ITERS: i32 = HOT_THRESHOLD as i32 + 4;
+/// Body iterations of the long loops, which [`RV_BUDGET`] cuts inside a
+/// trace unless the body is very short.
+const RV_LONG_LOOP_ITERS: i32 = 2047;
 
-/// Seeded random RV32IM program: ALU/mul/div mix, loads and stores in a
-/// fixed data window, forward branches, CSR reads of `mcycle`/
-/// `minstret`/`mscratch`, occasional random-base loads that may trap,
-/// occasionally a trailing `wfi`, always a final `ecall`.
+/// Seeded random RV32IM program: a body of `len` ops — ALU/mul/div mix,
+/// loads and stores in a fixed data window, forward branches, CSR reads
+/// of `mcycle`/`minstret`/`mscratch`, in one program in four loads that
+/// may trap off a random base, in another one in four loads that trap
+/// off the loop counter in a late iteration — run in a counted loop on
+/// `x31` so the trace tier compiles it, then occasionally a `wfi`,
+/// always a final `ecall`. One case in eight runs the long loop.
 fn random_rv_program(rng: &mut StdRng, len: usize) -> Vec<u32> {
     use Instruction as I;
-    let mut words = Vec::with_capacity(len + 1);
-    let wfi_at = if len >= 2 && rng.gen_bool(0.125) {
-        Some(len - 1)
+    let mut words = Vec::with_capacity(len + 4);
+    let wfi = rng.gen_bool(0.125);
+    let iters = if rng.gen_bool(0.125) {
+        RV_LONG_LOOP_ITERS
     } else {
-        None
+        RV_LOOP_ITERS
     };
+    // Which loads may fault, drawn once per program (see op 14).
+    let trap_loads = rng.gen_range(0u32..4);
+    words.push(encode(I::Addi {
+        rd: RV_LOOP_REG,
+        rs1: 0,
+        imm: iters,
+    }));
     for k in 0..len {
         let rd = rng.gen_range(1u8..16);
         let rs1 = rng.gen_range(0u8..16);
         let rs2 = rng.gen_range(0u8..16);
-        if Some(k) == wfi_at {
-            words.push(encode(I::Wfi));
-            continue;
-        }
         let inst = match rng.gen_range(0u32..16) {
             0 => I::Addi {
                 rd,
@@ -896,15 +913,43 @@ fn random_rv_program(rng: &mut StdRng, len: usize) -> Vec<u32> {
                     }
                 }
             }
-            // Random-base load: may fault — traps must match exactly.
-            14 => I::Lw {
-                rd,
-                rs1,
-                offset: rng.gen_range(-64i32..64) & !3,
+            // Loads that may fault — traps must match exactly.
+            14 => match trap_loads {
+                // Off a random base: may trap on the first pass.
+                0 => I::Lw {
+                    rd,
+                    rs1,
+                    offset: rng.gen_range(-64i32..64) & !3,
+                },
+                // Off the loop counter: faults once the counter drops
+                // below the offset's magnitude, in a traced iteration.
+                1 => I::Lw {
+                    rd,
+                    rs1: RV_LOOP_REG,
+                    offset: -rng.gen_range(2i32..5),
+                },
+                _ => I::Lw {
+                    rd,
+                    rs1: 0,
+                    offset: 1024 + 4 * rng.gen_range(0i32..224),
+                },
             },
             _ => I::Mulhu { rd, rs1, rs2 },
         };
         words.push(encode(inst));
+    }
+    words.push(encode(I::Addi {
+        rd: RV_LOOP_REG,
+        rs1: RV_LOOP_REG,
+        imm: -1,
+    }));
+    words.push(encode(I::Bne {
+        rs1: RV_LOOP_REG,
+        rs2: 0,
+        offset: -4 * (len as i32 + 1),
+    }));
+    if wfi {
+        words.push(encode(I::Wfi));
     }
     words.push(encode(I::Ecall));
     words
@@ -930,10 +975,15 @@ fn ref_trap_key(t: &rv32_ref::RefTrap) -> (u8, u32, u64) {
     }
 }
 
-fn riscv_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
+/// The body length and program of one riscv case.
+fn rv_case_program(case_seed: u64, size_override: Option<usize>) -> (usize, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let len = draw_size(&mut rng, Domain::Riscv, size_override);
-    let words = random_rv_program(&mut rng, len);
+    (len, random_rv_program(&mut rng, len))
+}
+
+fn riscv_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
+    let (len, words) = rv_case_program(case_seed, size_override);
 
     let mut fast_mem = FlatMemory::new(RV_MEM_BYTES);
     fast_mem.load_words(0, &words);
@@ -1311,5 +1361,39 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
         cases_per_domain: config.cases,
         total_divergences: domains.iter().map(|d| d.divergences).sum(),
         domains,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn riscv_cases_reach_the_trace_tier() {
+        // The campaign's own case seeds (CI runs seed 42): at least half
+        // of the default-size programs must dispatch a compiled trace,
+        // so the oracle checks the trace executor, not only blocks.
+        let cases = 200;
+        let domain_seed = split_seed(42, Domain::Riscv.index());
+        let traced = (0..cases)
+            .filter(|&i| {
+                let (_, words) = rv_case_program(split_seed(domain_seed, i), None);
+                let mut mem = FlatMemory::new(RV_MEM_BYTES);
+                mem.load_words(0, &words);
+                let mut cpu = Cpu::new(0);
+                let _ = cpu.run_counted(&mut mem, RV_BUDGET);
+                cpu.trace_engine().hits > 0
+            })
+            .count();
+        assert!(
+            2 * traced >= cases as usize,
+            "only {traced} of {cases} riscv cases dispatched a trace"
+        );
+    }
+
+    #[test]
+    fn riscv_programs_stay_below_the_data_window() {
+        let (_, words) = rv_case_program(7, Some(Domain::Riscv.max_size()));
+        assert!(words.len() * 4 <= 1024, "{} code words", words.len());
     }
 }

@@ -190,6 +190,50 @@ pub fn cases() -> Vec<MatrixCase> {
             "raw_dependency_chain",
             "li a0, 1\nadd a0, a0, a0\nadd a0, a0, a0\nadd a0, a0, a0\nadd a0, a0, a0\nadd a0, a0, a0\nsub a1, a0, a0\necall",
         ),
+        // ---- hot loops: each op class retires >= 16 times, so the
+        // cached replay runs it inside a compiled trace ---------------
+        case(
+            "hot_subword_loads_stores",
+            "li s0, 0x200\nli t1, 0x80ff7f01\nli t0, 20\nloop:\nsb t1, 0(s0)\nsh t1, 2(s0)\nlb a0, 0(s0)\nlbu a1, 0(s0)\nlh a2, 2(s0)\nlhu a3, 2(s0)\nsw t1, 4(s0)\nlw a4, 4(s0)\nadd a5, a5, a0\nadd a5, a5, a1\nadd a5, a5, a2\nadd a5, a5, a3\nxor a5, a5, a4\naddi t1, t1, 0x123\nslli t2, t1, 7\nxor t1, t1, t2\naddi s0, s0, 8\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        case(
+            "hot_lui_auipc",
+            "li t0, 20\nli a0, 0\nloop:\nlui t1, 0x12345\nauipc t2, 0\nauipc t3, 0x100\nadd a0, a0, t1\nadd a0, a0, t2\nsub a0, a0, t3\nlui t1, 0xfffff\nxor a0, a0, t1\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        case(
+            "hot_compares_shifts",
+            "li t0, 20\nli t1, -7\nli t2, 3\nli a0, 0\nloop:\nslt a1, t1, t2\nsltu a2, t1, t2\nslti a3, t1, -5\nsltiu a4, t2, 9\nsll a5, t1, t2\nsrl a6, t1, t2\nsra a7, t1, t2\nslli s2, t1, 3\nsrli s3, t1, 29\nsrai s4, t1, 31\nadd a0, a0, a1\nadd a0, a0, a2\nadd a0, a0, a3\nadd a0, a0, a4\nxor a0, a0, a5\nxor a0, a0, a6\nxor a0, a0, a7\nadd a0, a0, s2\nadd a0, a0, s3\nadd a0, a0, s4\naddi t1, t1, 1\naddi t2, t2, 5\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        // The divisor t3 runs -12..7, so the traced iterations divide
+        // by -1 (against 0x80000000: the overflow case) and by zero.
+        case(
+            "hot_mul_high_div_rem",
+            "li t0, 20\nli t1, 0x7ffffff0\nli t2, -9\nli t3, -12\nli s5, 0x80000000\nli a0, 0\nloop:\nmulh a1, t1, t2\nmulhsu a2, t2, t1\nmulhu a3, t1, t2\ndiv a4, t1, t3\nrem a5, t1, t3\ndivu a6, t2, t3\nremu a7, t2, t3\ndiv s2, s5, t3\nrem s3, s5, t3\nadd a0, a0, a1\nxor a0, a0, a2\nadd a0, a0, a3\nxor a0, a0, a4\nadd a0, a0, a5\nxor a0, a0, a6\nadd a0, a0, a7\nxor a0, a0, s2\nadd a0, a0, s3\nslli t4, t1, 1\nxor t1, t1, t4\naddi t2, t2, 77\naddi t3, t3, 1\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        case(
+            "hot_jal_in_trace",
+            "li t0, 20\nli a0, 0\nloop:\njal ra, f\nf:\nadd a0, a0, ra\nj skip\naddi a0, a0, 100\nskip:\naddi a0, a0, 1\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        case(
+            "hot_x0_writes",
+            "li t0, 20\nli s0, 0x200\nli t1, 0x1234\nsw t1, 0(s0)\nloop:\nadd zero, t1, t1\naddi zero, t1, 5\nlui zero, 0x12345\nauipc zero, 0\nlw zero, 0(s0)\nmul zero, t1, t1\ndiv zero, t1, t0\njal zero, next\nnext:\nadd a0, a0, zero\nsltu a1, zero, t1\nadd a0, a0, a1\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        case(
+            "hot_csr_counters",
+            "li t0, 20\nli a0, 0\nloop:\ncsrr t1, 0xb00\ncsrr t2, 0xb02\nmul t3, t1, t1\ncsrr t4, 0xb00\nsub t4, t4, t1\nadd a0, a0, t4\nadd a1, a1, t2\ncsrw 0x340, t0\naddi t0, t0, -1\nbnez t0, loop\ncsrr a2, 0x340\necall",
+        ),
+        // Data-dependent branches of every polarity: guards fire
+        // mid-trace on the iterations the profile did not predict.
+        case(
+            "hot_branch_polarity_mix",
+            "li t0, 20\nli a0, 0\nloop:\nandi t1, t0, 3\nbeqz t1, m4\naddi a0, a0, 1\nm4:\nandi t2, t0, 1\nbnez t2, odd\naddi a0, a0, 3\nodd:\nblt t1, t2, lt\naddi a0, a0, 5\nlt:\nbgeu t1, t2, ge\naddi a0, a0, 7\nge:\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
+        // Branches whose target is their own fall-through: the path
+        // never changes, only the cycle cost (taken every other pass).
+        case(
+            "hot_branch_to_fallthrough",
+            "li t0, 20\nli a0, 0\nloop:\nandi t1, t0, 1\nbeqz t1, next\nnext:\naddi a0, a0, 1\nbnez t1, next2\nnext2:\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
     ]
 }
 

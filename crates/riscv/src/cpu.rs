@@ -100,6 +100,24 @@ pub struct CycleModel {
     pub div: u64,
 }
 
+impl CycleModel {
+    /// Cycles `inst` takes to retire; `taken` says a jump or branch
+    /// redirected the pc. The one latency table: the interpreter charges
+    /// it per op and the trace compiler pre-costs predicted paths with it.
+    #[inline(always)]
+    pub fn cost(&self, inst: Instruction, taken: bool) -> u64 {
+        use Instruction::*;
+        match inst {
+            Lb { .. } | Lh { .. } | Lw { .. } | Lbu { .. } | Lhu { .. } => self.load,
+            Sb { .. } | Sh { .. } | Sw { .. } => self.store,
+            Mul { .. } | Mulh { .. } | Mulhsu { .. } | Mulhu { .. } => self.mul,
+            Div { .. } | Divu { .. } | Rem { .. } | Remu { .. } => self.div,
+            _ if taken => self.branch_taken,
+            _ => self.alu,
+        }
+    }
+}
+
 impl Default for CycleModel {
     /// A small in-order core: 1-cycle ALU, 3-cycle taken branches,
     /// 2/1-cycle load/store (hits), 3-cycle multiply, 20-cycle divide.
@@ -142,8 +160,7 @@ impl CpuSnapshot {
 }
 
 /// How a compiled-trace dispatch ended, from the bulk loop's point of
-/// view: keep going in the bulk loop, hand off to the precise path, or
-/// the program halted.
+/// view: keep going in the bulk loop, or hand off to the caller.
 enum TraceOutcome {
     /// The trace exited with `pc` somewhere dispatchable — re-enter the
     /// bulk loop (trace lookup, then block dispatch).
@@ -151,8 +168,6 @@ enum TraceOutcome {
     /// The bulk window must end (budget, or an MMIO access the bus
     /// declined / closed the window on): return to the caller.
     Leave,
-    /// The program signalled completion.
-    Halted(Halt),
 }
 
 /// The RV32IM processor state.
@@ -212,19 +227,19 @@ impl Cpu {
         }
     }
 
-    /// Reads register `r` (x0 reads as 0).
+    /// Reads register `r` (x0 reads as 0; `r` is taken mod 32, as in
+    /// the 5-bit encoding).
+    #[inline(always)]
     pub fn reg(&self, r: u8) -> u32 {
-        if r == 0 {
-            0
-        } else {
-            self.regs[r as usize]
-        }
+        // `set_reg` never writes slot 0, so x0 reads as 0 unchecked.
+        self.regs[r as usize & 31]
     }
 
     /// Writes register `r` (writes to x0 are discarded).
+    #[inline(always)]
     pub fn set_reg(&mut self, r: u8, value: u32) {
         if r != 0 {
-            self.regs[r as usize] = value;
+            self.regs[r as usize & 31] = value;
         }
     }
 
@@ -398,121 +413,122 @@ impl Cpu {
         inst: Instruction,
         pc: u32,
     ) -> Result<Option<Halt>, Trap> {
-        let mut next_pc = pc.wrapping_add(4);
-        let model = self.cycle_model;
-        let mut cost = model.alu;
-
         use Instruction::*;
+        let (next_pc, taken) = match self.exec_reg(inst, pc) {
+            Some(retired) => retired,
+            None => {
+                let fall = pc.wrapping_add(4);
+                match inst {
+                    Jalr { rd, rs1, offset } => {
+                        let target = self.reg(rs1).wrapping_add(offset as u32) & !1;
+                        self.set_reg(rd, fall);
+                        (target, true)
+                    }
+                    Lb { rs1, offset, .. }
+                    | Lh { rs1, offset, .. }
+                    | Lw { rs1, offset, .. }
+                    | Lbu { rs1, offset, .. }
+                    | Lhu { rs1, offset, .. }
+                    | Sb { rs1, offset, .. }
+                    | Sh { rs1, offset, .. }
+                    | Sw { rs1, offset, .. } => {
+                        let addr = self.reg(rs1).wrapping_add(offset as u32);
+                        self.access(bus, inst, addr)
+                            .map_err(|fault| Trap::MemoryFault { pc, fault })?;
+                        (fall, false)
+                    }
+                    Ecall | Ebreak => {
+                        self.pc = fall;
+                        self.cycles += self.cycle_model.cost(inst, false);
+                        self.instret += 1;
+                        return Ok(Some(if inst == Ecall {
+                            Halt::Ecall
+                        } else {
+                            Halt::Ebreak
+                        }));
+                    }
+                    Wfi => {
+                        self.waiting_for_interrupt = true;
+                        (fall, false)
+                    }
+                    Csrrw { rd, rs1, csr } => {
+                        let old = self.read_csr(csr);
+                        self.write_csr(csr, self.reg(rs1));
+                        self.set_reg(rd, old);
+                        (fall, false)
+                    }
+                    Csrrs { rd, rs1, csr } => {
+                        let old = self.read_csr(csr);
+                        if rs1 != 0 {
+                            self.write_csr(csr, old | self.reg(rs1));
+                        }
+                        self.set_reg(rd, old);
+                        (fall, false)
+                    }
+                    Csrrc { rd, rs1, csr } => {
+                        let old = self.read_csr(csr);
+                        if rs1 != 0 {
+                            self.write_csr(csr, old & !self.reg(rs1));
+                        }
+                        self.set_reg(rd, old);
+                        (fall, false)
+                    }
+                    _ => unreachable!("register-only ops retire in exec_reg"),
+                }
+            }
+        };
+        self.pc = next_pc;
+        self.cycles += self.cycle_model.cost(inst, taken);
+        self.instret += 1;
+        Ok(None)
+    }
+
+    /// The register-only ops — ALU, M extension, `lui`/`auipc`, `fence`,
+    /// the conditional branches and `jal` — as the one definition both
+    /// [`Cpu::execute`] and the trace executor run: writes `rd` and
+    /// nothing else, and returns `(next pc, taken)`. `None` for every
+    /// other op (memory, `jalr`, CSR and system ops), with no effect.
+    #[inline(always)]
+    fn exec_reg(&mut self, inst: Instruction, pc: u32) -> Option<(u32, bool)> {
+        use Instruction::*;
+        let fall = pc.wrapping_add(4);
+        let branch = |cond: bool, offset: i32| {
+            if cond {
+                (pc.wrapping_add(offset as u32), true)
+            } else {
+                (fall, false)
+            }
+        };
         match inst {
             Lui { rd, imm } => self.set_reg(rd, imm as u32),
             Auipc { rd, imm } => self.set_reg(rd, pc.wrapping_add(imm as u32)),
             Jal { rd, offset } => {
-                self.set_reg(rd, next_pc);
-                next_pc = pc.wrapping_add(offset as u32);
-                cost = model.branch_taken;
-            }
-            Jalr { rd, rs1, offset } => {
-                let target = self.reg(rs1).wrapping_add(offset as u32) & !1;
-                self.set_reg(rd, next_pc);
-                next_pc = target;
-                cost = model.branch_taken;
+                self.set_reg(rd, fall);
+                return Some((pc.wrapping_add(offset as u32), true));
             }
             Beq { rs1, rs2, offset } => {
-                if self.reg(rs1) == self.reg(rs2) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
+                return Some(branch(self.reg(rs1) == self.reg(rs2), offset))
             }
             Bne { rs1, rs2, offset } => {
-                if self.reg(rs1) != self.reg(rs2) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
+                return Some(branch(self.reg(rs1) != self.reg(rs2), offset))
             }
             Blt { rs1, rs2, offset } => {
-                if (self.reg(rs1) as i32) < (self.reg(rs2) as i32) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
+                return Some(branch(
+                    (self.reg(rs1) as i32) < (self.reg(rs2) as i32),
+                    offset,
+                ))
             }
             Bge { rs1, rs2, offset } => {
-                if (self.reg(rs1) as i32) >= (self.reg(rs2) as i32) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
+                return Some(branch(
+                    (self.reg(rs1) as i32) >= (self.reg(rs2) as i32),
+                    offset,
+                ))
             }
             Bltu { rs1, rs2, offset } => {
-                if self.reg(rs1) < self.reg(rs2) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
+                return Some(branch(self.reg(rs1) < self.reg(rs2), offset))
             }
             Bgeu { rs1, rs2, offset } => {
-                if self.reg(rs1) >= self.reg(rs2) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = model.branch_taken;
-                }
-            }
-            Lb { rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = bus
-                    .load_byte(addr)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.set_reg(rd, v as i8 as i32 as u32);
-                cost = model.load;
-            }
-            Lh { rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = bus
-                    .load_half(addr)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.set_reg(rd, v as i16 as i32 as u32);
-                cost = model.load;
-            }
-            Lw { rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = bus
-                    .load_word_fast(addr)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.set_reg(rd, v);
-                cost = model.load;
-            }
-            Lbu { rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = bus
-                    .load_byte(addr)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.set_reg(rd, v as u32);
-                cost = model.load;
-            }
-            Lhu { rd, rs1, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = bus
-                    .load_half(addr)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.set_reg(rd, v as u32);
-                cost = model.load;
-            }
-            Sb { rs1, rs2, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                bus.store_byte(addr, self.reg(rs2) as u8)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.note_store(addr);
-                cost = model.store;
-            }
-            Sh { rs1, rs2, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                bus.store_half(addr, self.reg(rs2) as u16)
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.note_store(addr);
-                cost = model.store;
-            }
-            Sw { rs1, rs2, offset } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                bus.store_word_fast(addr, self.reg(rs2))
-                    .map_err(|fault| Trap::MemoryFault { pc, fault })?;
-                self.note_store(addr);
-                cost = model.store;
+                return Some(branch(self.reg(rs1) >= self.reg(rs2), offset))
             }
             Addi { rd, rs1, imm } => self.set_reg(rd, self.reg(rs1).wrapping_add(imm as u32)),
             Slti { rd, rs1, imm } => self.set_reg(rd, ((self.reg(rs1) as i32) < imm) as u32),
@@ -538,24 +554,18 @@ impl Cpu {
             ),
             Or { rd, rs1, rs2 } => self.set_reg(rd, self.reg(rs1) | self.reg(rs2)),
             And { rd, rs1, rs2 } => self.set_reg(rd, self.reg(rs1) & self.reg(rs2)),
-            Mul { rd, rs1, rs2 } => {
-                self.set_reg(rd, self.reg(rs1).wrapping_mul(self.reg(rs2)));
-                cost = model.mul;
-            }
+            Mul { rd, rs1, rs2 } => self.set_reg(rd, self.reg(rs1).wrapping_mul(self.reg(rs2))),
             Mulh { rd, rs1, rs2 } => {
                 let p = (self.reg(rs1) as i32 as i64) * (self.reg(rs2) as i32 as i64);
                 self.set_reg(rd, (p >> 32) as u32);
-                cost = model.mul;
             }
             Mulhsu { rd, rs1, rs2 } => {
                 let p = (self.reg(rs1) as i32 as i64) * (self.reg(rs2) as u64 as i64);
                 self.set_reg(rd, (p >> 32) as u32);
-                cost = model.mul;
             }
             Mulhu { rd, rs1, rs2 } => {
                 let p = (self.reg(rs1) as u64) * (self.reg(rs2) as u64);
                 self.set_reg(rd, (p >> 32) as u32);
-                cost = model.mul;
             }
             Div { rd, rs1, rs2 } => {
                 let a = self.reg(rs1) as i32;
@@ -568,13 +578,11 @@ impl Cpu {
                     a / b
                 };
                 self.set_reg(rd, q as u32);
-                cost = model.div;
             }
             Divu { rd, rs1, rs2 } => {
                 let b = self.reg(rs2);
                 let q = self.reg(rs1).checked_div(b).unwrap_or(u32::MAX);
                 self.set_reg(rd, q);
-                cost = model.div;
             }
             Rem { rd, rs1, rs2 } => {
                 let a = self.reg(rs1) as i32;
@@ -587,7 +595,6 @@ impl Cpu {
                     a % b
                 };
                 self.set_reg(rd, r as u32);
-                cost = model.div;
             }
             Remu { rd, rs1, rs2 } => {
                 let b = self.reg(rs2);
@@ -597,49 +604,46 @@ impl Cpu {
                     self.reg(rs1) % b
                 };
                 self.set_reg(rd, r);
-                cost = model.div;
             }
             Fence => {}
-            Ecall => {
-                self.pc = next_pc;
-                self.cycles += cost;
-                self.instret += 1;
-                return Ok(Some(Halt::Ecall));
-            }
-            Ebreak => {
-                self.pc = next_pc;
-                self.cycles += cost;
-                self.instret += 1;
-                return Ok(Some(Halt::Ebreak));
-            }
-            Wfi => {
-                self.waiting_for_interrupt = true;
-            }
-            Csrrw { rd, rs1, csr } => {
-                let old = self.read_csr(csr);
-                self.write_csr(csr, self.reg(rs1));
-                self.set_reg(rd, old);
-            }
-            Csrrs { rd, rs1, csr } => {
-                let old = self.read_csr(csr);
-                if rs1 != 0 {
-                    self.write_csr(csr, old | self.reg(rs1));
-                }
-                self.set_reg(rd, old);
-            }
-            Csrrc { rd, rs1, csr } => {
-                let old = self.read_csr(csr);
-                if rs1 != 0 {
-                    self.write_csr(csr, old & !self.reg(rs1));
-                }
-                self.set_reg(rd, old);
-            }
+            _ => return None,
         }
+        Some((fall, false))
+    }
 
-        self.pc = next_pc;
-        self.cycles += cost;
-        self.instret += 1;
-        Ok(None)
+    /// The data access of load/store `inst` at effective address `addr`:
+    /// a load writes `rd`, a store writes memory and then runs the
+    /// store-into-code hook. Shared by [`Cpu::execute`] and the trace
+    /// executor's RAM path.
+    #[inline(always)]
+    fn access<B: Bus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        inst: Instruction,
+        addr: u32,
+    ) -> Result<(), BusFault> {
+        use Instruction::*;
+        match inst {
+            Lb { rd, .. } => self.set_reg(rd, bus.load_byte(addr)? as i8 as i32 as u32),
+            Lh { rd, .. } => self.set_reg(rd, bus.load_half(addr)? as i16 as i32 as u32),
+            Lw { rd, .. } => self.set_reg(rd, bus.load_word_fast(addr)?),
+            Lbu { rd, .. } => self.set_reg(rd, bus.load_byte(addr)? as u32),
+            Lhu { rd, .. } => self.set_reg(rd, bus.load_half(addr)? as u32),
+            Sb { rs2, .. } => {
+                bus.store_byte(addr, self.reg(rs2) as u8)?;
+                self.note_store(addr);
+            }
+            Sh { rs2, .. } => {
+                bus.store_half(addr, self.reg(rs2) as u16)?;
+                self.note_store(addr);
+            }
+            Sw { rs2, .. } => {
+                bus.store_word_fast(addr, self.reg(rs2))?;
+                self.note_store(addr);
+            }
+            _ => unreachable!("access on a non-memory op"),
+        }
+        Ok(())
     }
 
     /// Executes cached instructions in a tight dispatch loop until the
@@ -692,24 +696,27 @@ impl Cpu {
             // the entry crosses the heat threshold — compiles one and
             // runs it immediately.
             if resume.is_none() && self.traces.is_enabled() {
+                // Traces are pre-costed: a changed timing model drops them.
+                self.traces.sync_model(&self.cycle_model);
                 let mut trace = self.traces.lookup(self.pc).cloned();
                 if trace.is_none() && self.traces.note_entry(self.pc) {
-                    trace = crate::trace::compile(&*bus, self.pc, self.traces.edges()).map(|t| {
-                        // Store invalidation must reach compiled
-                        // traces: widen the block-cache watch window
-                        // over every trace segment.
-                        for (lo, hi) in t.watch_ranges() {
-                            self.block_cache.widen_watch(lo, hi);
-                        }
-                        self.traces.insert(t)
-                    });
+                    let edges = self.traces.edges();
+                    trace =
+                        crate::trace::compile(&*bus, self.pc, edges, &self.cycle_model).map(|t| {
+                            // Store invalidation must reach compiled
+                            // traces: widen the block-cache watch window
+                            // over every trace segment.
+                            for (lo, hi) in t.watch_ranges() {
+                                self.block_cache.widen_watch(lo, hi);
+                            }
+                            self.traces.insert(t)
+                        });
                 }
                 if let Some(trace) = trace {
                     self.traces.hits += 1;
                     match self.run_trace(bus, &trace, budget_end, mmio_floor)? {
                         TraceOutcome::Continue => continue,
                         TraceOutcome::Leave => return Ok(None),
-                        TraceOutcome::Halted(halt) => return Ok(Some(halt)),
                     }
                 }
             }
@@ -855,10 +862,27 @@ impl Cpu {
     /// predicting correctly) under the same quiet-window contract as
     /// [`Cpu::run_cached_span`].
     ///
-    /// Every op runs through [`Cpu::execute`] — the single semantic
-    /// core — so architectural state, traps and cycle charging are
-    /// bit-identical to the seed interpreter no matter where the trace
-    /// exits. Fetches are charged in bulk per contiguous code segment.
+    /// Ops are pre-costed, so within a pass the exact `pc`, `cycles` and
+    /// `instret` before op `k` are implicit: its pc, `base + prefix[k]`
+    /// and `k` past the pass's entry count. Register-only ops and RAM
+    /// accesses write registers and memory only; exact state is written
+    /// back where it becomes observable:
+    ///
+    /// 1. at the end of a pass (once per pass);
+    /// 2. where an op leaves the prediction (a guard), or a store
+    ///    invalidated the trace;
+    /// 3. before a CSR op or a device-space access, which then run
+    ///    through [`Cpu::execute`] with the MMIO prologue/epilogue gating
+    ///    of block dispatch, and at a faulting RAM access (the trap keeps
+    ///    its pc and counters);
+    /// 4. at the budget. A pass whose last op issues before `budget_end`
+    ///    even in the worst case skips the per-op budget test.
+    ///
+    /// Fetches are charged in bulk per contiguous code segment.
+    // Kept out of line: inlined into `run_cached_span`, the executor
+    // shares registers with the block dispatcher and `fw-software` runs
+    // about 10% slower.
+    #[inline(never)]
     fn run_trace<B: Bus + ?Sized>(
         &mut self,
         bus: &mut B,
@@ -882,72 +906,110 @@ impl Cpu {
             }
         }
         loop {
-            let mut executed = 0u32;
-            for top in &trace.ops {
-                if self.cycles >= budget_end {
+            // Cycles and retirements at the pass's entry: op `k` issues
+            // at `base + ops[k].prefix` with `instret0 + k` retired.
+            let mut base = self.cycles;
+            let instret0 = self.instret;
+            let fits = base.saturating_add(trace.worst_to_last) < budget_end;
+            for (k, op) in trace.ops.iter().enumerate() {
+                let issue = base.wrapping_add(op.prefix);
+                let retired = k as u32;
+                if !fits && issue >= budget_end {
+                    self.pc = op.pc;
+                    self.cycles = issue;
+                    self.instret = instret0 + k as u64;
                     self.traces.exits[SideExit::Budget as usize] += 1;
-                    charge(bus, trace, executed);
+                    charge(bus, trace, retired);
                     return Ok(TraceOutcome::Leave);
                 }
-                // Inline-cached MMIO range check: one register read and
-                // one compare on the common RAM path, with the same
-                // prologue/epilogue gating as block dispatch otherwise.
-                let mut touches_mmio = false;
-                if let Some((rs1, offset)) = top.mem {
-                    if self.reg(rs1).wrapping_add(offset as u32) >= mmio_floor {
-                        touches_mmio = true;
-                        if !bus.mmio_prologue(self.cycles) {
-                            self.traces.exits[SideExit::Mmio as usize] += 1;
-                            charge(bus, trace, executed);
-                            return Ok(TraceOutcome::Leave);
-                        }
-                    }
-                }
-                let pc = self.pc;
-                debug_assert_eq!(pc, top.pc, "trace position out of sync");
-                match self.execute(bus, top.inst, pc) {
-                    Ok(None) => {
-                        executed += 1;
-                        // A store of this very trace may have rewritten
-                        // its own code: the invalidation bumped the
-                        // generation, so stop before dispatching a
-                        // stale decode. State so far is exact.
-                        if self.traces.generation != entry_generation {
-                            self.traces.exits[SideExit::Invalidated as usize] += 1;
-                            charge(bus, trace, executed);
-                            return Ok(TraceOutcome::Continue);
-                        }
-                        // Guard: the branch (or fallthrough) retired —
-                        // precisely — somewhere the compiler did not
-                        // predict. Leave the trace; state is already
-                        // correct.
-                        if self.pc != top.expected_next {
+                if let Some((next, taken)) = self.exec_reg(op.inst, op.pc) {
+                    if taken != op.taken {
+                        self.pc = next;
+                        self.cycles = issue + self.cycle_model.cost(op.inst, taken);
+                        self.instret = instret0 + k as u64 + 1;
+                        // Guard: the branch retired — precisely —
+                        // somewhere the compiler did not predict.
+                        if next != op.expected_next {
                             self.traces.exits[SideExit::Guard as usize] += 1;
-                            charge(bus, trace, executed);
+                            charge(bus, trace, retired + 1);
                             return Ok(TraceOutcome::Continue);
                         }
-                        if touches_mmio && !bus.mmio_epilogue() {
-                            self.traces.exits[SideExit::Mmio as usize] += 1;
-                            charge(bus, trace, executed);
-                            return Ok(TraceOutcome::Leave);
+                        // A branch to its own fall-through: on the path,
+                        // at the other direction's cost.
+                        base = self.cycles.wrapping_sub(op.prefix + op.cost);
+                    }
+                    continue;
+                }
+                let device = match op.mem {
+                    Some((rs1, offset)) => {
+                        let addr = self.reg(rs1).wrapping_add(offset as u32);
+                        if addr >= mmio_floor {
+                            true
+                        } else {
+                            if let Err(fault) = self.access(bus, op.inst, addr) {
+                                self.pc = op.pc;
+                                self.cycles = issue;
+                                self.instret = instret0 + k as u64;
+                                // The trapped instruction was fetched
+                                // before it trapped, exactly as in the
+                                // seed.
+                                charge(bus, trace, retired + 1);
+                                return Err(Trap::MemoryFault { pc: op.pc, fault });
+                            }
+                            // A store of this very trace may have
+                            // rewritten its own code: the invalidation
+                            // bumped the generation, so stop before
+                            // dispatching a stale decode.
+                            if op.store && self.traces.generation != entry_generation {
+                                self.pc = op.expected_next;
+                                self.cycles = issue + op.cost;
+                                self.instret = instret0 + k as u64 + 1;
+                                self.traces.exits[SideExit::Invalidated as usize] += 1;
+                                charge(bus, trace, retired + 1);
+                                return Ok(TraceOutcome::Continue);
+                            }
+                            continue;
                         }
                     }
-                    Ok(Some(halt)) => {
-                        executed += 1;
-                        charge(bus, trace, executed);
-                        return Ok(TraceOutcome::Halted(halt));
-                    }
+                    None => false,
+                };
+                // A CSR op or a device-space access: exact state first,
+                // then the precise semantic core.
+                self.pc = op.pc;
+                self.cycles = issue;
+                self.instret = instret0 + k as u64;
+                if device && !bus.mmio_prologue(self.cycles) {
+                    self.traces.exits[SideExit::Mmio as usize] += 1;
+                    charge(bus, trace, retired);
+                    return Ok(TraceOutcome::Leave);
+                }
+                match self.execute(bus, op.inst, op.pc) {
+                    Ok(halt) => debug_assert!(halt.is_none(), "trace ops never halt"),
                     Err(trap) => {
-                        // The trapped instruction was fetched before it
-                        // trapped, exactly as in the seed.
-                        executed += 1;
-                        charge(bus, trace, executed);
+                        charge(bus, trace, retired + 1);
                         return Err(trap);
                     }
                 }
+                debug_assert_eq!(self.pc, op.expected_next);
+                debug_assert_eq!(self.cycles, issue + op.cost);
+                if op.store && self.traces.generation != entry_generation {
+                    self.traces.exits[SideExit::Invalidated as usize] += 1;
+                    charge(bus, trace, retired + 1);
+                    return Ok(TraceOutcome::Continue);
+                }
+                if device && !bus.mmio_epilogue() {
+                    self.traces.exits[SideExit::Mmio as usize] += 1;
+                    charge(bus, trace, retired + 1);
+                    return Ok(TraceOutcome::Leave);
+                }
             }
-            charge(bus, trace, executed);
-            if trace.loops && self.pc == trace.start && self.cycles < budget_end {
+            // The whole pass retired on its predicted path.
+            let last = trace.ops[trace.ops.len() - 1];
+            self.pc = last.expected_next;
+            self.cycles = base.wrapping_add(last.prefix + last.cost);
+            self.instret = instret0 + trace.ops.len() as u64;
+            charge(bus, trace, trace.ops.len() as u32);
+            if trace.loops && self.cycles < budget_end {
                 // The tail predicted back to the entry and was right:
                 // iterate in place without a re-dispatch.
                 self.traces.hits += 1;
@@ -1582,6 +1644,157 @@ mod tests {
             assert_eq!(fast.instret, slow.instret, "seed {seed}: same instret");
             assert_eq!(mem_fast, mem_slow, "seed {seed}: same memory");
         }
+    }
+
+    /// A counted loop whose trace holds a RAM load and store, a mul and
+    /// a div, a data-dependent branch (predicted taken, falls through
+    /// every fourth pass), an `mcycle` read and a `jal`.
+    fn hot_kernel() -> Vec<u32> {
+        let csr = |rd| Csrrs {
+            rd,
+            rs1: 0,
+            csr: csr::MCYCLE,
+        };
+        [
+            Addi {
+                rd: 1,
+                rs1: 0,
+                imm: 0x200,
+            },
+            Addi {
+                rd: 2,
+                rs1: 0,
+                imm: 24,
+            },
+            // loop (pc 8):
+            Lw {
+                rd: 4,
+                rs1: 1,
+                offset: 0,
+            },
+            Add {
+                rd: 4,
+                rs1: 4,
+                rs2: 2,
+            },
+            Sw {
+                rs1: 1,
+                rs2: 4,
+                offset: 0,
+            },
+            Mul {
+                rd: 5,
+                rs1: 4,
+                rs2: 2,
+            },
+            Andi {
+                rd: 6,
+                rs1: 2,
+                imm: 3,
+            },
+            Bne {
+                rs1: 6,
+                rs2: 0,
+                offset: 8,
+            },
+            Addi {
+                rd: 3,
+                rs1: 3,
+                imm: 7,
+            },
+            Div {
+                rd: 7,
+                rs1: 5,
+                rs2: 2,
+            },
+            Add {
+                rd: 3,
+                rs1: 3,
+                rs2: 7,
+            },
+            csr(8),
+            Add {
+                rd: 3,
+                rs1: 3,
+                rs2: 8,
+            },
+            Addi {
+                rd: 1,
+                rs1: 1,
+                imm: 4,
+            },
+            Jal { rd: 9, offset: 4 },
+            Addi {
+                rd: 2,
+                rs1: 2,
+                imm: -1,
+            },
+            Bne {
+                rs1: 2,
+                rs2: 0,
+                offset: -56,
+            },
+            Ecall,
+        ]
+        .iter()
+        .map(|&i| encode(i))
+        .collect()
+    }
+
+    /// Runs `code` on a fresh core for `budget` cycles, then (when
+    /// `then` is given) swaps in that timing model and runs to the end.
+    fn budgeted_run(
+        code: &[u32],
+        cached: bool,
+        budget: u64,
+        then: Option<CycleModel>,
+    ) -> (Vec<Result<RunExit, Trap>>, Cpu, FlatMemory, u64) {
+        let mut mem = FlatMemory::new(4096);
+        mem.load_words(0, code);
+        let mut cpu = Cpu::new(0);
+        cpu.set_block_cache_enabled(cached);
+        let mut exits = vec![cpu.run_counted(&mut mem, budget)];
+        let compiled = cpu.trace_engine().compiled;
+        if let Some(model) = then {
+            cpu.cycle_model = model;
+            exits.push(cpu.run_counted(&mut mem, 1_000_000));
+        }
+        (exits, cpu, mem, compiled)
+    }
+
+    #[test]
+    fn trace_passes_match_the_seed_at_every_budget_and_after_a_model_change() {
+        let code = hot_kernel();
+        let (_, full, _, _) = budgeted_run(&code, false, 1_000_000, None);
+        let total = full.cycles;
+        assert_eq!(full.pc, 4 * (code.len() as u32), "kernel ran to its ecall");
+        let slow_model = CycleModel {
+            alu: 2,
+            branch_taken: 5,
+            load: 4,
+            store: 3,
+            mul: 7,
+            div: 11,
+        };
+        let mut switched_with_traces = 0;
+        for budget in 1..=total {
+            for then in [None, Some(slow_model)] {
+                let (fast_exits, fast, fast_mem, compiled) =
+                    budgeted_run(&code, true, budget, then);
+                let (seed_exits, seed, seed_mem, _) = budgeted_run(&code, false, budget, then);
+                let what = format!("budget {budget}, model change {}", then.is_some());
+                assert_eq!(fast_exits, seed_exits, "{what}: halt");
+                assert_eq!(fast, seed, "{what}: state and counters");
+                assert_eq!(fast_mem, seed_mem, "{what}: memory");
+                if then.is_some() && compiled > 0 && budget < total {
+                    switched_with_traces += 1;
+                }
+            }
+        }
+        assert!(
+            switched_with_traces > 100,
+            "the model change must land after traces compiled ({switched_with_traces})"
+        );
     }
 
     #[test]

@@ -19,21 +19,27 @@
 //!    stops at indirect jumps, system ops, unpeekable or undecodable
 //!    words, a revisited pc (inner loop closed), or [`MAX_TRACE_OPS`].
 //! 3. **Guarded side exits.** Every op in the trace carries the pc the
-//!    compiler predicted would follow it. Branches execute through the
-//!    same precise [`crate::cpu::Cpu`] semantic core as everywhere else
-//!    — so a mispredicted branch still *retires* exactly as the seed
-//!    interpreter would — and the executor then compares the
-//!    architectural `pc` against the prediction: on mismatch it simply
-//!    leaves the trace (a [`SideExit::Guard`]) and the precise/block
-//!    path continues from the already-correct state. Guards can
-//!    therefore never produce wrong architectural state, only shorter
-//!    traces.
-//! 4. **Bit-identical accounting.** Traces are executed by
-//!    [`crate::cpu::Cpu::run_cached_span`]'s caller contract: each
-//!    retired instruction is charged one fetch, in bulk, per contiguous
-//!    code segment of the trace (see [`CompiledTrace::segments`]), and
-//!    loads/stores whose effective address reaches the MMIO floor are
-//!    gated through the same [`crate::bus::Bus::mmio_prologue`] /
+//!    compiler predicted would follow it and, for a control op, the
+//!    predicted direction. Branches execute through the same
+//!    register-only semantic core as [`crate::cpu::Cpu::step`] — so a
+//!    mispredicted branch still *retires* exactly as the seed
+//!    interpreter would — and the executor then leaves the trace (a
+//!    [`SideExit::Guard`]) and the precise/block path continues from the
+//!    already-correct state. Guards can therefore never produce wrong
+//!    architectural state, only shorter traces.
+//! 4. **Pre-costed ops.** Along the predicted path every op costs a
+//!    static number of cycles under the [`CycleModel`] the trace was
+//!    compiled with, so each op records its cost and the cycles from the
+//!    pass's entry to its issue ([`TraceOp::prefix`]). The executor
+//!    keeps `pc`, `cycles` and `instret` implicit during a pass and
+//!    writes them back only where they become observable (see
+//!    [`crate::cpu::Cpu`]'s trace executor); the engine drops every
+//!    trace when the core's model changes.
+//! 5. **Bit-identical accounting.** Each retired instruction is charged
+//!    one fetch, in bulk, per contiguous code segment of the trace (see
+//!    [`CompiledTrace::segments`]), and loads/stores whose effective
+//!    address reaches the MMIO floor are gated through the same
+//!    [`crate::bus::Bus::mmio_prologue`] /
 //!    [`crate::bus::Bus::mmio_epilogue`] protocol as block dispatch.
 //!
 //! Self-modifying code is handled by the same explicit-invalidation tier
@@ -45,8 +51,9 @@
 //! one of its own ops* and side-exit before dispatching a stale decode.
 
 use crate::bus::Bus;
+use crate::cpu::CycleModel;
 use crate::isa::{decode, Instruction};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Block entries at the same pc before a trace is compiled there.
@@ -80,22 +87,30 @@ pub enum SideExit {
 pub const SIDE_EXIT_KINDS: usize = 5;
 
 /// One instruction of a compiled trace: the pre-decoded op, its pc, the
-/// pc the compiler predicts follows it, and — for loads/stores — the
-/// inline-cached address operands so the executor's MMIO range check is
-/// one register read and one compare instead of a full instruction
-/// match.
+/// path the compiler predicts it takes, and its pre-computed cost along
+/// that path.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOp {
     /// The pre-decoded instruction.
     pub inst: Instruction,
     /// Address of this instruction.
     pub pc: u32,
-    /// The pc the trace expects after this op retires; a mismatch after
-    /// retirement is a [`SideExit::Guard`].
+    /// The pc the trace expects after this op retires.
     pub expected_next: u32,
+    /// Predicted direction: `true` for `jal` and predicted-taken
+    /// branches, `false` for everything else. A register-only op that
+    /// retires the other way left the prediction (a guard).
+    pub taken: bool,
+    /// Cycles this op costs along the predicted path.
+    pub cost: u64,
+    /// Cycles from the pass's entry to this op's issue (the prefix sum
+    /// of the costs before it).
+    pub prefix: u64,
     /// `Some((rs1, offset))` for loads/stores: the effective-address
     /// operands, pre-extracted at compile time.
     pub mem: Option<(u8, i32)>,
+    /// The op is a store (the only kind that can invalidate the trace).
+    pub store: bool,
 }
 
 /// A compiled superblock: the predicted hot path starting at
@@ -114,6 +129,11 @@ pub struct CompiledTrace {
     /// The last op's predicted successor is [`CompiledTrace::start`]:
     /// the executor may loop in place without re-dispatching.
     pub loops: bool,
+    /// Worst-case cycles from a pass's entry to the issue of its last
+    /// op, counting either direction of every conditional branch: a
+    /// pass entered at `cycles` with `cycles + worst_to_last <
+    /// budget_end` reaches no op at or past the budget.
+    pub worst_to_last: u64,
 }
 
 impl CompiledTrace {
@@ -127,35 +147,38 @@ impl CompiledTrace {
     }
 }
 
-/// Compiles the predicted hot path starting at `start`. Returns `None`
-/// when the path is too short to beat plain block dispatch.
+/// Compiles the predicted hot path starting at `start`, costing each op
+/// under `model`. Returns `None` when the path is too short to beat
+/// plain block dispatch.
 pub fn compile<B: Bus + ?Sized>(
     bus: &B,
     start: u32,
     edges: &HashMap<u32, [u32; 2]>,
+    model: &CycleModel,
 ) -> Option<CompiledTrace> {
     use Instruction::*;
     let mut ops: Vec<TraceOp> = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::new();
     let mut pc = start;
     let mut loops = false;
+    let mut prefix = 0u64;
+    let mut worst = 0u64;
+    let mut worst_to_last = 0u64;
     while ops.len() < MAX_TRACE_OPS {
         if pc == start && !ops.is_empty() {
             loops = true;
             break;
         }
-        if !seen.insert(pc) {
+        if ops.iter().any(|op| op.pc == pc) {
             break; // closed an inner loop not anchored at `start`
         }
         let Some(word) = bus.peek_word(pc) else { break };
         let Ok(inst) = decode(word) else { break };
-        let expected_next = match inst {
+        let (expected_next, taken, branch) = match inst {
             // Indirect and system ops end the trace: the block/precise
             // path owns them (jalr targets are data-dependent; ecall /
-            // ebreak halt; wfi sleeps; csr side effects are cheap and
-            // rare enough not to matter).
+            // ebreak halt; wfi sleeps).
             Jalr { .. } | Ecall | Ebreak | Wfi => break,
-            Jal { offset, .. } => pc.wrapping_add(offset as u32),
+            Jal { offset, .. } => (pc.wrapping_add(offset as u32), true, false),
             Beq { offset, .. }
             | Bne { offset, .. }
             | Blt { offset, .. }
@@ -171,30 +194,44 @@ pub fn compile<B: Bus + ?Sized>(
                     taken > not_taken
                 };
                 if predict_taken {
-                    pc.wrapping_add(offset as u32)
+                    (pc.wrapping_add(offset as u32), true, true)
                 } else {
-                    pc.wrapping_add(4)
+                    (pc.wrapping_add(4), false, true)
                 }
             }
-            _ => pc.wrapping_add(4),
+            _ => (pc.wrapping_add(4), false, false),
         };
-        let mem = match inst {
+        let (mem, store) = match inst {
             Lb { rs1, offset, .. }
             | Lh { rs1, offset, .. }
             | Lw { rs1, offset, .. }
             | Lbu { rs1, offset, .. }
-            | Lhu { rs1, offset, .. }
-            | Sb { rs1, offset, .. }
-            | Sh { rs1, offset, .. }
-            | Sw { rs1, offset, .. } => Some((rs1, offset)),
-            _ => None,
+            | Lhu { rs1, offset, .. } => (Some((rs1, offset)), false),
+            Sb { rs1, offset, .. } | Sh { rs1, offset, .. } | Sw { rs1, offset, .. } => {
+                (Some((rs1, offset)), true)
+            }
+            _ => (None, false),
         };
+        let cost = model.cost(inst, taken);
         ops.push(TraceOp {
             inst,
             pc,
             expected_next,
+            taken,
+            cost,
+            prefix,
             mem,
+            store,
         });
+        worst_to_last = worst;
+        prefix += cost;
+        // A branch whose target is its own fall-through stays on the
+        // path either way, so the bound counts a branch's dearer side.
+        worst += if branch {
+            model.cost(inst, true).max(model.cost(inst, false))
+        } else {
+            cost
+        };
         pc = expected_next;
     }
     // A trace that never crosses a block boundary adds nothing over the
@@ -215,6 +252,7 @@ pub fn compile<B: Bus + ?Sized>(
         ops,
         segments,
         loops,
+        worst_to_last,
     })
 }
 
@@ -244,6 +282,8 @@ pub struct TraceEngine {
     pub compiled: u64,
     /// Direct-mapped evictions that replaced a *different* trace.
     pub conflict_evictions: u64,
+    /// The timing model every cached trace was costed under.
+    model: CycleModel,
 }
 
 impl TraceEngine {
@@ -262,6 +302,7 @@ impl TraceEngine {
             exits: [0; SIDE_EXIT_KINDS],
             compiled: 0,
             conflict_evictions: 0,
+            model: CycleModel::default(),
         }
     }
 
@@ -279,6 +320,17 @@ impl TraceEngine {
         self.enabled = enabled;
         if !enabled {
             self.invalidate();
+        }
+    }
+
+    /// Keeps the cached traces costed under `model`: when the core's
+    /// timing model differs from the one they were compiled with, every
+    /// trace (and the profile behind them) is dropped.
+    #[inline]
+    pub fn sync_model(&mut self, model: &CycleModel) {
+        if self.model != *model {
+            self.invalidate();
+            self.model = *model;
         }
     }
 
@@ -405,7 +457,7 @@ mod tests {
         ]);
         let mut edges = HashMap::new();
         edges.insert(4u32, [0u32, 10u32]); // strongly taken
-        let t = compile(&mem, 0, &edges).expect("compiles");
+        let t = compile(&mem, 0, &edges, &CycleModel::default()).expect("compiles");
         // addi, bne, addi — stops at ecall; skipped the not-taken slot.
         assert_eq!(t.ops.len(), 3);
         assert_eq!(t.ops[1].expected_next, 12);
@@ -428,10 +480,81 @@ mod tests {
                 offset: -4,
             },
         ]);
-        let t = compile(&mem, 0, &HashMap::new()).expect("compiles");
+        let t = compile(&mem, 0, &HashMap::new(), &CycleModel::default()).expect("compiles");
         assert!(t.loops, "backward branch closes the loop");
         assert_eq!(t.ops.len(), 2);
         assert_eq!(t.segments, vec![(0, 2)]);
+    }
+
+    #[test]
+    fn compile_pre_costs_the_predicted_path() {
+        // 0: addi ; 4: beq +8 (forward: predicted not taken) ; 8: lw ;
+        // 12: bne -12 (backward: predicted taken, closes the loop)
+        let mem = mem_with(&[
+            Addi {
+                rd: 1,
+                rs1: 1,
+                imm: 1,
+            },
+            Beq {
+                rs1: 0,
+                rs2: 5,
+                offset: 8,
+            },
+            Lw {
+                rd: 2,
+                rs1: 0,
+                offset: 256,
+            },
+            Bne {
+                rs1: 1,
+                rs2: 3,
+                offset: -12,
+            },
+        ]);
+        let t = compile(&mem, 0, &HashMap::new(), &CycleModel::default()).unwrap();
+        assert!(t.loops);
+        let costs: Vec<u64> = t.ops.iter().map(|op| op.cost).collect();
+        let prefix: Vec<u64> = t.ops.iter().map(|op| op.prefix).collect();
+        let taken: Vec<bool> = t.ops.iter().map(|op| op.taken).collect();
+        assert_eq!(
+            costs,
+            [1, 1, 2, 3],
+            "alu, not-taken branch, load, taken branch"
+        );
+        assert_eq!(prefix, [0, 1, 2, 4]);
+        assert_eq!(taken, [false, false, false, true]);
+        assert_eq!(t.ops[2].mem, Some((0, 256)));
+        assert!(!t.ops[2].store);
+        // Either direction of the beq may stay on the path's budget:
+        // it counts at its dearer (taken) side.
+        assert_eq!(t.worst_to_last, 1 + 3 + 2);
+    }
+
+    #[test]
+    fn a_changed_cycle_model_drops_the_traces() {
+        let mem = mem_with(&[
+            Addi {
+                rd: 1,
+                rs1: 1,
+                imm: 1,
+            },
+            Bne {
+                rs1: 1,
+                rs2: 2,
+                offset: -4,
+            },
+        ]);
+        let model = CycleModel::default();
+        let mut eng = TraceEngine::new(4);
+        eng.note_entry(0);
+        eng.insert(compile(&mem, 0, &HashMap::new(), &model).unwrap());
+        eng.sync_model(&model);
+        assert!(eng.lookup(0).is_some(), "same model keeps the trace");
+        let gen = eng.generation;
+        eng.sync_model(&CycleModel { div: 40, ..model });
+        assert!(eng.lookup(0).is_none(), "a new model drops it");
+        assert_eq!(eng.generation, gen + 1);
     }
 
     #[test]
@@ -441,7 +564,10 @@ mod tests {
             rs1: 1,
             offset: 0,
         }]);
-        assert!(compile(&mem, 0, &HashMap::new()).is_none(), "jalr-only");
+        assert!(
+            compile(&mem, 0, &HashMap::new(), &CycleModel::default()).is_none(),
+            "jalr-only"
+        );
         let long: Vec<Instruction> = (0..(MAX_TRACE_OPS + 8))
             .map(|k| Addi {
                 rd: 1,
@@ -450,7 +576,7 @@ mod tests {
             })
             .collect();
         let mem = mem_with(&long);
-        let t = compile(&mem, 0, &HashMap::new()).unwrap();
+        let t = compile(&mem, 0, &HashMap::new(), &CycleModel::default()).unwrap();
         assert_eq!(t.ops.len(), MAX_TRACE_OPS);
     }
 
@@ -494,7 +620,7 @@ mod tests {
                 offset: -4,
             },
         ]);
-        let t = compile(&mem, 0, &HashMap::new()).unwrap();
+        let t = compile(&mem, 0, &HashMap::new(), &CycleModel::default()).unwrap();
         let mut eng = TraceEngine::new(4);
         eng.note_entry(0); // non-empty profile so invalidate() is not a no-op
         eng.insert(t.clone());

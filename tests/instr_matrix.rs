@@ -36,3 +36,31 @@ fn matrix_retires_real_work() {
         report.instructions
     );
 }
+
+#[test]
+fn hot_loop_cases_run_inside_traces() {
+    // The `hot_` cases exist to drive every trace-executor arm; require
+    // that the cached replay actually dispatched compiled traces and
+    // looped in them, not just block spans.
+    use neuropulsim_riscv::asm::assemble;
+    use neuropulsim_riscv::bus::FlatMemory;
+    use neuropulsim_riscv::cpu::Cpu;
+    let hot: Vec<_> = cases()
+        .into_iter()
+        .filter(|c| c.name.starts_with("hot_"))
+        .collect();
+    assert!(hot.len() >= 7, "hot-loop cases shrank to {}", hot.len());
+    for case in hot {
+        let words = assemble(case.source).expect("fixture assembles");
+        let mut mem = FlatMemory::new(4096);
+        mem.load_words(0, &words);
+        let mut cpu = Cpu::new(0);
+        cpu.run(&mut mem, MATRIX_BUDGET).expect("no trap");
+        assert!(
+            cpu.trace_engine().hits >= 8,
+            "{}: only {} trace dispatches",
+            case.name,
+            cpu.trace_engine().hits
+        );
+    }
+}
