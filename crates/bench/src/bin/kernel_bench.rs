@@ -25,9 +25,10 @@ use rand::{Rng, SeedableRng};
 /// Median repetitions per measurement.
 const REPS: usize = 5;
 
-/// Times `op` as `{bench}/n{n}` (see [`report_id`]).
-fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f64, op: F) {
-    report_id(runner, &format!("{bench}/n{n}"), macs_per_op, op);
+/// Times `op` as `{bench}/n{n}` (see [`report_id`]); returns the median
+/// nanoseconds per op.
+fn report<F: FnMut()>(runner: &mut Runner, bench: &str, n: usize, macs_per_op: f64, op: F) -> f64 {
+    report_id(runner, &format!("{bench}/n{n}"), macs_per_op, op)
 }
 
 /// Times `op` under the unified runner: one measured rep = `iters`
@@ -123,17 +124,35 @@ fn bench_mvm_multiply(runner: &mut Runner, n: usize) {
     });
 }
 
-/// One drift step of a realized chip: re-setting the attenuator column
-/// re-composes `Re(U·diag(a)·V)·scale`, two real MACs per complex term.
-fn bench_set_attenuation(runner: &mut Runner, n: usize) {
+/// One drift step of a realized chip, two ways: re-setting the
+/// attenuator column re-composes `Re(U·diag(a)·V)·scale` (two real MACs
+/// per complex term, the bench-local baseline), while the affine update
+/// `drift_to` moves the chip to a drift offset with one multiply-add
+/// per entry once its saturation mask is built. The speedup is an
+/// in-process ratio, so host noise cancels.
+fn bench_drift_step(runner: &mut Runner, n: usize) {
     let core = MvmCore::new(&random_rmatrix(n, n, 4));
     let mut chip = core.chip().clone();
     let aged: Vec<f64> = core.attenuation().iter().map(|a| 0.97 * a).collect();
-    let macs = (2 * n * n * n) as f64;
-    report(runner, "mvm_set_attenuation", n, macs, || {
-        chip.set_attenuation(&aged);
+    let compose_ns = report(
+        runner,
+        "mvm_set_attenuation",
+        n,
+        (2 * n * n * n) as f64,
+        || {
+            chip.set_attenuation(&aged);
+            std::hint::black_box(&chip);
+        },
+    );
+    let mut chip = core.chip().clone();
+    let step_ns = report(runner, "mvm_drift_step", n, (n * n) as f64, || {
+        chip.drift_to(0.01);
         std::hint::black_box(&chip);
     });
+    runner.derived(
+        &format!("mvm_drift/speedup_n{n}"),
+        format!("{:.3}", compose_ns / step_ns),
+    );
 }
 
 /// One accelerator job's product at the served MLP's `n`: the whole
@@ -191,7 +210,7 @@ fn main() {
         bench_gemm(&mut runner, n);
     }
     // The served MLP's n.
-    bench_set_attenuation(&mut runner, 32);
+    bench_drift_step(&mut runner, 32);
     bench_mul_lanes(&mut runner, 32);
     print!("{}", runner.to_json());
 }

@@ -264,19 +264,63 @@ impl MvmCore {
 /// every [`RealizedMvm::effective_matrix`] call reads the cached copy
 /// instead of re-composing the U/Σ/V chain. The realized meshes stay
 /// frozen in split-complex form, packed once:
-/// [`RealizedMvm::set_attenuation`] (PCM drift, recalibration)
-/// re-composes against them in place — the real half of the product
-/// only, so half the flops and no allocation. The default is an empty
-/// zero-mode chip.
+/// [`RealizedMvm::set_attenuation`] re-programs the attenuator column
+/// and re-composes against them in place — the real half of the
+/// product only, so half the flops and no allocation.
+/// [`RealizedMvm::drift_to`] ages that column as PCM cells by one
+/// affine `n²` update, and [`RealizedMvm::recalibrate`] copies the
+/// as-programmed matrix back. The default is an empty zero-mode chip.
 #[derive(Debug, Clone, Default)]
 pub struct RealizedMvm {
     u: SplitMatrix,
     v: SplitMatrix,
+    /// The programmed attenuator column.
     attenuation: Vec<f64>,
     scale: f64,
     readout_sigma: f64,
     /// Cached `Re(U · diag(a) · V) · scale` for the current attenuation.
     effective: RMatrix,
+    /// The affine drift state; empty until the first drifted
+    /// [`RealizedMvm::drift_to`] after programming.
+    drift: AffineDrift,
+}
+
+/// Where a drifting PCM attenuator sits: clamped dark (amplitude 0,
+/// fully crystalline), moving with the drift offset, or clamped open
+/// (amplitude 1, fully amorphous).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Saturation {
+    Low,
+    Free,
+    High,
+}
+
+/// The drifted chip as an affine function of the shared drift offset
+/// `δ = ν·ln(1 + t)`: with `R_k = Re(u_k v_kᵀ)·scale` and each cell's
+/// stored crystalline fraction `f_k = 1 − a_k`, the chip at `δ` is
+/// `base − δ·slope`, where `base = Σ_free (1 − f_k)·R_k + Σ_high R_k`
+/// and `slope = Σ_free R_k`. Both are rebuilt from the mask alone
+/// whenever it changes — drift is monotone between recalibrations, so
+/// at most `n` times per epoch — and never accumulated, so the chip
+/// depends on no history.
+#[derive(Debug, Clone, Default)]
+struct AffineDrift {
+    /// Saturation of each cell that `base` and `slope` were built for.
+    mask: Vec<Saturation>,
+    /// The chip at the programmed column, as composed when it was set.
+    programmed: RMatrix,
+    base: RMatrix,
+    slope: RMatrix,
+}
+
+/// The crystalline fraction a PCM attenuator of amplitude `a` stores —
+/// `PcmCell::set_state`'s policy: clamp, NaN → amorphous.
+fn stored_fraction(a: f64) -> f64 {
+    if a.is_nan() {
+        0.0
+    } else {
+        (1.0 - a).clamp(0.0, 1.0)
+    }
 }
 
 impl RealizedMvm {
@@ -289,6 +333,7 @@ impl RealizedMvm {
             scale,
             readout_sigma,
             effective: RMatrix::zeros(n, n),
+            drift: AffineDrift::default(),
         };
         chip.recompose();
         chip
@@ -304,9 +349,20 @@ impl RealizedMvm {
         );
     }
 
-    /// Re-sets the attenuator column between the frozen meshes and
+    /// Number of optical modes (the core dimension).
+    pub fn modes(&self) -> usize {
+        self.attenuation.len()
+    }
+
+    /// The programmed attenuator column (amplitudes in `[0, 1]`).
+    pub fn attenuation(&self) -> &[f64] {
+        &self.attenuation
+    }
+
+    /// Re-programs the attenuator column between the frozen meshes and
     /// re-composes the cached effective matrix in place — half the
     /// flops of a complex product, no allocation, no mesh realization.
+    /// The new column is what later drift ages from.
     ///
     /// Entries are clamped to `[0, 1]`. A NaN entry reads as a fully
     /// amorphous PCM cell, amplitude 1.0 — the policy of
@@ -325,6 +381,99 @@ impl RealizedMvm {
             *dst = if a.is_nan() { 1.0 } else { a.clamp(0.0, 1.0) };
         }
         self.recompose();
+        self.drift.mask.clear();
+    }
+
+    /// Ages the programmed attenuators as PCM cells by the drift offset
+    /// `offset` (`photonics::pcm::drift_offset`): each cell's stored
+    /// crystalline fraction `f = 1 − a` moves to `clamp(f + offset, 0,
+    /// 1)`, so its amplitude reads `1 − f − offset` until it saturates
+    /// at 0 or 1 — exactly `photonics::pcm::drift_fraction`'s law.
+    ///
+    /// One O(n) saturation check, then one `n²` update of the cached
+    /// matrix from the affine state; a changed saturation mask first
+    /// rebuilds that state with two composes. A zero or NaN offset moves
+    /// no cell and leaves the as-programmed matrix; an infinite one
+    /// saturates every cell. The result is finite for every `offset`.
+    pub fn drift_to(&mut self, offset: f64) {
+        if offset == 0.0 || offset.is_nan() {
+            self.recalibrate();
+            return;
+        }
+        let d = &mut self.drift;
+        let mut changed = d.mask.is_empty();
+        if changed {
+            // An empty mask means the chip is still as programmed.
+            d.programmed.clone_from(&self.effective);
+            d.mask.resize(self.attenuation.len(), Saturation::Free);
+        }
+        let mut free = false;
+        for (s, &a) in d.mask.iter_mut().zip(&self.attenuation) {
+            let next = stored_fraction(a) + offset;
+            let now = if next >= 1.0 {
+                Saturation::Low
+            } else if next <= 0.0 {
+                Saturation::High
+            } else {
+                Saturation::Free
+            };
+            free |= now == Saturation::Free;
+            changed |= *s != now;
+            *s = now;
+        }
+        if changed {
+            self.rebuild_drift();
+        }
+        let d = &self.drift;
+        let out = self.effective.as_mut_slice();
+        if free {
+            // A free cell bounds |offset| < 1, so nothing overflows.
+            let terms = d.base.as_slice().iter().zip(d.slope.as_slice());
+            for (e, (&b, &s)) in out.iter_mut().zip(terms) {
+                *e = b - offset * s;
+            }
+        } else {
+            // Every cell saturated: `slope` is zero, and `offset` may be
+            // infinite (`∞·0 = NaN`), so the chip is `base` alone.
+            out.copy_from_slice(d.base.as_slice());
+        }
+    }
+
+    /// Rebuilds `base` and `slope` for the current mask.
+    fn rebuild_drift(&mut self) {
+        let n = self.attenuation.len();
+        let d = &mut self.drift;
+        if d.base.rows() != n {
+            d.base = RMatrix::zeros(n, n);
+            d.slope = RMatrix::zeros(n, n);
+        }
+        let mut column: Vec<f64> = d
+            .mask
+            .iter()
+            .zip(&self.attenuation)
+            .map(|(s, &a)| match s {
+                Saturation::Low => 0.0,
+                Saturation::Free => 1.0 - stored_fraction(a),
+                Saturation::High => 1.0,
+            })
+            .collect();
+        real_udv_into(&self.u, &column, &self.v, self.scale, &mut d.base);
+        for (c, s) in column.iter_mut().zip(&d.mask) {
+            *c = if *s == Saturation::Free { 1.0 } else { 0.0 };
+        }
+        real_udv_into(&self.u, &column, &self.v, self.scale, &mut d.slope);
+    }
+
+    /// Returns a drifted chip to its programmed column: the as-programmed
+    /// matrix is copied back, bit-identical to the one
+    /// [`RealizedMvm::set_attenuation`] or the realization composed. A
+    /// chip that never drifted is already there.
+    pub fn recalibrate(&mut self) {
+        if !self.drift.mask.is_empty() {
+            self.effective
+                .as_mut_slice()
+                .copy_from_slice(self.drift.programmed.as_slice());
+        }
     }
 
     /// Multiplies through the frozen imperfect hardware, adding fresh
@@ -393,6 +542,7 @@ impl RealizedMvm {
 mod tests {
     use super::*;
     use neuropulsim_linalg::metrics::mse;
+    use neuropulsim_photonics::pcm::{drift_fraction, drift_offset};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -538,6 +688,148 @@ mod tests {
         let mut want = core.realize(&MvmNoiseConfig::ideal(), &mut rng);
         want.set_attenuation(&drifted);
         assert_eq!(eff, want.effective_matrix());
+    }
+
+    /// The drifted chip composed directly: every cell aged through
+    /// `drift_fraction`, then the whole column re-set and re-composed.
+    fn direct_drift(chip: &RealizedMvm, elapsed_s: f64, nu: f64) -> RMatrix {
+        let aged: Vec<f64> = chip
+            .attenuation()
+            .iter()
+            .map(|&a| 1.0 - drift_fraction(stored_fraction(a), elapsed_s, nu))
+            .collect();
+        let mut direct = chip.clone();
+        direct.set_attenuation(&aged);
+        direct.effective_matrix()
+    }
+
+    /// 48 ages from 0 to ~6e11 s: at ν = ±0.05 the offset passes ±1.3, so
+    /// every cell has saturated by the last.
+    fn drift_ages() -> impl Iterator<Item = f64> {
+        (0..48).map(|i| {
+            if i == 0 {
+                0.0
+            } else {
+                10f64.powf(i as f64 / 4.0)
+            }
+        })
+    }
+
+    #[test]
+    fn affine_drift_matches_the_direct_compose_at_every_age() {
+        let core = MvmCore::new(&random_matrix(8, 23));
+        for nu in [0.05, -0.05, 0.0, 1e-3] {
+            let mut chip = core.chip().clone();
+            let mut saturated = 0;
+            for t in drift_ages() {
+                let offset = drift_offset(t, nu);
+                chip.drift_to(offset);
+                let want = direct_drift(core.chip(), t, nu);
+                let got = chip.effective_matrix();
+                assert!(
+                    got.approx_eq(&want, 1e-8),
+                    "nu {nu}, age {t}: affine chip left the direct compose"
+                );
+                saturated = chip
+                    .attenuation()
+                    .iter()
+                    .filter(|&&a| !(0.0..1.0).contains(&(stored_fraction(a) + offset)))
+                    .count();
+            }
+            if nu.abs() >= 0.05 {
+                assert_eq!(saturated, 8, "nu {nu}: the ages must saturate every cell");
+            }
+        }
+    }
+
+    #[test]
+    fn affine_drift_depends_on_no_history() {
+        let core = MvmCore::new(&random_matrix(6, 29));
+        let ages: Vec<f64> = drift_ages().collect();
+        let mut walked = core.chip().clone();
+        // Forward, then backward (a snapshot restore goes back in time).
+        for &t in ages.iter().chain(ages.iter().rev()) {
+            walked.drift_to(drift_offset(t, 0.05));
+            let mut fresh = core.chip().clone();
+            fresh.drift_to(drift_offset(t, 0.05));
+            let bits = |m: &RMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&walked.effective_matrix()),
+                bits(&fresh.effective_matrix()),
+                "age {t}: the walked chip remembers its path"
+            );
+        }
+    }
+
+    #[test]
+    fn recalibrating_a_drifted_chip_restores_the_programmed_bits() {
+        let core = MvmCore::new(&random_matrix(8, 31));
+        let bits = |m: &RMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let programmed = bits(&core.chip().effective_matrix());
+        let mut chip = core.chip().clone();
+        for t in drift_ages() {
+            chip.drift_to(drift_offset(t, 0.05));
+        }
+        assert_ne!(bits(&chip.effective_matrix()), programmed);
+        chip.recalibrate();
+        assert_eq!(bits(&chip.effective_matrix()), programmed);
+        // A zero or NaN offset moves no cell: the chip is as programmed.
+        for offset in [0.0, f64::NAN] {
+            chip.drift_to(0.5);
+            chip.drift_to(offset);
+            assert_eq!(bits(&chip.effective_matrix()), programmed);
+        }
+        // Re-programming the column moves what drift ages from.
+        let mut halved = core.chip().clone();
+        let half: Vec<f64> = core.attenuation().iter().map(|a| 0.5 * a).collect();
+        halved.set_attenuation(&half);
+        let want = bits(&halved.effective_matrix());
+        halved.drift_to(0.25);
+        assert!(halved
+            .effective_matrix()
+            .approx_eq(&direct_drift(&halved, 3.0, 0.25 / 4f64.ln()), 1e-8));
+        halved.recalibrate();
+        assert_eq!(bits(&halved.effective_matrix()), want);
+    }
+
+    #[test]
+    fn hostile_drift_offsets_keep_the_chip_finite() {
+        let core = MvmCore::new(&random_matrix(5, 37));
+        let mut chip = core.chip().clone();
+        let a = core.chip().attenuation().to_vec();
+        let column = |f: &dyn Fn(f64) -> f64| {
+            let mut c = core.chip().clone();
+            c.set_attenuation(&a.iter().map(|&x| f(x)).collect::<Vec<_>>());
+            c.effective_matrix()
+        };
+        // Every cell saturated: dark for a positive offset, open for a
+        // negative one, and never `∞·0 = NaN`.
+        let dark = column(&|_| 0.0);
+        let open = column(&|_| 1.0);
+        for (offset, want) in [
+            (f64::INFINITY, &dark),
+            (1.0, &dark),
+            (1e300, &dark),
+            (f64::NEG_INFINITY, &open),
+            (-1.0, &open),
+            (-f64::MAX, &open),
+        ] {
+            chip.drift_to(offset);
+            let got = chip.effective_matrix();
+            assert!(
+                got.as_slice().iter().all(|x| x.is_finite()),
+                "offset {offset}"
+            );
+            assert!(got.approx_eq(want, 1e-8), "offset {offset}");
+        }
+        for offset in [f64::MIN_POSITIVE, -f64::MIN_POSITIVE, 0.999, -0.999] {
+            chip.drift_to(offset);
+            let want = column(&|x| 1.0 - (stored_fraction(x) + offset).clamp(0.0, 1.0));
+            assert!(
+                chip.effective_matrix().approx_eq(&want, 1e-8),
+                "offset {offset}"
+            );
+        }
     }
 
     #[test]

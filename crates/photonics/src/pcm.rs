@@ -311,6 +311,24 @@ impl PcmCell {
 /// shift (e.g. `nu = NaN`) returns `fraction` untouched — a fraction in
 /// `[0, 1]` stays there for every `(elapsed_s, nu)`.
 pub fn drift_fraction(fraction: f64, elapsed_s: f64, nu: f64) -> f64 {
+    let next = fraction + drift_offset(elapsed_s, nu);
+    if next.is_nan() {
+        fraction
+    } else {
+        next.clamp(0.0, 1.0)
+    }
+}
+
+/// The unclamped fraction shift `nu * ln(1 + t / tau)` of the drift law
+/// after `elapsed_s` seconds: [`drift_fraction`] adds it to a fraction
+/// and clamps. The shift is the same for every cell of one `nu`, so a
+/// column of cells ages by one number (the affine chip update,
+/// `neuropulsim_core::mvm::RealizedMvm::drift_to`).
+///
+/// Negative or `NaN` elapsed time reads as zero and `+inf` as
+/// `f64::MAX`, so `ln(1 + t)` is always finite (at most ~709.8); the
+/// shift is non-finite only through `nu` (`NaN`, `±inf`, or `inf · 0`).
+pub fn drift_offset(elapsed_s: f64, nu: f64) -> f64 {
     let tau = 1.0; // normalization time: 1 s
     let t = if elapsed_s.is_finite() {
         (elapsed_s / tau).max(0.0)
@@ -319,12 +337,7 @@ pub fn drift_fraction(fraction: f64, elapsed_s: f64, nu: f64) -> f64 {
     } else {
         0.0
     };
-    let next = fraction + nu * (1.0 + t).ln();
-    if next.is_nan() {
-        fraction
-    } else {
-        next.clamp(0.0, 1.0)
-    }
+    nu * (1.0 + t).ln()
 }
 
 #[cfg(test)]

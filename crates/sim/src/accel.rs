@@ -26,7 +26,7 @@ use crate::ram::Ram;
 use neuropulsim_core::mvm::{MvmCore, RealizedMvm};
 use neuropulsim_linalg::RMatrix;
 use neuropulsim_photonics::energy::TechnologyProfile;
-use neuropulsim_photonics::pcm::{drift_fraction, PcmCell, PcmMaterial};
+use neuropulsim_photonics::pcm::{drift_offset, PcmCell, PcmMaterial};
 
 /// MMR offsets (bytes from the device base).
 pub mod mmr {
@@ -99,10 +99,13 @@ pub mod errcode {
 /// accuracy until the host requests a recalibration.
 ///
 /// The device maps each nominal attenuator setting `a` to a crystalline
-/// fraction `1 - a`, ages it through [`drift_fraction`] with
-/// `nu · ln(1 + t/τ)`, and at every job start re-sets the chip's
-/// attenuator column to the drifted values. The two meshes around that
-/// column do not drift in this model.
+/// fraction `1 - a`, which ages by the one drift law of
+/// [`neuropulsim_photonics::pcm::drift_fraction`]: `f + nu · ln(1 + t/τ)`,
+/// clamped to `[0, 1]`. Every cell of the column shares that offset, so
+/// at each job start the chip moves to the weights' age by one affine
+/// `n²` update ([`RealizedMvm::drift_to`]), not a re-compose; a
+/// recalibration copies the as-programmed matrix back. The two meshes
+/// around that column do not drift in this model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcmDriftModel {
     /// PCM material of the attenuator cells.
@@ -158,11 +161,9 @@ impl PcmDriftModel {
 /// The accelerator device state.
 #[derive(Debug, Clone)]
 pub struct AccelDevice {
-    /// The programmed chip and the nominal attenuator column it was
-    /// programmed with; drift and recalibration re-set only that column.
-    chip: Option<(RealizedMvm, Vec<f64>)>,
-    /// Reused buffer for the aged attenuator column of each drifted job.
-    drifted: Vec<f64>,
+    /// The programmed chip; it keeps its nominal attenuator column, and
+    /// drift and recalibration move only that column.
+    chip: Option<RealizedMvm>,
     /// Reused staging buffers of the whole-window path: the batch's
     /// SPM words, then its inputs and outputs lane-major. No job reads
     /// what an earlier job left in them.
@@ -216,7 +217,6 @@ impl AccelDevice {
     pub fn new(cpu_hz: f64) -> Self {
         AccelDevice {
             chip: None,
-            drifted: Vec::new(),
             stage_words: Vec::new(),
             stage_lanes: Vec::new(),
             in_addr: 0,
@@ -258,14 +258,12 @@ impl AccelDevice {
     /// non-finite weight, or a non-finite largest singular value.
     pub fn load_matrix(&mut self, w: &RMatrix) {
         let core = MvmCore::new(w);
-        self.chip = Some((core.chip().clone(), core.attenuation().to_vec()));
+        self.chip = Some(core.chip().clone());
     }
 
     /// The configured dimension, 0 if no matrix loaded.
     pub fn dim(&self) -> u32 {
-        self.chip
-            .as_ref()
-            .map_or(0, |(_, nominal)| nominal.len() as u32)
+        self.chip.as_ref().map_or(0, |chip| chip.modes() as u32)
     }
 
     /// `true` while a job is in flight.
@@ -423,30 +421,14 @@ impl AccelDevice {
         self.setup_cycles + streaming.max(1)
     }
 
-    /// Ages the nominal attenuator states by the drift model to time
-    /// `now`, writing them into the device-owned `drifted` buffer.
-    /// Returns `false` (buffer untouched) when drift is disabled, no
-    /// matrix is loaded, or zero time has passed.
-    fn age_attenuation(&mut self, now: u64) -> bool {
-        let (Some(model), Some((_, nominal))) = (self.drift.as_ref(), self.chip.as_ref()) else {
-            return false;
-        };
+    /// The drift offset of the programmed attenuators at time `now`
+    /// ([`drift_offset`] of the weights' age), `None` without a drift
+    /// model.
+    fn drift_offset_at(&self, now: u64) -> Option<f64> {
+        let model = self.drift.as_ref()?;
         let elapsed =
             self.age_s + now.saturating_sub(self.programmed_at) as f64 * model.seconds_per_cycle;
-        if elapsed <= 0.0 {
-            return false;
-        }
-        self.drifted.clear();
-        self.drifted.extend(nominal.iter().map(|&a| {
-            // `PcmCell::set_state`'s policy: clamp, NaN → amorphous.
-            let stored = if a.is_nan() {
-                0.0
-            } else {
-                (1.0 - a).clamp(0.0, 1.0)
-            };
-            (1.0 - drift_fraction(stored, elapsed, model.nu)).clamp(0.0, 1.0)
-        }));
-        true
+        Some(drift_offset(elapsed, model.nu))
     }
 
     /// Starts a job on an idle device at time `now` (CTRL bit 0):
@@ -463,15 +445,15 @@ impl AccelDevice {
             return false;
         }
         let batch = self.batch;
-        let aged = self.age_attenuation(now);
-        let Some((chip, nominal)) = self.chip.as_mut().filter(|_| batch > 0) else {
+        let offset = self.drift_offset_at(now);
+        let Some(chip) = self.chip.as_mut().filter(|_| batch > 0) else {
             self.error |= errcode::BAD_JOB;
             return false;
         };
-        if aged {
-            chip.set_attenuation(&self.drifted);
+        if let Some(offset) = offset {
+            chip.drift_to(offset);
         }
-        let n = nominal.len();
+        let n = chip.modes();
         let lanes = batch as usize;
         // Both windows are sized with checked arithmetic before any
         // buffer is: a garbage BATCH falls through to the per-word path,
@@ -567,14 +549,14 @@ impl AccelDevice {
             self.error |= errcode::BUSY_REJECT;
             return;
         }
-        let Some((chip, nominal)) = self.chip.as_mut() else {
+        let Some(chip) = self.chip.as_mut() else {
             self.error |= errcode::BAD_JOB;
             return;
         };
         let mut pulses_energy = 0.0;
         if let Some(model) = &self.drift {
             let levels = model.levels.max(2);
-            for &a in nominal.iter() {
+            for &a in chip.attenuation() {
                 // Iterative write: melt-quench erase, then SET pulses up
                 // to the quantized target level.
                 let mut cell = PcmCell::new(model.material);
@@ -584,7 +566,7 @@ impl AccelDevice {
                 pulses_energy += cell.programming_energy();
             }
         }
-        chip.set_attenuation(nominal);
+        chip.recalibrate();
         self.programming_energy_j += pulses_energy;
         self.programmed_at = now;
         self.age_s = 0.0;
@@ -914,8 +896,8 @@ mod tests {
     /// vector by vector, `n` counted word loads, one multiply, `n`
     /// counted word stores, faulting at the first word outside the SPM.
     fn per_vector_reference(d: &mut AccelDevice, spm: &mut Ram) -> bool {
-        let (chip, nominal) = d.chip.as_ref().expect("matrix loaded");
-        let n = nominal.len();
+        let chip = d.chip.as_ref().expect("matrix loaded");
+        let n = chip.modes();
         let (mut src, mut dst) = (d.in_addr, d.out_addr);
         let (mut x, mut y) = (vec![0.0; n], vec![0.0; n]);
         for _ in 0..d.batch {
@@ -1022,6 +1004,91 @@ mod tests {
         d.mmr_store(mmr::CTRL, 4, 0, &mut spm);
         assert_eq!(d.mmr_load(mmr::ERROR), 0);
         assert!(!d.error_irq_line());
+    }
+
+    /// The chip a drift model should leave after `elapsed_s` seconds:
+    /// every cell aged through `drift_fraction`, then re-composed.
+    fn direct_drift(fresh: &RealizedMvm, elapsed_s: f64, nu: f64) -> RMatrix {
+        use neuropulsim_photonics::pcm::drift_fraction;
+        let aged: Vec<f64> = fresh
+            .attenuation()
+            .iter()
+            .map(|&a| 1.0 - drift_fraction((1.0 - a).clamp(0.0, 1.0), elapsed_s, nu))
+            .collect();
+        let mut direct = fresh.clone();
+        direct.set_attenuation(&aged);
+        direct.effective_matrix()
+    }
+
+    #[test]
+    fn hostile_drift_models_keep_jobs_exact_and_the_chip_finite() {
+        let w = RMatrix::from_fn(6, 6, |i, j| ((7 * i + 3 * j) as f64).sin());
+        let fresh = MvmCore::new(&w).chip().clone();
+        let bits = |m: &RMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let all = |a: f64| {
+            let mut c = fresh.clone();
+            c.set_attenuation(&[a; 6]);
+            c.effective_matrix()
+        };
+        let (dark, open) = (all(0.0), all(1.0));
+        let spc = 1e-3;
+        for nu in [0.0, -0.01, 0.01, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for initial_age_s in [0.0, f64::NAN, f64::INFINITY, f64::MAX] {
+                let case = format!("nu {nu}, initial age {initial_age_s}");
+                let mut d = AccelDevice::new(1e9);
+                d.load_matrix(&w);
+                d.enable_drift(PcmDriftModel {
+                    nu,
+                    seconds_per_cycle: spc,
+                    initial_age_s,
+                    ..PcmDriftModel::default()
+                });
+                let mut spm = Ram::new(0, 4096);
+                d.mmr_store(mmr::IN_ADDR, 0x100, 0, &mut spm);
+                d.mmr_store(mmr::OUT_ADDR, 0x800, 0, &mut spm);
+                d.mmr_store(mmr::BATCH, 4, 0, &mut spm);
+                let mut age = if initial_age_s.is_finite() {
+                    initial_age_s.max(0.0)
+                } else {
+                    0.0
+                };
+                let mut programmed_at = 0u64;
+                for (i, now) in [0u64, 1, 1_000, 1_000_000, 1_000_000_000_000]
+                    .into_iter()
+                    .enumerate()
+                {
+                    if i == 3 {
+                        // Recalibrate mid-run: the chip is as loaded, bit
+                        // for bit, and the weights age from here.
+                        d.mmr_store(mmr::CTRL, 8, now - 500, &mut spm);
+                        d.tick(now - 500 + d.recal_cycles);
+                        d.mmr_store(mmr::CTRL, 2, 0, &mut spm);
+                        let chip = d.chip.as_ref().unwrap().effective_matrix();
+                        assert_eq!(bits(&chip), bits(&fresh.effective_matrix()), "{case}");
+                        (age, programmed_at) = (0.0, now - 500);
+                    }
+                    assert!(d.start(now, &mut spm), "{case}, job at {now}");
+                    d.tick(now + d.job_cycles(4));
+                    d.mmr_store(mmr::CTRL, 2, 0, &mut spm);
+                    let chip = d.chip.as_ref().unwrap().effective_matrix();
+                    assert!(
+                        chip.as_slice().iter().all(|x| x.is_finite()),
+                        "{case}, {now}"
+                    );
+                    let elapsed = age + (now - programmed_at) as f64 * spc;
+                    let want = direct_drift(&fresh, elapsed, nu);
+                    assert!(chip.approx_eq(&want, 1e-8), "{case}, job at {now}");
+                    // Every cell saturated: dark when the fractions grow,
+                    // open (amplitude 1) when they shrink.
+                    let offset = drift_offset(elapsed, nu);
+                    if offset >= 1.0 {
+                        assert!(chip.approx_eq(&dark, 1e-8), "{case}, {now}: all dark");
+                    } else if offset <= -1.0 {
+                        assert!(chip.approx_eq(&open, 1e-8), "{case}, {now}: all open");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

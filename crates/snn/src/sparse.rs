@@ -544,8 +544,9 @@ pub struct EventNet {
     dt: f64,
     rule: StdpRule,
     plastic: bool,
-    /// Worker count for propagation + candidate update (1 = serial).
-    /// Any value yields bit-identical results.
+    /// Worker count for propagation + candidate update (1 = serial). A
+    /// tick with less than [`SERIAL_TICK_WORK`] runs serially whatever
+    /// the count. Any value yields bit-identical results.
     pub threads: usize,
     syn: SynapseArray,
     v: Vec<f64>,
@@ -562,6 +563,11 @@ pub struct EventNet {
     stats: TickStats,
     totals: TickStats,
 }
+
+/// Work per tick — synapses of the fired rows plus injections — below
+/// which [`EventNet::tick`] runs serially: spawning and joining scoped
+/// workers costs tens of microseconds, more than a tick this small.
+pub const SERIAL_TICK_WORK: usize = 4096;
 
 /// One worker's mutable view of the neuron state, split at contiguous
 /// index-range boundaries so scoped threads can own disjoint targets.
@@ -749,7 +755,11 @@ impl EventNet {
     pub fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
         let t = self.tick;
         let n = self.v.len();
-        let workers = self.threads.max(1).min(n);
+        let workers = if self.tick_work(injections) < SERIAL_TICK_WORK {
+            1
+        } else {
+            self.threads.max(1).min(n)
+        };
         let mut fired: Vec<u32>;
         let mut stats = TickStats::default();
         if workers <= 1 {
@@ -859,6 +869,19 @@ impl EventNet {
         self.fired_prev = fired;
         self.tick = t + 1;
         &self.fired_prev
+    }
+
+    /// The next tick's work: synapses of the fired rows plus
+    /// `injections`, counted up to [`SERIAL_TICK_WORK`].
+    fn tick_work(&self, injections: &[(u32, f64)]) -> usize {
+        let mut work = injections.len();
+        for &src in &self.fired_prev {
+            if work >= SERIAL_TICK_WORK {
+                break;
+            }
+            work += self.syn.row(src).0.len();
+        }
+        work
     }
 
     /// Replays every neuron's outstanding leak/refractory ticks so the
@@ -1149,6 +1172,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ticks_on_both_sides_of_the_serial_cutoff_are_thread_count_invariant() {
+        // 4096 neurons of fanout 16: a tick after 3 kicks is far below
+        // the cutoff, one after ~600 fires far above it.
+        let mut spec = NetSpec::random(5, 4096, 16, 16, true);
+        spec.threshold = 0.9;
+        let kick = spec.threshold / spec.dt * 1.3;
+        let schedule: Vec<Vec<(u32, f64)>> = (0..40u64)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(split_seed(13, t));
+                let k = if t % 8 < 4 { 3 } else { 600 };
+                (0..k).map(|_| (rng.gen_range(0..4096), kick)).collect()
+            })
+            .collect();
+        let run = |threads: usize| {
+            let mut net = EventNet::new(&spec);
+            net.threads = threads;
+            let (mut raster, mut sides) = (Vec::new(), [0usize; 2]);
+            for inj in &schedule {
+                sides[usize::from(net.tick_work(inj) >= SERIAL_TICK_WORK)] += 1;
+                raster.push(net.tick(inj).to_vec());
+            }
+            net.flush();
+            let bits: Vec<u64> = net.potentials().iter().map(|v| v.to_bits()).collect();
+            (raster, bits, sides)
+        };
+        let reference = run(1);
+        let [serial, parallel] = reference.2;
+        assert!(
+            serial >= 10 && parallel >= 10,
+            "ticks per side: {:?}",
+            reference.2
+        );
+        assert_eq!(run(4), reference, "threads = 4");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! thread count.
 
 use neuropulsim::linalg::parallel::split_seed;
-use neuropulsim::snn::sparse::{DenseNet, EventNet, NetSpec};
+use neuropulsim::snn::sparse::{DenseNet, EventNet, NetSpec, SERIAL_TICK_WORK};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,16 +90,21 @@ proptest! {
     }
 
     /// The event engine's results are invariant under the worker thread
-    /// count: 2- and 8-thread runs reproduce the serial run bitwise.
+    /// count: 2- and 8-thread runs reproduce the serial run bitwise, on
+    /// light schedules (serial ticks) and heavy ones (partitioned ticks).
     #[test]
     fn sparse_engine_is_thread_count_invariant(
         seed in 0u64..2_000_000,
         neurons in 2usize..60,
         ticks in 1usize..40,
+        heavy_bit in 0u8..2,
     ) {
         let fanout = 1 + (seed as usize) % (neurons - 1).min(9);
         let spec = random_spec(seed, neurons, fanout, seed % 3 == 0);
-        let sched = schedule(&spec, ticks, 1 + neurons / 6, split_seed(seed, 13));
+        // A heavy schedule injects the serial cutoff's worth every tick,
+        // so every tick takes the partitioned path.
+        let per_tick = if heavy_bit == 1 { SERIAL_TICK_WORK } else { 1 + neurons / 6 };
+        let sched = schedule(&spec, ticks, per_tick, split_seed(seed, 13));
 
         let mut serial = EventNet::new(&spec);
         serial.threads = 1;
