@@ -5,8 +5,9 @@
 //! - **gemm-software** — pure-software Q16.16 MVM (dispatch-dominated:
 //!   the trace compiler's home turf);
 //! - **gemm-cluster** — a work-queue GeMM sharded over a 3-PE fabric
-//!   (MMIO polling loops that only the event-horizon bulk scheduler can
-//!   retire in bulk).
+//!   (MMIO polling loops, over PE jobs and polled DMA copies, that only
+//!   the event-horizon bulk scheduler can retire in bulk; its
+//!   `bulk_dma_ticks` counts the DMA ticks applied in bulk there).
 //!
 //! Each workload runs with the fast paths off (seed interpreter,
 //! cycle-by-cycle `wfi`) and on (decoded-block cache + trace compiler +
@@ -169,7 +170,8 @@ fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
          \"trace_hits\": {}, \
          \"trace_conflict_evictions\": {}, \
          \"trace_exits\": {{\"guard\": {}, \"end\": {}, \"budget\": {}, \
-         \"mmio\": {}, \"invalidated\": {}}}}}",
+         \"mmio\": {}, \"invalidated\": {}}}, \
+         \"bulk_dma_ticks\": {}}}",
         perf.instret,
         fast.report.cycles,
         perf.block_hits,
@@ -184,6 +186,7 @@ fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
         perf.trace_exit_budget,
         perf.trace_exit_mmio,
         perf.trace_exit_invalidated,
+        fast.sys.bulk_dma_ticks,
     )
 }
 

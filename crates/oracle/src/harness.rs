@@ -26,7 +26,7 @@ use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
 use neuropulsim_riscv::isa::{encode, Instruction};
 use neuropulsim_riscv::trace::HOT_THRESHOLD;
 use neuropulsim_snn::neuron::NeuronArray;
-use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
+use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec, SERIAL_TICK_WORK};
 use neuropulsim_snn::stdp::StdpRule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1189,7 +1189,16 @@ fn pcm_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
 /// dense baseline vs [`snn_ref::RefSparseNet`], over a random network
 /// and injection schedule, compared bit-for-bit — fire queues every
 /// tick, then final potentials, fire ledgers and synapse levels.
-fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
+/// One `snn_sparse` case's inputs: the network, the event engine's
+/// worker count and the per-tick injection schedule.
+struct SnnSparsePlan {
+    spec: NetSpec,
+    threads: usize,
+    schedule: Vec<Vec<(u32, f64)>>,
+}
+
+/// Draws `case_seed`'s `snn_sparse` case.
+fn snn_sparse_plan(case_seed: u64, size_override: Option<usize>) -> SnnSparsePlan {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let n = draw_size(&mut rng, Domain::SnnSparse, size_override);
     let fanout = rng.gen_range(1..n.min(6));
@@ -1207,9 +1216,47 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
         rng.gen_range(5.0..40.0),
         rng.gen_range(5.0..40.0),
     );
+    let threads = rng.gen_range(1usize..5);
+    // Injection schedule strong enough to elicit spikes regularly.
+    let kick_max = 2.0 * spec.threshold / spec.dt;
+    let mut schedule: Vec<Vec<(u32, f64)>> = (0..120)
+        .map(|_| {
+            let count = rng.gen_range(0usize..4);
+            (0..count)
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0.0..kick_max)))
+                .collect()
+        })
+        .collect();
+    // A network this small never does `SERIAL_TICK_WORK` per tick on
+    // its own, so half the cases with two or more threads get one burst
+    // of that many small injections, a tick the engine partitions. A
+    // separate stream leaves the rest of the case as drawn above.
+    let mut burst = StdRng::seed_from_u64(split_seed(case_seed, 0xb0_0575));
+    if threads > 1 && burst.gen_bool(0.5) {
+        let t = burst.gen_range(0..schedule.len());
+        schedule[t].extend((0..SERIAL_TICK_WORK).map(|_| {
+            (
+                burst.gen_range(0..n as u32),
+                burst.gen_range(0.0..kick_max) / 128.0,
+            )
+        }));
+    }
+    SnnSparsePlan {
+        spec,
+        threads,
+        schedule,
+    }
+}
 
+fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
+    let SnnSparsePlan {
+        spec,
+        threads,
+        schedule,
+    } = snn_sparse_plan(case_seed, size_override);
+    let n = spec.neurons;
     let mut fast = EventNet::new(&spec);
-    fast.threads = rng.gen_range(1usize..5);
+    fast.threads = threads;
     let mut dense = DenseNet::new(&spec);
     let level_weights = fast.synapses().table().weights().to_vec();
     let mut oracle = snn_ref::RefSparseNet::new(
@@ -1230,16 +1277,10 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
         &spec.init_levels,
     );
 
-    // Injection schedule strong enough to elicit spikes regularly.
-    let kick_max = 2.0 * spec.threshold / spec.dt;
-    for t in 0..120u32 {
-        let count = rng.gen_range(0usize..4);
-        let inj: Vec<(u32, f64)> = (0..count)
-            .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0.0..kick_max)))
-            .collect();
-        let fired_fast = fast.tick(&inj).to_vec();
-        let fired_dense = dense.tick(&inj).to_vec();
-        let fired_ref = oracle.tick(&inj);
+    for (t, inj) in schedule.iter().enumerate() {
+        let fired_fast = fast.tick(inj).to_vec();
+        let fired_dense = dense.tick(inj).to_vec();
+        let fired_ref = oracle.tick(inj);
         if fired_fast != fired_dense {
             return CaseOutcome::diverged(
                 n,
@@ -1388,6 +1429,32 @@ mod tests {
         assert!(
             2 * traced >= cases as usize,
             "only {traced} of {cases} riscv cases dispatched a trace"
+        );
+    }
+
+    #[test]
+    fn snn_sparse_cases_reach_the_partitioned_tick() {
+        // CI's seed 42: at least a quarter of the cases must run a tick
+        // on more than one worker (about 3/8 should: three quarters draw
+        // two or more threads, half of those carry a burst), so the
+        // oracle checks the partitioned path, not only the serial one.
+        let cases = 200;
+        let domain_seed = split_seed(42, Domain::SnnSparse.index());
+        let partitioned = (0..cases)
+            .filter(|&i| {
+                let plan = snn_sparse_plan(split_seed(domain_seed, i), None);
+                let mut net = EventNet::new(&plan.spec);
+                net.threads = plan.threads;
+                plan.schedule.iter().any(|inj| {
+                    let heavy = net.tick_workers(inj) > 1;
+                    net.tick(inj);
+                    heavy
+                })
+            })
+            .count();
+        assert!(
+            4 * partitioned >= cases as usize,
+            "only {partitioned} of {cases} snn_sparse cases ran a partitioned tick"
         );
     }
 

@@ -154,14 +154,16 @@ pub trait Bus {
     }
 
     /// Called by the bulk interpreter immediately before it executes a
-    /// load/store whose effective address reaches device space, with the
-    /// CPU's current cycle count. Returning `true` promises the access
-    /// may run in place: the bus brings its device clock up to `cycles`
-    /// first (legal inside a quiet window, where every skipped device
-    /// tick is a no-op). Returning `false` sends the access to the
-    /// caller's precise per-instruction path instead.
-    fn mmio_prologue(&mut self, cycles: u64) -> bool {
-        let _ = cycles;
+    /// load/store whose effective address `addr` reaches the caller's
+    /// `mmio_floor`, with the CPU's current cycle count. Returning `true`
+    /// promises the access may run in place: the bus first brings its
+    /// devices to `cycles`, applying exactly the device ticks the
+    /// per-cycle loop would have run by then (none change state inside a
+    /// quiet window; an in-flight transfer moves its words). Returning
+    /// `false` sends the access to the caller's precise per-instruction
+    /// path instead, with nothing changed.
+    fn mmio_prologue(&mut self, addr: u32, cycles: u64) -> bool {
+        let _ = (addr, cycles);
         false
     }
 

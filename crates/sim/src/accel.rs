@@ -117,7 +117,9 @@ pub struct PcmDriftModel {
     /// Quantization levels used when (re)programming the cells.
     pub levels: u32,
     /// Age of the programmed weights at simulation start \[s\] — models
-    /// non-volatile weights programmed long before boot.
+    /// non-volatile weights programmed long before boot. Sanitized like
+    /// the drift law's elapsed time: `+∞` reads as `f64::MAX` (fully
+    /// aged), `NaN` or a negative age as 0 s.
     pub initial_age_s: f64,
 }
 
@@ -334,11 +336,15 @@ impl AccelDevice {
     /// Enables the PCM retention model: subsequent jobs see attenuator
     /// states aged by `nu·ln(1 + t/τ)` since the weights were last
     /// programmed, until a recalibration (CTRL bit 3) re-programs them.
+    /// The model's `initial_age_s` is sanitized as [`drift_offset`]
+    /// sanitizes elapsed time: infinitely old weights (`+∞`) age as
+    /// `f64::MAX` seconds, so they are fully drifted, not fresh; `NaN`
+    /// and negative ages read as 0 s.
     pub fn enable_drift(&mut self, model: PcmDriftModel) {
-        self.age_s = if model.initial_age_s.is_finite() {
-            model.initial_age_s.max(0.0)
-        } else {
+        self.age_s = if model.initial_age_s.is_nan() {
             0.0
+        } else {
+            model.initial_age_s.clamp(0.0, f64::MAX)
         };
         self.drift = Some(model);
     }
@@ -1033,7 +1039,14 @@ mod tests {
         let (dark, open) = (all(0.0), all(1.0));
         let spc = 1e-3;
         for nu in [0.0, -0.01, 0.01, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for initial_age_s in [0.0, f64::NAN, f64::INFINITY, f64::MAX] {
+            for initial_age_s in [
+                0.0,
+                -5.0,
+                f64::NAN,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::MAX,
+            ] {
                 let case = format!("nu {nu}, initial age {initial_age_s}");
                 let mut d = AccelDevice::new(1e9);
                 d.load_matrix(&w);
@@ -1047,10 +1060,13 @@ mod tests {
                 d.mmr_store(mmr::IN_ADDR, 0x100, 0, &mut spm);
                 d.mmr_store(mmr::OUT_ADDR, 0x800, 0, &mut spm);
                 d.mmr_store(mmr::BATCH, 4, 0, &mut spm);
-                let mut age = if initial_age_s.is_finite() {
-                    initial_age_s.max(0.0)
-                } else {
-                    0.0
+                // The drift law's rule for elapsed time: an infinite age
+                // saturates like the largest finite one, and NaN or a
+                // negative age reads as freshly programmed.
+                let mut age = match initial_age_s {
+                    a if a.is_nan() || a < 0.0 => 0.0,
+                    f64::INFINITY => f64::MAX,
+                    a => a,
                 };
                 let mut programmed_at = 0u64;
                 for (i, now) in [0u64, 1, 1_000, 1_000_000, 1_000_000_000_000]

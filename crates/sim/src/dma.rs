@@ -5,8 +5,10 @@
 
 use crate::ram::Ram;
 
-/// How the engine will behave over the coming cycles — the contract the
-/// `wfi` fast-forward scheduler relies on.
+/// How the engine will behave over the coming cycles — the contract both
+/// schedulers of [`crate::system::System::run`] rely on: the `wfi`
+/// fast-forward of a sleeping CPU, and the bulk-retire windows of a
+/// running one, which poll a transfer in flight up to its completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DmaSchedule {
     /// No transfer in flight: every tick is a no-op.
@@ -135,17 +137,22 @@ impl DmaDevice {
         }
     }
 
-    /// Classifies the in-flight transfer for the fast-forward scheduler.
+    /// Classifies the in-flight transfer for the schedulers.
     /// Conservative: anything not provably stall-free is [`DmaSchedule::Opaque`].
     pub(crate) fn schedule(&self, mem_a: &Ram, mem_b: &Ram) -> DmaSchedule {
         if !self.busy {
             return DmaSchedule::Idle;
         }
+        if self.moved >= self.len {
+            // LEN was rewritten mid-transfer to no more than the bytes
+            // already moved: the next tick completes without a word.
+            return DmaSchedule::CompletesIn(1);
+        }
         // The remaining source and destination word ranges must each sit
         // entirely inside one memory; [`DmaDevice::tick`] then never hits
         // the stall paths and completion timing is pure arithmetic.
         let lo = self.moved;
-        let hi = self.len - 4; // len > 0 and word-aligned while busy
+        let hi = self.len - 4; // len > moved and word-aligned
         let in_one = |base: u32| {
             // Overflowing ranges wrap mid-transfer and can leave the
             // memory even when both endpoints are inside it.
@@ -221,9 +228,24 @@ impl DmaDevice {
         if !self.busy || ticks == 0 {
             return false;
         }
-        let remaining = ((self.len - self.moved) / 4) as u64;
+        let remaining = (self.len.saturating_sub(self.moved) / 4) as u64;
         let budget = ticks.saturating_mul(self.words_per_cycle as u64);
         let count = remaining.min(budget) as usize;
+        if count > 0 && !self.copy_words(count, mem_a, mem_b) {
+            return false;
+        }
+        if self.moved >= self.len {
+            self.busy = false;
+            self.done = true;
+            return self.irq_enable;
+        }
+        false
+    }
+
+    /// Moves the next `count > 0` words, as `count` per-word
+    /// load/store pairs would. Returns `false` where [`DmaDevice::tick`]
+    /// would stall, with the words before the stall moved.
+    fn copy_words(&mut self, count: usize, mem_a: &mut Ram, mem_b: &mut Ram) -> bool {
         let s = self.src + self.moved;
         let d = self.dst + self.moved;
         // One bulk copy when each range sits inside one memory (the
@@ -283,12 +305,7 @@ impl DmaDevice {
                 self.bytes_moved += 4;
             }
         }
-        if self.moved >= self.len {
-            self.busy = false;
-            self.done = true;
-            return self.irq_enable;
-        }
-        false
+        true
     }
 
     /// The byte range the in-flight transfer writes, for code-cache

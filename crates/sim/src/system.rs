@@ -20,6 +20,7 @@ use crate::ram::Ram;
 use neuropulsim_photonics::energy::EnergyLedger;
 use neuropulsim_riscv::bus::{Bus, BusFault};
 use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
+use neuropulsim_riscv::isa::Instruction;
 
 /// DRAM base address.
 pub const DRAM_BASE: u32 = 0x0000_0000;
@@ -81,11 +82,16 @@ pub struct Platform {
     // pub(crate) so the checkpoint module can capture/restore them.
     pub(crate) stall_cycles: u64,
     /// Exclusive end of the current bulk-retire window: the earliest
-    /// pending device event (or the budget) when [`System::run`] entered
-    /// bulk dispatch. In-span MMIO accesses at `cycles < bulk_until` are
-    /// provably inside a no-op device window. Transient scheduler
+    /// pending PE event, the in-flight transfer's completion or the
+    /// budget, whichever comes first, when [`System::run`] entered bulk
+    /// dispatch. In-span accesses at `cycles < bulk_until` see no PE
+    /// change state and no transfer complete. Transient scheduler
     /// scratch — set before every span, never snapshotted.
     pub(crate) bulk_until: u64,
+    /// Whether the current bulk window opened over an in-flight DMA
+    /// transfer (which then stays in flight for the whole window).
+    /// Scheduler scratch like `bulk_until`.
+    pub(crate) bulk_dma: bool,
 }
 
 impl Platform {
@@ -101,6 +107,7 @@ impl Platform {
             l1_cache: None,
             stall_cycles: 0,
             bulk_until: 0,
+            bulk_dma: false,
         }
     }
 
@@ -192,15 +199,33 @@ impl Platform {
     /// a zero-setup job can carry `busy_until == now`, but its
     /// completion is still observed on the following tick. Ticks
     /// *strictly before* the returned cycle are provably no-ops for
-    /// every PE. `None` when all PEs are idle. (The DMA engine is
-    /// deliberately excluded — its ticks move memory words and are
-    /// never no-ops.)
+    /// every PE. `None` when all PEs are idle. (The DMA engine is not
+    /// included: its ticks move memory words, so the schedulers bound
+    /// it separately with [`DmaDevice::schedule`] and apply its ticks
+    /// with [`DmaDevice::advance_bulk`].)
     pub(crate) fn earliest_pe_event(&self) -> Option<u64> {
         self.pes
             .iter()
             .filter_map(AccelDevice::next_event)
             .map(|t| t.max(self.now + 1))
             .min()
+    }
+
+    /// The cycle of the DMA engine's next state change other than a
+    /// word move: `u64::MAX` while idle, the completion tick of a
+    /// [`DmaSchedule::CompletesIn`] transfer, and `None` for a transfer
+    /// that may stall, whose every tick must run. Ticks strictly before
+    /// it move words and nothing else, so a scheduler may apply them
+    /// with one [`DmaDevice::advance_bulk`]. Only a busy engine is
+    /// classified.
+    pub(crate) fn dma_event(&self) -> Option<u64> {
+        if !self.dma.is_busy() {
+            return Some(u64::MAX);
+        }
+        match self.dma.schedule(&self.dram, &self.spm) {
+            DmaSchedule::CompletesIn(n) => Some(self.now + n),
+            _ => None,
+        }
     }
 
     /// Resolves an address to a PE slot and register offset.
@@ -287,8 +312,18 @@ impl Bus for Platform {
 
     fn peek_word(&self, addr: u32) -> Option<u32> {
         // Side-effect-free: no access counters, no latency charge, no L1
-        // state change. MMIO space is uncacheable (`None`).
+        // state change. MMIO space is uncacheable (`None`), and so are
+        // the words an in-flight transfer has yet to write: a bulk
+        // window applies DMA ticks only at data accesses, so code there
+        // must run through the precise path's real fetches.
         let a = addr & !3;
+        if self
+            .dma
+            .active_write_range()
+            .is_some_and(|(lo, hi)| (lo..hi).contains(&a))
+        {
+            return None;
+        }
         self.dram.peek_fast(a).or_else(|| self.spm.peek_fast(a))
     }
 
@@ -347,28 +382,45 @@ impl Bus for Platform {
         }
     }
 
-    fn mmio_prologue(&mut self, cycles: u64) -> bool {
-        // Bulk windows run between device-event horizons, not only under
-        // full quiescence: PEs may hold in-flight jobs as long as their
-        // earliest event lies at or beyond `bulk_until`, because every
-        // device tick strictly before that horizon is a no-op and the
-        // clock jump is exact. The DMA engine is the exception (per-tick
-        // word movement), so the scheduler never opens a bulk window
-        // while it is busy.
-        debug_assert!(!self.dma.is_busy(), "bulk window with the DMA active");
+    fn mmio_prologue(&mut self, addr: u32, cycles: u64) -> bool {
+        // Bulk windows run between event horizons, not only under full
+        // quiescence: a PE may hold an in-flight job whose event lies at
+        // or beyond `bulk_until`, and the DMA engine may hold a transfer
+        // that completes no earlier. Every PE tick before the horizon is
+        // a no-op, so PE time jumps; the DMA's ticks move words, so they
+        // are applied here in one bulk advance, just before the access
+        // that could observe them. That is exactly what the per-cycle
+        // loop had moved by this cycle, counters included.
         debug_assert!(self.now <= cycles, "device clock ahead of the CPU");
         if cycles >= self.bulk_until {
             return false;
+        }
+        if self.dma.is_busy() {
+            // Of the DMA registers only STATUS runs in place (it cannot
+            // change before the horizon); the rest take the precise
+            // path, where a write may redirect, stall or cut the copy.
+            let a = addr & !3;
+            if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&a)
+                && a != DMA_BASE + crate::dma::mmr::STATUS
+            {
+                return false;
+            }
+            let fired = self
+                .dma
+                .advance_bulk(cycles - self.now, &mut self.dram, &mut self.spm);
+            debug_assert!(!fired, "transfer completed inside its bulk window");
         }
         self.now = cycles;
         true
     }
 
     fn mmio_epilogue(&mut self) -> bool {
-        // Stay in bulk unless this access started device work whose
-        // event lands inside the current window (a doorbell), kicked off
-        // a DMA transfer, or raised an interrupt.
-        if self.dma.is_busy() || self.irq_level() {
+        // Stay in bulk unless this access started a DMA transfer, raised
+        // an interrupt or started device work whose event lands inside
+        // the current window (a doorbell). A transfer already in flight
+        // when the window opened stays in flight past its end, so it
+        // does not end the window.
+        if self.dma.is_busy() != self.bulk_dma || self.irq_level() {
             return false;
         }
         self.earliest_pe_event()
@@ -418,6 +470,13 @@ pub struct System {
     /// CPU's block cache is enabled; with it disabled, [`System::run`]
     /// is the seed stepping loop.
     pub fast_forwarded_cycles: u64,
+    /// DMA ticks applied in bulk while the CPU ran (stats, accumulated
+    /// across runs): the word moves of a stall-free transfer, applied
+    /// before each access of a bulk window that opened over it and
+    /// whenever device time catches up to the CPU. Ticks the `wfi`
+    /// fast-forward applies count in `fast_forwarded_cycles` instead.
+    /// Zero with the block cache disabled.
+    pub bulk_dma_ticks: u64,
 }
 
 impl System {
@@ -434,6 +493,7 @@ impl System {
             cpu_hz,
             digital_energy: DigitalEnergy::default(),
             fast_forwarded_cycles: 0,
+            bulk_dma_ticks: 0,
         }
     }
 
@@ -481,12 +541,16 @@ impl System {
     ///
     /// With the CPU's block cache enabled (the default), two
     /// accelerations keep this loop fast without changing a single
-    /// observable: between device events, cached instructions and
-    /// compiled traces retire in bulk ([`Cpu::run_cached_span`]), and
-    /// `wfi` sleeps across quiet device windows are crossed in one jump.
-    /// Everything else — MMIO accesses the bus declines in bulk, busy
-    /// DMA, the DRAM-latency model — takes the precise path
-    /// ([`Cpu::step`]). With the cache disabled this is the seed loop.
+    /// observable. Between device events, cached instructions and
+    /// compiled traces retire in bulk ([`Cpu::run_cached_span`]); the
+    /// window's horizon is the earliest PE event, the completion of a
+    /// DMA transfer in flight, or the budget. And `wfi` sleeps are
+    /// crossed in one jump (`sleep_advance`). A polled transfer's words
+    /// move in bulk before each in-window access, so the access sees
+    /// memory exactly as the seed loop would. Everything else — MMIO
+    /// accesses the bus declines in bulk, a DMA transfer that may stall,
+    /// the DRAM-latency model — takes the precise path ([`Cpu::step`]).
+    /// With the cache disabled this is the seed loop.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         // The host may have rewritten memory since the last run (fault
         // injections, firmware pokes): drop cached decoded code so the
@@ -509,52 +573,91 @@ impl System {
                 self.sleep_advance(budget_end);
                 continue;
             }
-            // Bulk retire between device-event horizons: with the DMA
-            // idle, every PE tick strictly before the earliest pending
-            // event is provably a no-op, so cached instructions (and
-            // compiled traces) retire back to back up to that horizon —
-            // full quiescence is just the special case with no horizon
-            // at all. This is what lets an MMIO polling loop spin in
-            // bulk while a PE crunches a job. The DMA engine keeps the
-            // per-cycle protocol (its ticks move memory words), as does
-            // the DRAM-latency model (each instruction settles its own
-            // timing).
+            // Bulk retire between event horizons: every PE tick strictly
+            // before the earliest pending event is a no-op, and a DMA
+            // transfer that cannot stall (`CompletesIn`) moves only
+            // words until it completes. So cached instructions (and
+            // compiled traces) retire back to back up to the first of
+            // those events — full quiescence is just the case with no
+            // horizon at all. This lets an MMIO polling loop spin in
+            // bulk while a PE crunches a job or a DMA copy runs. A
+            // transfer that may stall keeps the per-cycle protocol, as
+            // does the DRAM-latency model (each instruction settles its
+            // own timing). The DMA is classified only while busy, so an
+            // idle engine costs one flag test.
             if self.cpu.block_cache_enabled()
                 && !self.cpu.waiting_for_interrupt
                 && self.platform.dram_latency == 0
                 && self.platform.now == self.cpu.cycles
-                && !self.platform.dma.is_busy()
             {
-                let horizon = self
-                    .platform
-                    .earliest_pe_event()
-                    .map_or(budget_end, |event| event.min(budget_end));
-                self.platform.bulk_until = horizon;
-                let before = self.cpu.cycles;
-                match self
-                    .cpu
-                    .run_cached_span(&mut self.platform, horizon, ACCEL_BASE)
-                {
-                    Ok(Some(halt)) => break RunOutcome::Halted(halt),
-                    Ok(None) => {}
-                    Err(trap) => break RunOutcome::Trapped(trap),
+                if let Some(dma_event) = self.platform.dma_event() {
+                    let horizon = self
+                        .platform
+                        .earliest_pe_event()
+                        .map_or(budget_end, |event| event.min(budget_end))
+                        .min(dma_event);
+                    let dma_writes = self.platform.dma.active_write_range();
+                    self.platform.bulk_until = horizon;
+                    self.platform.bulk_dma = dma_writes.is_some();
+                    // With a transfer in flight every load and store
+                    // meets the prologue (floor 0), which moves the
+                    // transfer's words up to the access cycle; cached
+                    // code the transfer will overwrite goes now, and
+                    // `peek_word` keeps it from being decoded again.
+                    let mmio_floor = match dma_writes {
+                        Some((lo, hi)) => {
+                            self.cpu.note_external_writes(lo, hi);
+                            0
+                        }
+                        None => ACCEL_BASE,
+                    };
+                    let before = self.cpu.cycles;
+                    let now_before = self.platform.now;
+                    let span = self
+                        .cpu
+                        .run_cached_span(&mut self.platform, horizon, mmio_floor);
+                    if dma_writes.is_some() {
+                        self.bulk_dma_ticks += self.platform.now - now_before;
+                    }
+                    match span {
+                        Ok(Some(halt)) => {
+                            // The seed loop leaves device time at the
+                            // halting instruction's issue cycle.
+                            let inst = match halt {
+                                Halt::Ebreak => Instruction::Ebreak,
+                                _ => Instruction::Ecall,
+                            };
+                            let issue = self.cpu.cycles - self.cpu.cycle_model.cost(inst, false);
+                            self.bulk_dma_ticks += self.catch_up_devices(issue);
+                            break RunOutcome::Halted(halt);
+                        }
+                        Ok(None) => {}
+                        Err(trap) => {
+                            // A trapping instruction consumes no cycles:
+                            // the seed loop leaves device time at its
+                            // issue cycle, which is `cpu.cycles` here.
+                            self.bulk_dma_ticks += self.catch_up_devices(self.cpu.cycles);
+                            break RunOutcome::Trapped(trap);
+                        }
+                    }
+                    if self.cpu.cycles != before {
+                        // An in-span device doorbell may have deposited
+                        // results into the scratchpad (it ends the span,
+                        // so this single check covers it); cached SPM
+                        // code must go before the next dispatch.
+                        self.cpu.note_external_writes(SPM_BASE, spm_end);
+                        // Skipped PE ticks were no-ops, so device time
+                        // jumps; a transfer in flight moves its words in
+                        // bulk; only an eventful tail (an in-span
+                        // doorbell, the DMA completion) ticks per cycle
+                        // exactly as the seed loop did.
+                        self.bulk_dma_ticks += self.catch_up_devices(self.cpu.cycles);
+                        continue;
+                    }
                 }
-                if self.cpu.cycles != before {
-                    // An in-span device doorbell may have deposited
-                    // results into the scratchpad (it ends the span, so
-                    // this single check covers it); cached SPM code must
-                    // go before the next dispatch.
-                    self.cpu.note_external_writes(SPM_BASE, spm_end);
-                    // While the window stayed quiet this jumps device
-                    // time in one assignment (the skipped ticks were
-                    // no-ops); after an in-span doorbell it ticks the
-                    // now-busy device up to CPU time exactly as the seed
-                    // loop did.
-                    self.catch_up_devices();
-                    continue;
-                }
-                // No progress (MMIO access or uncacheable entry next):
-                // fall through to the precise per-instruction path.
+                // No progress (MMIO access or uncacheable entry next), or
+                // a transfer that may stall: fall through to the precise
+                // per-instruction path.
             }
             match self.cpu.step(&mut self.platform) {
                 Ok(Some(halt)) => {
@@ -570,7 +673,7 @@ impl System {
             // into the scratchpad just now; if code is cached from SPM,
             // drop it.
             self.cpu.note_external_writes(SPM_BASE, spm_end);
-            self.catch_up_devices();
+            self.bulk_dma_ticks += self.catch_up_devices(self.cpu.cycles);
         };
         self.report(outcome, start_cycles)
     }
@@ -581,38 +684,52 @@ impl System {
         self.platform.quiet()
     }
 
-    /// Brings device time up to CPU time. When every device is idle the
-    /// skipped ticks are provably no-ops (an idle accelerator or DMA
-    /// engine ignores its tick), so device time jumps in one assignment;
-    /// otherwise devices tick cycle by cycle exactly as the seed loop
-    /// did.
-    fn catch_up_devices(&mut self) {
-        if self.platform.now >= self.cpu.cycles {
-            return;
+    /// Brings device time up to `target`, bit-identical to ticking every
+    /// cycle. When every device is idle the skipped ticks are no-ops, so
+    /// device time jumps in one assignment. Otherwise ticks strictly
+    /// before the earliest PE event change no PE, and ticks before a
+    /// `CompletesIn` transfer's completion only move its words: those
+    /// run as one jump plus one [`DmaDevice::advance_bulk`], and only
+    /// the eventful tail ticks cycle by cycle, so a completion and its
+    /// interrupt land on their seed cycle. A transfer that may stall, or
+    /// any transfer with the block cache disabled, ticks every cycle.
+    /// Returns the DMA ticks applied in bulk.
+    fn catch_up_devices(&mut self, target: u64) -> u64 {
+        let now = self.platform.now;
+        if now >= target {
+            return 0;
         }
         if self.devices_quiet() {
-            self.platform.now = self.cpu.cycles;
-            return;
+            self.platform.now = target;
+            return 0;
         }
-        // With the DMA idle, busy PEs only change state at their next
-        // event: jump device time to just short of the earliest one and
-        // run only the eventful tail per-cycle. (A bulk span that
-        // retired up to its horizon leaves a tail of at most one event
-        // tick plus the final instruction's overshoot.)
-        if !self.platform.dma.is_busy() {
-            if let Some(event) = self.platform.earliest_pe_event() {
-                let jump = (event - 1).min(self.cpu.cycles);
-                if jump > self.platform.now {
-                    self.platform.now = jump;
-                }
-            }
-        }
+        let mut bulk_ticks = 0;
         // A busy DMA engine writes memory as it ticks; if its target
         // range holds cached code the decoded blocks must go. (The range
         // is fixed for the whole transfer, so capturing it once covers
         // every tick below.)
         let dma_writes = self.platform.dma.active_write_range();
-        while self.platform.now < self.cpu.cycles {
+        // With the block cache disabled a busy engine ticks every cycle:
+        // that seed loop is the reference the bulk advance is held to.
+        let dma_event = if dma_writes.is_none() || self.cpu.block_cache_enabled() {
+            self.platform.dma_event()
+        } else {
+            None
+        };
+        if let Some(dma_event) = dma_event {
+            let event = self.platform.earliest_pe_event().unwrap_or(u64::MAX);
+            let jump = (event.min(dma_event) - 1).min(target);
+            if jump > now {
+                if dma_writes.is_some() {
+                    let p = &mut self.platform;
+                    let fired = p.dma.advance_bulk(jump - now, &mut p.dram, &mut p.spm);
+                    debug_assert!(!fired, "transfer completed before its schedule");
+                    bulk_ticks = jump - now;
+                }
+                self.platform.now = jump;
+            }
+        }
+        while self.platform.now < target {
             if self.platform.tick() {
                 self.cpu.interrupt();
             }
@@ -620,81 +737,33 @@ impl System {
         if let Some((lo, hi)) = dma_writes {
             self.cpu.note_external_writes(lo, hi);
         }
+        bulk_ticks
     }
 
     /// Advances a sleeping CPU across a quiet window without stepping it
     /// one cycle at a time. Bit-identical to the seed loop: CPU cycles
-    /// and device time stay in lockstep, only provably no-op device
-    /// ticks are skipped, and the first state-changing tick runs for
-    /// real so interrupts fire on their exact seed cycle.
+    /// and device time stay in lockstep, only ticks that change no PE
+    /// and complete no transfer run in bulk, and the first eventful tick
+    /// runs for real so interrupts fire on their exact seed cycle. A
+    /// transfer that may stall sleeps one seed-identical cycle.
     ///
     /// Requires `platform.now == cpu.cycles` (checked by the caller).
     fn sleep_advance(&mut self, budget_end: u64) {
         let now = self.platform.now;
-        let event = self.platform.earliest_pe_event();
-        match self
-            .platform
-            .dma
-            .schedule(&self.platform.dram, &self.platform.spm)
-        {
-            DmaSchedule::Opaque => {
-                // Possibly-stalling transfer with per-tick observable
-                // side effects: one seed-identical sleep cycle.
-                let dma_writes = self.platform.dma.active_write_range();
-                self.cpu.cycles += 1;
-                if self.platform.tick() {
-                    self.cpu.interrupt();
-                }
-                if let Some((lo, hi)) = dma_writes {
-                    self.cpu.note_external_writes(lo, hi);
-                }
-            }
-            DmaSchedule::CompletesIn(n) => {
-                // The engine moves counted words every tick; the bulk
-                // advance applies exactly the per-word accounting of
-                // those ticks in one pass, and the final cycle runs as a
-                // real platform tick so a completion interrupt (or a
-                // coinciding accelerator event) fires on its exact seed
-                // cycle.
-                let target = event.map_or(now + n, |e| e.min(now + n)).min(budget_end);
-                let ticks = target - now;
-                let dma_writes = self.platform.dma.active_write_range();
-                if ticks > 1 {
-                    // Cannot complete early: `target <= now + n` keeps
-                    // `ticks - 1` strictly below the completion tick.
-                    let p = &mut self.platform;
-                    let fired = p.dma.advance_bulk(ticks - 1, &mut p.dram, &mut p.spm);
-                    debug_assert!(!fired, "transfer completed before its schedule");
-                }
-                self.platform.now = target - 1;
-                self.cpu.cycles = target;
-                if self.platform.tick() {
-                    self.cpu.interrupt();
-                }
-                self.fast_forwarded_cycles += ticks;
-                if let Some((lo, hi)) = dma_writes {
-                    self.cpu.note_external_writes(lo, hi);
-                }
-            }
-            DmaSchedule::Idle => {
-                // Every tick before the event is a no-op: jump.
-                let target = event.map_or(budget_end, |e| e.min(budget_end));
+        let target = match self.platform.dma_event() {
+            Some(dma_event) => {
+                let target = self
+                    .platform
+                    .earliest_pe_event()
+                    .map_or(dma_event, |event| event.min(dma_event))
+                    .min(budget_end);
                 self.fast_forwarded_cycles += target - now;
-                if event == Some(target) {
-                    // Land one tick short, then run the eventful tick.
-                    self.platform.now = target - 1;
-                    self.cpu.cycles = target;
-                    if self.platform.tick() {
-                        self.cpu.interrupt();
-                    }
-                } else {
-                    // No event inside the budget: sleep straight to the
-                    // timeout boundary.
-                    self.platform.now = target;
-                    self.cpu.cycles = target;
-                }
+                target
             }
-        }
+            None => now + 1,
+        };
+        self.cpu.cycles = target;
+        self.catch_up_devices(target);
     }
 
     fn report(&self, outcome: RunOutcome, start_cycles: u64) -> RunReport {

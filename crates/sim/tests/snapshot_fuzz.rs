@@ -1,7 +1,8 @@
 //! Fuzz: `System::snapshot`/`restore` round-trips taken at random cut
-//! points — including mid-decoded-block, mid-wfi-fast-forward, and with
-//! multi-PE fabric jobs in flight — must leave resumed runs
-//! bit-identical to uninterrupted ones over seeded random workloads.
+//! points — including mid-decoded-block, mid-wfi-fast-forward, inside a
+//! bulk window over a polled DMA transfer, and with multi-PE fabric jobs
+//! in flight — must leave resumed runs bit-identical to uninterrupted
+//! ones over seeded random workloads.
 
 use neuropulsim_linalg::parallel::split_seed;
 use neuropulsim_linalg::RMatrix;
@@ -32,6 +33,10 @@ enum Workload {
     /// Work-queue GeMM sharded over a 3-PE fabric (primary + 2 extra
     /// PEs): cuts land while several devices hold in-flight jobs.
     Cluster,
+    /// The cluster scheduler with wide tiles: each polled DMA copy runs
+    /// for tens of cycles, so cuts land inside bulk windows that opened
+    /// over a transfer in flight.
+    ClusterWide,
     /// Two-layer MLP over PE 0 and PE 1, with the completion IRQ enabled
     /// on both and a `wfi` sleep on each: cuts land while an extra PE's
     /// interrupt is awaited or pending.
@@ -44,6 +49,7 @@ fn build_system(seed: u64, workload: Workload) -> (System, DramLayout, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = match workload {
         Workload::SoftwareHot => rng.gen_range(4usize..7),
+        Workload::ClusterWide => rng.gen_range(6usize..9),
         _ => rng.gen_range(2usize..7),
     };
     let batch = match workload {
@@ -51,6 +57,7 @@ fn build_system(seed: u64, workload: Workload) -> (System, DramLayout, usize) {
             let tile = rng.gen_range(1usize..3);
             tile * rng.gen_range(2usize..5) // several tiles to shard
         }
+        Workload::ClusterWide => 8 * rng.gen_range(2usize..4),
         Workload::SoftwareHot => rng.gen_range(8usize..13),
         Workload::TwoLayer => 1,
         _ => rng.gen_range(1usize..3),
@@ -71,16 +78,17 @@ fn build_system(seed: u64, workload: Workload) -> (System, DramLayout, usize) {
             sys.platform.pe_mut(0).load_matrix(&w);
             sys.load_firmware_source(&accel_offload(n, batch, layout));
         }
-        Workload::Cluster => {
+        Workload::Cluster | Workload::ClusterWide => {
             for _ in 0..2 {
                 sys.platform.add_pe();
             }
             for k in 0..sys.platform.pe_count() {
                 sys.platform.pe_mut(k).load_matrix(&w);
             }
+            let widest = if workload == Workload::Cluster { 2 } else { 8 };
             let tile = (1..=batch)
                 .rev()
-                .find(|t| batch % t == 0 && *t <= 2)
+                .find(|t| batch % t == 0 && *t <= widest)
                 .unwrap_or(1);
             sys.load_firmware_source(&cluster_offload(n, batch, 3, tile, layout));
         }
@@ -121,6 +129,10 @@ struct CutStats {
     /// Cuts taken with the CPU in `wfi` on, or not yet past, an extra
     /// PE's completion interrupt: PE 1 busy or its line raised.
     extra_pe_irq: usize,
+    /// Cuts taken while the CPU polled a DMA transfer in flight, after
+    /// the bulk scheduler had moved transfer words at in-window
+    /// accesses: the budget ended a bulk window mid-transfer.
+    dma_window: usize,
 }
 
 /// Runs `seed`'s workload uninterrupted, then re-runs it with a
@@ -153,6 +165,9 @@ fn check_cuts(seed: u64, workload: Workload, cuts: usize) -> CutStats {
             .any(|pe| pe.irq_line() || (pe.is_busy() && sys.cpu.waiting_for_interrupt))
         {
             stats.extra_pe_irq += 1;
+        }
+        if sys.platform.dma.is_busy() && !sys.cpu.waiting_for_interrupt && sys.bulk_dma_ticks > 0 {
+            stats.dma_window += 1;
         }
         let perf = sys.cpu.perf_counters();
         if perf.trace_hits > 0 {
@@ -384,5 +399,21 @@ fn snapshot_roundtrip_with_in_flight_fabric_jobs() {
     assert!(
         irq_cuts > 0,
         "no cut landed on an awaited or pending PE 1 interrupt"
+    );
+}
+
+#[test]
+fn snapshot_roundtrip_inside_a_busy_dma_bulk_window() {
+    // Wide cluster tiles make every polled DMA copy long enough that
+    // random cuts end a bulk window mid-transfer: the snapshot carries
+    // the engine's cursor with part of the copy applied in bulk, and
+    // both resume paths must still finish bit-identically.
+    let mut dma_cuts = 0;
+    for i in 0..8u64 {
+        dma_cuts += check_cuts(split_seed(0x5eed_d3a0, i), Workload::ClusterWide, 6).dma_window;
+    }
+    assert!(
+        dma_cuts > 0,
+        "no cut landed inside a bulk window over a DMA transfer"
     );
 }

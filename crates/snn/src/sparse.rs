@@ -755,11 +755,7 @@ impl EventNet {
     pub fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
         let t = self.tick;
         let n = self.v.len();
-        let workers = if self.tick_work(injections) < SERIAL_TICK_WORK {
-            1
-        } else {
-            self.threads.max(1).min(n)
-        };
+        let workers = self.tick_workers(injections);
         let mut fired: Vec<u32>;
         let mut stats = TickStats::default();
         if workers <= 1 {
@@ -869,6 +865,17 @@ impl EventNet {
         self.fired_prev = fired;
         self.tick = t + 1;
         &self.fired_prev
+    }
+
+    /// Workers the next [`EventNet::tick`] with `injections` runs on:
+    /// 1 below [`SERIAL_TICK_WORK`], else `threads` (at most one per
+    /// neuron). More than one means the tick takes the partitioned path.
+    pub fn tick_workers(&self, injections: &[(u32, f64)]) -> usize {
+        if self.tick_work(injections) < SERIAL_TICK_WORK {
+            1
+        } else {
+            self.threads.max(1).min(self.v.len())
+        }
     }
 
     /// The next tick's work: synapses of the fired rows plus
