@@ -25,7 +25,6 @@ struct BinaryResult {
     detail: String,
     instructions: u64,
     syscalls: u64,
-    block_conflict_evictions: u64,
     trace_conflict_evictions: u64,
 }
 
@@ -42,7 +41,6 @@ fn check_binary(
         detail,
         instructions: 0,
         syscalls: 0,
-        block_conflict_evictions: 0,
         trace_conflict_evictions: 0,
     };
     // Oracle lockstep first: any ISA-level divergence surfaces with the
@@ -84,7 +82,6 @@ fn check_binary(
         detail: format!("exit={expected_exit} stdout={expected_stdout:?}"),
         instructions: lockstep.instructions,
         syscalls: lockstep.syscalls,
-        block_conflict_evictions: perf.block_conflict_evictions,
         trace_conflict_evictions: perf.trace_conflict_evictions,
     }
 }
@@ -144,13 +141,12 @@ fn main() {
         .map(|b| {
             format!(
                 "{{\"name\": \"{}\", \"ok\": {}, \"instructions\": {}, \
-                 \"syscalls\": {}, \"block_conflict_evictions\": {}, \
-                 \"trace_conflict_evictions\": {}, \"detail\": \"{}\"}}",
+                 \"syscalls\": {}, \"trace_conflict_evictions\": {}, \
+                 \"detail\": \"{}\"}}",
                 b.name,
                 b.ok,
                 b.instructions,
                 b.syscalls,
-                b.block_conflict_evictions,
                 b.trace_conflict_evictions,
                 json_escape(&b.detail)
             )

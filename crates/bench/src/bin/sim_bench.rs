@@ -10,16 +10,15 @@
 //!   `bulk_dma_ticks` counts the DMA ticks applied in bulk there).
 //!
 //! Each workload runs with the fast paths off (seed interpreter,
-//! cycle-by-cycle `wfi`) and on (decoded-block cache + trace compiler +
-//! `wfi` fast-forward + horizon scheduler); the software workload also
-//! runs block-only (traces off) to isolate the trace layer's
-//! contribution. Every mode pair is checked bit-identical before
-//! anything is timed, and timed repetitions consume *prebuilt* systems
-//! so only `System::run` sits inside the timed op.
+//! cycle-by-cycle `wfi`) and on (bulk dispatch — compiled traces plus
+//! cold code decoded from memory — `wfi` fast-forward and the horizon
+//! scheduler). The two modes are checked bit-identical before anything
+//! is timed, and timed repetitions consume *prebuilt* systems so only
+//! `System::run` sits inside the timed op.
 //!
-//! Deterministic facts (bit-identity, instruction/cycle counts, block
-//! and trace counters) land in `payload`; wall-clock timings land in
-//! `measurements` and the headline `speedup` in `derived`. CI's
+//! Deterministic facts (bit-identity, instruction/cycle counts, bulk
+//! entry and trace counters) land in `payload`; wall-clock timings land
+//! in `measurements` and the headline `speedup` in `derived`. CI's
 //! determinism check compares `payload` only.
 //!
 //! Usage: `sim_bench [reps]` (default: 25 timed repetitions per mode).
@@ -39,11 +38,9 @@ const MAX_CYCLES: u64 = 20_000_000;
 /// Interpreter configuration under test.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    /// Seed interpreter: no block cache, no traces, per-cycle `wfi`.
+    /// Seed interpreter: no bulk dispatch, per-cycle `wfi`.
     Seed,
-    /// Decoded-block cache only (traces off) — the PR 4 configuration.
-    Block,
-    /// Block cache + trace compiler + `wfi` fast-forward.
+    /// Bulk dispatch (traces + decoded runs) + `wfi` fast-forward.
     Fast,
 }
 
@@ -77,8 +74,7 @@ fn build_system(workload: Workload, mode: Mode) -> System {
     let batch = workload.batch();
     let w = RMatrix::from_fn(N, N, |i, j| 0.4 * ((i as f64 - j as f64) * 0.31).sin());
     let mut sys = System::new();
-    sys.cpu.set_block_cache_enabled(mode != Mode::Seed);
-    sys.cpu.set_trace_compiler_enabled(mode == Mode::Fast);
+    sys.cpu.set_bulk_dispatch_enabled(mode == Mode::Fast);
     for v in 0..batch {
         let x: Vec<f64> = (0..N)
             .map(|k| 0.2 * ((v * N + k) as f64 * 0.17).cos())
@@ -144,16 +140,19 @@ fn identical(a: &ModeRun, b: &ModeRun, words: usize) -> bool {
 }
 
 /// Times `reps` runs of `(workload, mode)`, consuming prebuilt systems
-/// so the timed op is `System::run` alone. Returns the median ns. Each
-/// rep is paired with its own calibration sample, so host-load drift
-/// across the probe cancels out of `norm`.
+/// so the timed op is `System::run` alone: each spent system is kept
+/// until timing ends, so no rep pays for freeing one. Returns the median
+/// ns. Each rep is paired with its own calibration sample, so host-load
+/// drift across the probe cancels out of `norm`.
 fn time_runs(runner: &mut Runner, id: &str, reps: usize, workload: Workload, mode: Mode) -> f64 {
     let proto = build_system(workload, mode);
     let mut pool: Vec<System> = (0..reps).map(|_| proto.clone()).collect();
+    let mut spent: Vec<System> = Vec::with_capacity(reps);
     let meta = [("max_cycles", format!("{MAX_CYCLES}"))];
     runner.measure_ratio_with_meta(id, reps, &meta, || {
         let mut sys = pool.pop().expect("one system per rep");
         std::hint::black_box(sys.run(MAX_CYCLES));
+        spent.push(sys);
     })
 }
 
@@ -165,7 +164,6 @@ fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
          \"block_cache_hits\": {}, \
          \"block_cache_misses\": {}, \
          \"block_cache_hit_rate\": {:.4}, \
-         \"block_conflict_evictions\": {}, \
          \"traces_compiled\": {}, \
          \"trace_hits\": {}, \
          \"trace_conflict_evictions\": {}, \
@@ -177,7 +175,6 @@ fn payload_for(name: &str, fast: &ModeRun, perf: &PerfCounters) -> String {
         perf.block_hits,
         perf.block_misses,
         perf.block_hit_rate(),
-        perf.block_conflict_evictions,
         perf.traces_compiled,
         perf.trace_hits,
         perf.trace_conflict_evictions,
@@ -207,9 +204,8 @@ fn main() {
         // Identity first: the fast paths must not change a single
         // observable bit of the simulation, workload by workload.
         let seed = run_mode(workload, Mode::Seed);
-        let block = run_mode(workload, Mode::Block);
         let fast = run_mode(workload, Mode::Fast);
-        let ok = identical(&seed, &fast, words) && identical(&seed, &block, words);
+        let ok = identical(&seed, &fast, words);
         if !ok {
             eprintln!(
                 "sim_bench: {} diverged from the seed interpreter",
@@ -253,21 +249,6 @@ fn main() {
             &format!("{key}_fast_instructions_per_sec"),
             format!("{:.0}", instructions / (fast_ns * 1e-9)),
         );
-        if workload == Workload::Software {
-            // Block-only (traces off) isolates the trace compiler's
-            // contribution on the dispatch-dominated workload.
-            let block_ns = time_runs(
-                &mut runner,
-                "sim_software/block",
-                reps,
-                workload,
-                Mode::Block,
-            );
-            runner.derived(
-                &format!("{key}_trace_speedup_vs_block"),
-                format!("{:.2}", block_ns / fast_ns),
-            );
-        }
         if workload == Workload::Offload {
             offload_ff_cycles = fast.sys.fast_forwarded_cycles;
             runner.derived("speedup", format!("{:.2}", baseline_ns / fast_ns));

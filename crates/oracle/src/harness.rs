@@ -4,12 +4,10 @@
 //! [`ConformanceReport`].
 //!
 //! Determinism contract: the report depends only on `(seed, cases,
-//! domains, inject)`. Case seeds derive from
-//! [`split_seed`](neuropulsim_linalg::parallel::split_seed), cases run
-//! through the order-preserving
-//! [`par_map_indexed`](neuropulsim_linalg::parallel::par_map_indexed),
-//! and aggregation is sequential, so the JSON is byte-identical across
-//! runs and thread counts.
+//! domains, inject)`. Case seeds derive from [`split_seed`], cases run
+//! through the order-preserving [`par_map_indexed`], and aggregation is
+//! sequential, so the JSON is byte-identical across runs and thread
+//! counts.
 
 use crate::{abft_ref, decomp_ref, linalg_ref, pcm_ref, rv32_ref, snn_ref};
 use neuropulsim_core::abft::AbftWeights;
@@ -987,7 +985,7 @@ fn riscv_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> Cas
 
     let mut fast_mem = FlatMemory::new(RV_MEM_BYTES);
     fast_mem.load_words(0, &words);
-    let mut fast_cpu = Cpu::new(0); // decoded-block cache on by default
+    let mut fast_cpu = Cpu::new(0); // bulk dispatch (traces) on by default
     let fast_exit = fast_cpu.run_counted(&mut fast_mem, RV_BUDGET);
 
     let mut ref_mem = rv32_ref::RefMemory::new(RV_MEM_BYTES);

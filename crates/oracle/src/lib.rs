@@ -2,7 +2,7 @@
 //!
 //! Every optimized fast path in the workspace — the SoA/blocked matmul
 //! kernels, [`CompiledMesh`](neuropulsim_core::program::CompiledMesh)
-//! plans, the vectorized ABFT checksums, the decoded-block RV32IM
+//! plans, the vectorized ABFT checksums, the trace-compiling RV32IM
 //! interpreter with wfi fast-forward, and the array-of-neurons SNN
 //! stepper — has a deliberately slow, obviously-correct counterpart in
 //! this crate, mirrored from the spec rather than from the optimized

@@ -6,13 +6,14 @@
 //! merging, branch polarity, CSR counters, …) — and runs each program
 //! twice against the reference stepper ([`crate::rv32_ref`]):
 //!
-//! 1. **Precise lockstep**: the production [`Cpu`] single-steps with
-//!    its block cache disabled, and after *every* retired instruction
-//!    the full architectural state (pc, all 32 registers, `mcycle`,
-//!    `minstret`) must equal the reference hart's.
-//! 2. **Cached replay**: a fresh [`Cpu`] with the decoded-block cache
-//!    and trace compiler enabled runs the same program to completion;
-//!    its final state and halt cause must match the reference.
+//! 1. **Precise lockstep**: the production [`Cpu`] single-steps through
+//!    [`Cpu::step`], which never enters bulk dispatch, and after *every*
+//!    retired instruction the full architectural state (pc, all 32
+//!    registers, `mcycle`, `minstret`) must equal the reference hart's.
+//! 2. **Cached replay**: a fresh [`Cpu`] with bulk dispatch on (hot
+//!    code in compiled traces, cold code decoded from memory) runs the
+//!    same program to completion; its final state, halt cause and memory
+//!    must match.
 //!
 //! The same machinery extends to whole ELF binaries:
 //! [`lockstep_elf`] loads an ELF32 executable into both harts, steps
@@ -234,6 +235,18 @@ pub fn cases() -> Vec<MatrixCase> {
             "hot_branch_to_fallthrough",
             "li t0, 20\nli a0, 0\nloop:\nandi t1, t0, 1\nbeqz t1, next\nnext:\naddi a0, a0, 1\nbnez t1, next2\nnext2:\naddi t0, t0, -1\nbnez t0, loop\necall",
         ),
+        // Traces stop at `jalr`, so in hot code it runs only through
+        // decoding from memory, between traces on either side of it.
+        case(
+            "hot_call_ret",
+            "li t0, 20\nli a0, 0\nloop:\ncall fn\naddi t0, t0, -1\nbnez t0, loop\necall\nfn:\naddi a0, a0, 3\nxor a0, a0, t0\nret",
+        ),
+        // A computed jump whose target alternates with t0's parity:
+        // pc L+16 jumps to L+24 (even) or L+32 (odd).
+        case(
+            "hot_computed_jump",
+            "li t0, 20\nli a0, 0\nloop:\nauipc t1, 0\nandi t2, t0, 1\nslli t2, t2, 3\nadd t1, t1, t2\njalr ra, 24(t1)\naddi a0, a0, 100\naddi a0, a0, 5\nj join\nxor a0, a0, ra\njoin:\nadd a0, a0, ra\naddi t0, t0, -1\nbnez t0, loop\necall",
+        ),
     ]
 }
 
@@ -331,7 +344,7 @@ pub fn lockstep_source(name: &str, source: &str, max_cycles: u64) -> Result<u64,
         }
     };
 
-    // Pass 2: cached replay — block cache and trace compiler on.
+    // Pass 2: cached replay — bulk dispatch on: traces and decoded runs.
     let mut mem2 = FlatMemory::new(CASE_MEM);
     mem2.load_words(0, &words);
     let mut cached = Cpu::new(0);

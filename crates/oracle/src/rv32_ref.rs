@@ -1,5 +1,5 @@
 //! Single-instruction-at-a-time RV32IM reference stepper: its own
-//! decoder, its own flat memory, no decoded-block cache, no wfi
+//! decoder, its own flat memory, no compiled traces, no wfi
 //! fast-forward, no bulk fetch accounting. Written against the RISC-V
 //! unprivileged spec (RV32I base + M extension) plus the workspace's
 //! documented cost model and CSR map, so it can adjudicate the
@@ -195,9 +195,9 @@ impl RefCpu {
             CSR_MCYCLE => self.cycles as u32,
             CSR_MINSTRET => self.instret as u32,
             CSR_MSCRATCH => self.mscratch,
-            // Micro-architectural counters (block-cache hit/miss) do
-            // not exist here; the spec reads them as zero on a
-            // cache-less hart, and conformance programs must not
+            // Micro-architectural counters (traced/decoded bulk
+            // entries) do not exist here; the spec reads them as zero
+            // on a trace-less hart, and conformance programs must not
             // depend on them.
             _ => 0,
         }

@@ -97,8 +97,8 @@ pub trait Bus {
     /// Instruction fetch: must be observably identical to [`Bus::load_word`]
     /// (same value, same faults, same access accounting). Implementations
     /// backed by plain RAM may override it with a leaner single-bounds-check
-    /// path; the decoded-block interpreter issues all fetches through this
-    /// hook.
+    /// path; the precise interpreter ([`crate::cpu::Cpu::step`]) issues
+    /// all its fetches through this hook.
     ///
     /// # Errors
     ///
@@ -108,10 +108,11 @@ pub trait Bus {
     }
 
     /// Side-effect-free read of the aligned word containing `addr`, used by
-    /// the decoded-block cache to pre-decode straight-line code without
-    /// charging access counters or latency. Returning `None` marks the
-    /// address as uncacheable (e.g. device registers); the interpreter then
-    /// falls back to plain fetch-and-decode there.
+    /// the bulk interpreter and the trace compiler to decode code without
+    /// charging access counters or latency (the bulk path charges
+    /// fetches through [`Bus::charge_fetches`]). Returning `None` marks
+    /// the address as not bulk-decodable (e.g. device registers); the
+    /// interpreter then falls back to plain fetch-and-decode there.
     fn peek_word(&self, addr: u32) -> Option<u32> {
         let _ = addr;
         None

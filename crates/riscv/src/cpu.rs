@@ -1,7 +1,7 @@
 //! The RV32IM interpreter core with a simple cycle-accounting model —
 //! the host processor of the gem5-style full-system simulation (paper §5).
 
-use crate::block::{BlockCache, DecodedBlock, PerfCounters};
+use crate::block::PerfCounters;
 use crate::bus::{Bus, BusFault};
 use crate::isa::{decode, Instruction};
 use crate::trace::{CompiledTrace, SideExit, TraceEngine};
@@ -16,10 +16,12 @@ pub mod csr {
     pub const MINSTRET: u16 = 0xB02;
     /// Scratch register.
     pub const MSCRATCH: u16 = 0x340;
-    /// Decoded-block cache hits (read-only, `mhpmcounter3` slot).
-    pub const BLOCK_HITS: u16 = 0xB03;
-    /// Decoded-block cache misses (read-only, `mhpmcounter4` slot).
-    pub const BLOCK_MISSES: u16 = 0xB04;
+    /// Bulk entries served by a compiled trace (read-only,
+    /// `mhpmcounter3` slot).
+    pub const TRACED_ENTRIES: u16 = 0xB03;
+    /// Bulk entries run by decoding from memory, counted as each run
+    /// ends (read-only, `mhpmcounter4` slot).
+    pub const DECODED_ENTRIES: u16 = 0xB04;
     /// Trace dispatches (read-only, `mhpmcounter5` slot).
     pub const TRACE_HITS: u16 = 0xB05;
     /// Trace side exits of any kind (read-only, `mhpmcounter6` slot).
@@ -40,8 +42,8 @@ pub enum Halt {
 /// The result of a bounded run, with exact cycle accounting.
 ///
 /// `cycles_consumed` reports the cycles actually spent, which can exceed
-/// the requested budget when the final instruction (or cached block tail)
-/// completes past the limit — the seed `run` reported the cap in that
+/// the requested budget when the final instruction completes past the
+/// limit — the seed `run` reported the cap in that
 /// case, losing the overshoot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunExit {
@@ -163,7 +165,7 @@ impl CpuSnapshot {
 /// view: keep going in the bulk loop, or hand off to the caller.
 enum TraceOutcome {
     /// The trace exited with `pc` somewhere dispatchable — re-enter the
-    /// bulk loop (trace lookup, then block dispatch).
+    /// bulk loop (trace lookup, then decoding from memory).
     Continue,
     /// The bulk window must end (budget, or an MMIO access the bus
     /// declined / closed the window on): return to the caller.
@@ -186,18 +188,18 @@ pub struct Cpu {
     mscratch: u32,
     /// Set while the core sleeps in `wfi`.
     pub waiting_for_interrupt: bool,
-    /// Decoded-block cache (microarchitectural — excluded from equality).
-    block_cache: BlockCache,
-    /// In-block dispatch position: `(slot, next op index)`.
-    cursor: Option<(usize, usize)>,
+    /// Bulk dispatch switch: on, [`Cpu::run_cached_span`] runs traces
+    /// and decodes cold code from memory; off, the core is the seed
+    /// interpreter.
+    bulk_dispatch: bool,
     /// Trace engine: hot-path superblocks stitched across taken
     /// branches (microarchitectural — excluded from equality).
     traces: TraceEngine,
 }
 
-/// Equality covers architectural and timing state only: the decoded-block
-/// cache and dispatch cursor are microarchitectural accelerator state and
-/// two cores that differ only there are observably identical.
+/// Equality covers architectural and timing state only: the trace engine
+/// and the bulk-dispatch switch are microarchitectural, and two cores
+/// that differ only there are observably identical.
 impl PartialEq for Cpu {
     fn eq(&self, other: &Self) -> bool {
         self.regs == other.regs
@@ -221,8 +223,7 @@ impl Cpu {
             cycle_model: CycleModel::default(),
             mscratch: 0,
             waiting_for_interrupt: false,
-            block_cache: BlockCache::default(),
-            cursor: None,
+            bulk_dispatch: true,
             traces: TraceEngine::default(),
         }
     }
@@ -261,8 +262,8 @@ impl Cpu {
         }
     }
 
-    /// Restores the state captured by [`Cpu::snapshot`]. Cached decoded
-    /// blocks are dropped: memory has typically been rewound with the
+    /// Restores the state captured by [`Cpu::snapshot`]. Compiled traces
+    /// are dropped: memory has typically been rewound with the
     /// architectural state.
     pub fn restore(&mut self, snapshot: &CpuSnapshot) {
         self.regs = snapshot.regs;
@@ -272,67 +273,53 @@ impl Cpu {
         self.cycle_model = snapshot.cycle_model;
         self.mscratch = snapshot.mscratch;
         self.waiting_for_interrupt = snapshot.waiting_for_interrupt;
-        self.invalidate_blocks();
+        self.invalidate_traces();
     }
 
-    /// Drops every cached decoded block and compiled trace (and the
-    /// in-block cursor). Called on restore, on stores into cached code,
-    /// and by hosts before resuming a CPU whose memory they rewrote
-    /// behind its back. Traces re-profile and recompile within a few
-    /// block entries, so hosts may call this liberally.
-    pub fn invalidate_blocks(&mut self) {
-        self.block_cache.invalidate_all();
-        self.cursor = None;
+    /// Drops every compiled trace and the profile behind them. Called on
+    /// restore, on stores into traced code, and by hosts before resuming
+    /// a CPU whose memory they rewrote behind its back. Traces
+    /// re-profile and recompile within a few bulk entries, so hosts may
+    /// call this liberally.
+    pub fn invalidate_traces(&mut self) {
         self.traces.invalidate();
     }
 
     /// Tells the interpreter that an agent other than this CPU — a DMA
     /// engine, an accelerator, host-side pokes — may have written the
-    /// byte range `[lo, hi)`. Cached blocks overlapping it are dropped
-    /// so the bulk dispatch path re-decodes from memory. The range may
-    /// be over-approximated freely.
+    /// byte range `[lo, hi)`. Traces are dropped when it overlaps their
+    /// code, so the next bulk entry reads memory afresh. The range may be
+    /// over-approximated freely.
     pub fn note_external_writes(&mut self, lo: u32, hi: u32) {
-        if self.block_cache.overlaps(lo, hi) {
-            self.invalidate_blocks();
+        if self.traces.overlaps(lo, hi) {
+            self.traces.invalidate();
         }
     }
 
-    /// Post-store hook: a write into watched code drops the decoded
-    /// blocks so the very next instruction re-decodes from memory.
+    /// Post-store hook: a write into traced code drops the traces so the
+    /// very next instruction is read from memory.
     #[inline]
     fn note_store(&mut self, addr: u32) {
-        if self.block_cache.watches(addr) {
-            self.invalidate_blocks();
+        if self.traces.watches(addr) {
+            self.traces.invalidate();
         }
     }
 
-    /// Enables or disables decoded-block dispatch (on by default).
-    /// Disabling reproduces the seed fetch-and-decode interpreter
-    /// exactly, which is how the benchmarks A/B the two paths.
-    pub fn set_block_cache_enabled(&mut self, enabled: bool) {
-        self.block_cache.set_enabled(enabled);
-        self.cursor = None;
-        // Traces only ever run under bulk dispatch; drop them so an A/B
-        // run starts from a cold microarchitectural state either way.
+    /// Enables or disables bulk dispatch (on by default): compiled
+    /// traces, and cold code decoded from memory, retiring in bulk in
+    /// [`Cpu::run_cached_span`]. Disabling reproduces the seed
+    /// fetch-and-decode interpreter exactly, which is how tests and
+    /// benchmarks A/B the two paths.
+    pub fn set_bulk_dispatch_enabled(&mut self, enabled: bool) {
+        self.bulk_dispatch = enabled;
+        // An A/B run starts from a cold microarchitectural state either
+        // way.
         self.traces.invalidate();
     }
 
-    /// Whether decoded-block dispatch is enabled.
-    pub fn block_cache_enabled(&self) -> bool {
-        self.block_cache.is_enabled()
-    }
-
-    /// Enables or disables the trace (superblock) tier independently of
-    /// the block cache (on by default). With traces off, bulk dispatch
-    /// runs pure decoded-block spans — the PR 4 configuration — which is
-    /// how the benchmarks isolate the trace layer's contribution.
-    pub fn set_trace_compiler_enabled(&mut self, enabled: bool) {
-        self.traces.set_enabled(enabled);
-    }
-
-    /// Whether the trace tier is enabled.
-    pub fn trace_compiler_enabled(&self) -> bool {
-        self.traces.is_enabled()
+    /// Whether bulk dispatch is enabled.
+    pub fn bulk_dispatch_enabled(&self) -> bool {
+        self.bulk_dispatch
     }
 
     /// Read access to the trace engine (profile and exit statistics).
@@ -341,14 +328,13 @@ impl Cpu {
     }
 
     /// Snapshot of the hardware counters (`mcycle`/`minstret` plus the
-    /// block-cache and trace-engine statistics) for self-reported cost.
+    /// bulk-entry and trace-engine statistics) for self-reported cost.
     pub fn perf_counters(&self) -> PerfCounters {
         PerfCounters {
             cycles: self.cycles,
             instret: self.instret,
-            block_hits: self.block_cache.hits,
-            block_misses: self.block_cache.misses,
-            block_conflict_evictions: self.block_cache.conflict_evictions,
+            block_hits: self.traces.traced_entries,
+            block_misses: self.traces.decoded_entries,
             trace_hits: self.traces.hits,
             traces_compiled: self.traces.compiled,
             trace_conflict_evictions: self.traces.conflict_evictions,
@@ -365,8 +351,8 @@ impl Cpu {
             csr::MCYCLE => self.cycles as u32,
             csr::MINSTRET => self.instret as u32,
             csr::MSCRATCH => self.mscratch,
-            csr::BLOCK_HITS => self.block_cache.hits as u32,
-            csr::BLOCK_MISSES => self.block_cache.misses as u32,
+            csr::TRACED_ENTRIES => self.traces.traced_entries as u32,
+            csr::DECODED_ENTRIES => self.traces.decoded_entries as u32,
             csr::TRACE_HITS => self.traces.hits as u32,
             csr::TRACE_EXITS => self.traces.total_exits() as u32,
             _ => 0,
@@ -646,29 +632,37 @@ impl Cpu {
         Ok(())
     }
 
-    /// Executes cached instructions in a tight dispatch loop until the
-    /// cycle budget is met, the program halts, traps, or sleeps, or the
-    /// path needs the precise per-instruction interpreter.
+    /// Retires instructions in bulk until the cycle budget is met, the
+    /// program halts, traps, or sleeps, or the path needs the precise
+    /// per-instruction interpreter. Each entry at `pc` runs the compiled
+    /// trace starting there (compiling one when the entry makes `pc`
+    /// hot); code without a trace is decoded from memory, one run at a
+    /// time up to the next control transfer. Those runs are the trace
+    /// engine's profile source: every entry counts towards
+    /// [`crate::trace::HOT_THRESHOLD`] and every conditional branch
+    /// records its direction.
     ///
     /// The caller must guarantee a *quiet window*: nothing outside this
     /// CPU changes state the span can observe, except what
     /// [`Bus::mmio_prologue`] applies before an access (no interrupt can
-    /// rise, no decoded code goes stale), and `bus.charge_fetches`
+    /// rise, no compiled code goes stale), and `bus.charge_fetches`
     /// accepts the code region. A bus whose devices move memory words
     /// while the span runs passes `mmio_floor = 0`, so every load and
     /// store meets the prologue and sees memory as of its own cycle.
     ///
     /// Within the window the observables match the seed interpreter
     /// exactly: each retired (or trapped) instruction is charged one
-    /// fetch in bulk, stores into cached code invalidate and force a
-    /// re-decode before the next instruction, and loads/stores whose
+    /// fetch in bulk, stores into traced code invalidate the traces
+    /// before the next instruction, and loads/stores whose
     /// effective address reaches `mmio_floor` are gated through
     /// [`Bus::mmio_prologue`] / [`Bus::mmio_epilogue`]: the bus either
     /// executes them in place with its devices synced (leaving the
     /// window when the access starts device work or raises an
     /// interrupt), or declines, in which
     /// case the access is left **unexecuted** for the caller to run
-    /// through [`Cpu::step`] under the full per-cycle protocol.
+    /// through [`Cpu::step`] under the full per-cycle protocol. A word
+    /// [`Bus::peek_word`] cannot read or that does not decode is left
+    /// to [`Cpu::step`] as well, which reproduces the seed trap.
     /// Returning with no cycles consumed means exactly that: the caller
     /// must make progress via the precise path.
     ///
@@ -682,100 +676,31 @@ impl Cpu {
         mmio_floor: u32,
     ) -> Result<Option<Halt>, Trap> {
         use Instruction::*;
-        if !self.block_cache.is_enabled() {
+        if !self.bulk_dispatch {
             return Ok(None);
         }
+        // Traces are pre-costed: a changed timing model drops them.
+        self.traces.sync_model(&self.cycle_model);
         while self.cycles < budget_end && !self.waiting_for_interrupt {
-            // Resume mid-block through the cursor when it still points at
-            // `pc` (the previous span left at its budget or after an MMIO
-            // access closed the window); otherwise this is a block entry.
-            // A resume is a cache hit: the dispatch is served from the
-            // decoded block without touching memory.
-            let resume = self.cursor.filter(|&(slot, idx)| {
-                self.block_cache.block(slot).is_some_and(|b| {
-                    idx < b.ops.len() && b.start.wrapping_add(4 * idx as u32) == self.pc
-                })
-            });
-            // Trace tier: a block entry (never a mid-block resume) first
-            // tries the compiled superblock starting here, then — when
-            // the entry crosses the heat threshold — compiles one and
-            // runs it immediately.
-            if resume.is_none() && self.traces.is_enabled() {
-                // Traces are pre-costed: a changed timing model drops them.
-                self.traces.sync_model(&self.cycle_model);
-                let mut trace = self.traces.lookup(self.pc).cloned();
-                if trace.is_none() && self.traces.note_entry(self.pc) {
-                    let edges = self.traces.edges();
-                    trace =
-                        crate::trace::compile(&*bus, self.pc, edges, &self.cycle_model).map(|t| {
-                            // Store invalidation must reach compiled
-                            // traces: widen the block-cache watch window
-                            // over every trace segment.
-                            for (lo, hi) in t.watch_ranges() {
-                                self.block_cache.widen_watch(lo, hi);
-                            }
-                            self.traces.insert(t)
-                        });
-                }
-                if let Some(trace) = trace {
-                    self.traces.hits += 1;
-                    match self.run_trace(bus, &trace, budget_end, mmio_floor)? {
-                        TraceOutcome::Continue => continue,
-                        TraceOutcome::Leave => return Ok(None),
-                    }
+            if let Some(trace) = self.traces.enter(&*bus, self.pc) {
+                match self.run_trace(bus, &trace, budget_end, mmio_floor)? {
+                    TraceOutcome::Continue => continue,
+                    TraceOutcome::Leave => return Ok(None),
                 }
             }
-            let (slot, start_idx) = match resume {
-                Some(position) => {
-                    self.block_cache.hits += 1;
-                    position
-                }
-                None => {
-                    let entry_pc = self.pc;
-                    let slot = self.block_cache.slot_of(entry_pc);
-                    if self
-                        .block_cache
-                        .block(slot)
-                        .is_some_and(|b| b.start == entry_pc)
-                    {
-                        self.block_cache.hits += 1;
-                    } else {
-                        match DecodedBlock::build(&*bus, entry_pc) {
-                            Some(b) => {
-                                self.block_cache.misses += 1;
-                                self.block_cache.insert(b);
-                            }
-                            // Unpeekable or undecodable entry: the precise
-                            // path reproduces the seed behavior (including
-                            // the trap).
-                            None => return Ok(None),
-                        }
-                    }
-                    (slot, 0)
-                }
-            };
-            self.cursor = None;
-            let span_pc = self.pc;
-            let mut idx = start_idx;
+            let run_pc = self.pc;
             let mut executed = 0u32;
             let mut leave = false;
-            // Re-borrow each iteration: a store into cached code may
-            // have invalidated the block mid-run. The position check
-            // also re-validates the block identity.
-            while let Some(block) = self.block_cache.block(slot) {
-                if block.start.wrapping_add(4 * idx as u32) != self.pc {
-                    break;
-                }
-                let Some(&inst) = block.ops.get(idx) else {
+            while self.cycles < budget_end {
+                let pc = self.pc;
+                let Some(inst) = bus.peek_word(pc).and_then(|word| decode(word).ok()) else {
                     break;
                 };
-                if self.cycles >= budget_end {
-                    leave = true;
-                    break;
-                }
-                // Memory ops that might leave plain RAM take the precise
-                // path — checked against the effective address before any
-                // side effect happens.
+                // Memory ops that might leave plain RAM are checked
+                // against the effective address before any side effect:
+                // the bus may run them in place, with its devices synced
+                // up to the access cycle, or decline them to the precise
+                // path.
                 let touches_mmio = match inst {
                     Lb { rs1, offset, .. }
                     | Lh { rs1, offset, .. }
@@ -789,78 +714,59 @@ impl Cpu {
                     }
                     _ => false,
                 };
-                // Device accesses may still run here when the bus can
-                // sync its devices in place (up to the access cycle);
-                // otherwise they bail to the precise path.
                 if touches_mmio && !self.mmio_prologue(bus, inst) {
                     leave = true;
                     break;
                 }
-                let pc = self.pc;
                 match self.execute(bus, inst, pc) {
-                    Ok(None) => {
-                        executed += 1;
-                        idx += 1;
-                        // Feed the trace compiler's edge profile: which
-                        // way did this conditional branch retire?
-                        if self.traces.is_enabled()
-                            && matches!(
-                                inst,
-                                Beq { .. }
-                                    | Bne { .. }
-                                    | Blt { .. }
-                                    | Bge { .. }
-                                    | Bltu { .. }
-                                    | Bgeu { .. }
-                            )
-                        {
-                            self.traces.record_edge(pc, self.pc != pc.wrapping_add(4));
-                        }
-                        if self.waiting_for_interrupt || self.pc != pc.wrapping_add(4) {
-                            break;
-                        }
-                        // A device access that started work or raised an
-                        // interrupt ends the quiet window: hand off with
-                        // the access already retired.
-                        if touches_mmio && !bus.mmio_epilogue() {
-                            leave = true;
-                            break;
-                        }
-                    }
+                    Ok(None) => executed += 1,
                     Ok(Some(halt)) => {
-                        executed += 1;
-                        let charged = bus.charge_fetches(span_pc, executed);
-                        debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
+                        self.end_decoded_run(bus, run_pc, executed + 1);
                         return Ok(Some(halt));
                     }
                     Err(trap) => {
                         // The trapped instruction was fetched before it
                         // trapped, exactly as in the seed.
-                        executed += 1;
-                        let charged = bus.charge_fetches(span_pc, executed);
-                        debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
+                        self.end_decoded_run(bus, run_pc, executed + 1);
                         return Err(trap);
                     }
                 }
+                match inst {
+                    Beq { .. }
+                    | Bne { .. }
+                    | Blt { .. }
+                    | Bge { .. }
+                    | Bltu { .. }
+                    | Bgeu { .. } => {
+                        self.traces.record_edge(pc, self.pc != pc.wrapping_add(4));
+                        break;
+                    }
+                    Jal { .. } | Jalr { .. } | Wfi => break,
+                    // A device access that started work or raised an
+                    // interrupt ends the quiet window: hand off with the
+                    // access already retired.
+                    _ if touches_mmio && !bus.mmio_epilogue() => {
+                        leave = true;
+                        break;
+                    }
+                    _ => {}
+                }
             }
             if executed > 0 {
-                let charged = bus.charge_fetches(span_pc, executed);
-                debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
+                self.end_decoded_run(bus, run_pc, executed);
             }
-            if leave {
-                // Remember the in-block position so the next span
-                // resumes here without re-decoding when `pc` has not
-                // moved in between.
-                self.cursor = Some((slot, idx));
-                return Ok(None);
-            }
-            if executed == 0 && start_idx == 0 {
-                // The very first instruction of a freshly entered block
-                // needs the precise path: no progress was made.
+            if leave || executed == 0 {
                 return Ok(None);
             }
         }
         Ok(None)
+    }
+
+    /// Closes a decoded run of `executed` instructions from `pc`: charges
+    /// their fetches in bulk and counts the entry.
+    fn end_decoded_run<B: Bus + ?Sized>(&mut self, bus: &mut B, pc: u32, executed: u32) {
+        charge(bus, pc, executed);
+        self.traces.decoded_entries += 1;
     }
 
     /// Executes one compiled trace (looping in place while it keeps
@@ -878,15 +784,15 @@ impl Cpu {
     ///    invalidated the trace;
     /// 3. before a CSR op or a device-space access, which then run
     ///    through [`Cpu::execute`] with the MMIO prologue/epilogue gating
-    ///    of block dispatch, and at a faulting RAM access (the trap keeps
+    ///    of decoded runs, and at a faulting RAM access (the trap keeps
     ///    its pc and counters);
     /// 4. at the budget. A pass whose last op issues before `budget_end`
     ///    even in the worst case skips the per-op budget test.
     ///
     /// Fetches are charged in bulk per contiguous code segment.
-    // Kept out of line: inlined into `run_cached_span`, the executor
-    // shares registers with the block dispatcher and `fw-software` runs
-    // about 10% slower.
+    // Kept out of line, so the executor does not share registers with
+    // the decode loop of `run_cached_span`: inlined next to the former
+    // block dispatcher there, it made `fw-software` about 10% slower.
     #[inline(never)]
     fn run_trace<B: Bus + ?Sized>(
         &mut self,
@@ -899,14 +805,13 @@ impl Cpu {
         let entry_generation = self.traces.generation;
         // Charges `executed` fetches against the trace's contiguous
         // code segments, in execution order.
-        fn charge<B: Bus + ?Sized>(bus: &mut B, trace: &CompiledTrace, mut executed: u32) {
+        fn charge_trace<B: Bus + ?Sized>(bus: &mut B, trace: &CompiledTrace, mut executed: u32) {
             for &(seg_pc, seg_len) in &trace.segments {
                 if executed == 0 {
                     break;
                 }
                 let count = executed.min(seg_len);
-                let charged = bus.charge_fetches(seg_pc, count);
-                debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
+                charge(bus, seg_pc, count);
                 executed -= count;
             }
         }
@@ -924,7 +829,7 @@ impl Cpu {
                     self.cycles = issue;
                     self.instret = instret0 + k as u64;
                     self.traces.exits[SideExit::Budget as usize] += 1;
-                    charge(bus, trace, retired);
+                    charge_trace(bus, trace, retired);
                     return Ok(TraceOutcome::Leave);
                 }
                 if let Some((next, taken)) = self.exec_reg(op.inst, op.pc) {
@@ -936,7 +841,7 @@ impl Cpu {
                         // somewhere the compiler did not predict.
                         if next != op.expected_next {
                             self.traces.exits[SideExit::Guard as usize] += 1;
-                            charge(bus, trace, retired + 1);
+                            charge_trace(bus, trace, retired + 1);
                             return Ok(TraceOutcome::Continue);
                         }
                         // A branch to its own fall-through: on the path,
@@ -958,7 +863,7 @@ impl Cpu {
                                 // The trapped instruction was fetched
                                 // before it trapped, exactly as in the
                                 // seed.
-                                charge(bus, trace, retired + 1);
+                                charge_trace(bus, trace, retired + 1);
                                 return Err(Trap::MemoryFault { pc: op.pc, fault });
                             }
                             // A store of this very trace may have
@@ -970,7 +875,7 @@ impl Cpu {
                                 self.cycles = issue + op.cost;
                                 self.instret = instret0 + k as u64 + 1;
                                 self.traces.exits[SideExit::Invalidated as usize] += 1;
-                                charge(bus, trace, retired + 1);
+                                charge_trace(bus, trace, retired + 1);
                                 return Ok(TraceOutcome::Continue);
                             }
                             continue;
@@ -985,13 +890,13 @@ impl Cpu {
                 self.instret = instret0 + k as u64;
                 if device && !self.mmio_prologue(bus, op.inst) {
                     self.traces.exits[SideExit::Mmio as usize] += 1;
-                    charge(bus, trace, retired);
+                    charge_trace(bus, trace, retired);
                     return Ok(TraceOutcome::Leave);
                 }
                 match self.execute(bus, op.inst, op.pc) {
                     Ok(halt) => debug_assert!(halt.is_none(), "trace ops never halt"),
                     Err(trap) => {
-                        charge(bus, trace, retired + 1);
+                        charge_trace(bus, trace, retired + 1);
                         return Err(trap);
                     }
                 }
@@ -999,12 +904,12 @@ impl Cpu {
                 debug_assert_eq!(self.cycles, issue + op.cost);
                 if op.store && self.traces.generation != entry_generation {
                     self.traces.exits[SideExit::Invalidated as usize] += 1;
-                    charge(bus, trace, retired + 1);
+                    charge_trace(bus, trace, retired + 1);
                     return Ok(TraceOutcome::Continue);
                 }
                 if device && !bus.mmio_epilogue() {
                     self.traces.exits[SideExit::Mmio as usize] += 1;
-                    charge(bus, trace, retired + 1);
+                    charge_trace(bus, trace, retired + 1);
                     return Ok(TraceOutcome::Leave);
                 }
             }
@@ -1013,7 +918,7 @@ impl Cpu {
             self.pc = last.expected_next;
             self.cycles = base.wrapping_add(last.prefix + last.cost);
             self.instret = instret0 + trace.ops.len() as u64;
-            charge(bus, trace, trace.ops.len() as u32);
+            charge_trace(bus, trace, trace.ops.len() as u32);
             if trace.loops && self.cycles < budget_end {
                 // The tail predicted back to the entry and was right:
                 // iterate in place without a re-dispatch.
@@ -1068,7 +973,7 @@ impl Cpu {
         // With no devices on the bus every window is quiet, so the bulk
         // span runs whenever the bus supports it (`charge_fetches`
         // probe); the precise path picks up whatever it leaves behind.
-        let bulk = self.block_cache.is_enabled();
+        let bulk = self.bulk_dispatch;
         while self.cycles < limit {
             if bulk && !self.waiting_for_interrupt && bus.charge_fetches(self.pc, 0) {
                 let before = self.cycles;
@@ -1099,6 +1004,14 @@ impl Cpu {
     pub fn run<B: Bus + ?Sized>(&mut self, bus: &mut B, max_cycles: u64) -> Result<Halt, Trap> {
         Ok(self.run_counted(bus, max_cycles)?.halt)
     }
+}
+
+/// Charges `count` bulk fetches of the code from `pc` on; the quiet
+/// window guarantees the bus accepts them.
+#[inline(always)]
+fn charge<B: Bus + ?Sized>(bus: &mut B, pc: u32, count: u32) {
+    let charged = bus.charge_fetches(pc, count);
+    debug_assert!(charged, "quiet window requires bulk-chargeable fetches");
 }
 
 #[cfg(test)]
@@ -1664,7 +1577,7 @@ mod tests {
 
             let mut fast = Cpu::new(0);
             let mut slow = Cpu::new(0);
-            slow.set_block_cache_enabled(false);
+            slow.set_bulk_dispatch_enabled(false);
 
             let rf = fast.run(&mut mem_fast, 100_000);
             let rs = slow.run(&mut mem_slow, 100_000);
@@ -1782,7 +1695,7 @@ mod tests {
         let mut mem = FlatMemory::new(4096);
         mem.load_words(0, code);
         let mut cpu = Cpu::new(0);
-        cpu.set_block_cache_enabled(cached);
+        cpu.set_bulk_dispatch_enabled(cached);
         let mut exits = vec![cpu.run_counted(&mut mem, budget)];
         let compiled = cpu.trace_engine().compiled;
         if let Some(model) = then {
@@ -1830,9 +1743,8 @@ mod tests {
     #[test]
     fn self_modifying_code_is_seen_by_cached_dispatch() {
         // The program overwrites an instruction later in its own
-        // straight-line block; store invalidation must drop the cached
-        // decode so the new word runs on the very instruction the plain
-        // interpreter would.
+        // straight-line run; the bulk path must execute the new word on
+        // the very instruction the plain interpreter would.
         let patched = encode(Addi {
             rd: 5,
             rs1: 0,
@@ -1888,7 +1800,7 @@ mod tests {
         let mut mem_slow = mem_fast.clone();
         let mut fast = Cpu::new(0);
         let mut slow = Cpu::new(0);
-        slow.set_block_cache_enabled(false);
+        slow.set_bulk_dispatch_enabled(false);
 
         assert_eq!(fast.run(&mut mem_fast, 10_000).unwrap(), Halt::Ecall);
         assert_eq!(slow.run(&mut mem_slow, 10_000).unwrap(), Halt::Ecall);
@@ -2003,7 +1915,7 @@ mod tests {
         let mut mem_slow = mem_fast.clone();
         let mut fast = Cpu::new(0);
         let mut slow = Cpu::new(0);
-        slow.set_block_cache_enabled(false);
+        slow.set_bulk_dispatch_enabled(false);
         assert_eq!(fast.run(&mut mem_fast, 100_000).unwrap(), Halt::Ecall);
         assert_eq!(slow.run(&mut mem_slow, 100_000).unwrap(), Halt::Ecall);
         assert_eq!(fast.reg(5), 77, "patched instruction must execute");
@@ -2021,9 +1933,10 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_counters_and_perf_csrs() {
-        // A loop re-enters its block: at least one miss (first decode)
-        // and many hits, all visible through the CSR surface.
+    fn bulk_entry_counters_and_perf_csrs() {
+        // A loop entered cold: its first entries decode from memory, the
+        // entry that makes it hot compiles a trace, which then iterates
+        // in place. Both entry kinds are visible through the CSRs.
         let (cpu, _) = run_program(&[
             Addi {
                 rd: 1,
@@ -2053,38 +1966,43 @@ mod tests {
             Csrrs {
                 rd: 20,
                 rs1: 0,
-                csr: csr::BLOCK_HITS,
+                csr: csr::TRACED_ENTRIES,
             },
             Csrrs {
                 rd: 21,
                 rs1: 0,
-                csr: csr::BLOCK_MISSES,
+                csr: csr::DECODED_ENTRIES,
             },
             Ecall,
         ]);
         let perf = cpu.perf_counters();
         assert_eq!(perf.cycles, cpu.cycles);
         assert_eq!(perf.instret, cpu.instret);
-        assert!(perf.block_misses >= 1, "first entry decodes");
+        // Decoded: the run from pc 0, the loop's cold entries, and the
+        // run after the loop exits.
+        let cold = HOT_THRESHOLD as u64 - 1;
+        assert_eq!(perf.block_misses, 1 + cold + 1, "{perf:?}");
+        assert_eq!(perf.block_hits, 1, "one trace entry: {perf:?}");
         assert!(
-            perf.block_hits >= HOT_THRESHOLD as u64 / 2,
-            "loop re-enters cached block until the trace tier takes over"
-        );
-        assert!(perf.block_hit_rate() > 0.5);
-        assert!(
-            perf.traces_compiled >= 1 && perf.trace_hits > HOT_THRESHOLD as u64,
+            perf.traces_compiled == 1 && perf.trace_hits > HOT_THRESHOLD as u64,
             "hot loop compiles a trace and iterates in it: {perf:?}"
         );
         assert!(
             perf.trace_exit_guard >= 1,
             "loop exit retires against the prediction: {perf:?}"
         );
-        assert!(cpu.reg(20) >= HOT_THRESHOLD / 2, "hit counter CSR");
-        assert!(cpu.reg(21) >= 1, "firmware-visible miss counter");
+        assert_eq!(cpu.reg(20) as u64, perf.block_hits, "traced-entry CSR");
+        // A decoded run counts when it ends: the run reading the CSR is
+        // still open.
+        assert_eq!(
+            cpu.reg(21) as u64,
+            perf.block_misses - 1,
+            "decoded-entry CSR"
+        );
     }
 
     #[test]
-    fn disabled_cache_runs_pure_seed_path() {
+    fn disabled_bulk_dispatch_runs_pure_seed_path() {
         let mut mem = FlatMemory::new(1024);
         mem.load_words(
             0,
@@ -2098,12 +2016,40 @@ mod tests {
             ],
         );
         let mut cpu = Cpu::new(0);
-        cpu.set_block_cache_enabled(false);
-        assert!(!cpu.block_cache_enabled());
+        cpu.set_bulk_dispatch_enabled(false);
+        assert!(!cpu.bulk_dispatch_enabled());
         assert_eq!(cpu.run(&mut mem, 1000).unwrap(), Halt::Ecall);
         let perf = cpu.perf_counters();
         assert_eq!(perf.block_hits, 0);
         assert_eq!(perf.block_misses, 0);
+    }
+
+    #[test]
+    fn undecodable_word_traps_exactly_as_the_seed() {
+        // A decoded run stops before the garbage word and hands it to
+        // the precise path, which raises the seed trap with the seed
+        // counters.
+        let mut flat = FlatMemory::new(1024);
+        let ok = |imm| encode(Addi { rd: 1, rs1: 1, imm });
+        flat.load_words(0, &[ok(1), ok(2), 0xFFFF_FFFF]);
+        let run = |bulk: bool| {
+            let mut mem = flat.clone();
+            let mut cpu = Cpu::new(0);
+            cpu.set_bulk_dispatch_enabled(bulk);
+            (cpu.run(&mut mem, 1000), cpu)
+        };
+        let (fast_exit, fast) = run(true);
+        let (seed_exit, seed) = run(false);
+        assert_eq!(
+            fast_exit,
+            Err(Trap::IllegalInstruction {
+                pc: 8,
+                word: Some(0xFFFF_FFFF)
+            })
+        );
+        assert_eq!(fast_exit, seed_exit);
+        assert_eq!(fast, seed);
+        assert_eq!(fast.perf_counters().block_misses, 1, "one decoded run");
     }
 
     /// Flat memory whose fetches cannot be charged in bulk, so every
@@ -2124,10 +2070,11 @@ mod tests {
     }
 
     #[test]
-    fn precise_path_never_consults_the_block_cache() {
-        // sum 1..=10 in a loop, with the cache enabled but bulk dispatch
-        // unavailable: the precise path neither looks up nor builds
-        // blocks, and retires exactly what the cache-off core retires.
+    fn precise_path_never_enters_bulk_dispatch() {
+        // sum 1..=10 in a loop, with bulk dispatch enabled but the bus
+        // unable to charge fetches in bulk: the precise path neither
+        // enters traces nor counts decoded runs, and retires exactly
+        // what the seed core retires.
         let words: Vec<u32> = [
             Addi {
                 rd: 1,
@@ -2161,16 +2108,16 @@ mod tests {
         .collect();
         let mut flat = FlatMemory::new(1024);
         flat.load_words(0, &words);
-        let run = |cached: bool| {
+        let run = |bulk: bool| {
             let mut mem = PreciseOnly(flat.clone());
             let mut cpu = Cpu::new(0);
-            cpu.set_block_cache_enabled(cached);
+            cpu.set_bulk_dispatch_enabled(bulk);
             assert_eq!(cpu.run(&mut mem, 10_000).unwrap(), Halt::Ecall);
             (cpu, mem)
         };
         let (cached, cached_mem) = run(true);
         let (plain, plain_mem) = run(false);
-        assert!(cached.block_cache_enabled());
+        assert!(cached.bulk_dispatch_enabled());
         assert_eq!(cached.reg(1), 55);
         let perf = cached.perf_counters();
         assert_eq!((perf.block_hits, perf.block_misses), (0, 0), "{perf:?}");

@@ -1,16 +1,16 @@
-//! Trace (superblock) compiler: hot-path stitching across taken
-//! branches.
+//! Trace (superblock) compiler: the bulk interpreter's only cached
+//! code.
 //!
-//! The decoded-block cache ([`crate::block`]) stops at the first control
-//! transfer, so branch-heavy firmware — the cluster scheduler's work
-//! queue, guarded-offload retry loops, any software inner loop — pays a
-//! block re-entry (cursor teardown, slot lookup, position re-validation)
-//! on every taken branch. The trace layer removes that per-branch tax:
+//! Code without a trace runs by decoding each word from memory at `pc`,
+//! one run at a time up to the next control transfer (see
+//! [`crate::cpu::Cpu::run_cached_span`]). Hot code is compiled into
+//! traces that run pre-decoded across taken branches:
 //!
-//! 1. **Hot-edge profiling.** The bulk interpreter records, per branch
-//!    pc, how often each direction retired, and counts entries per block
-//!    start. When a block entry crosses [`HOT_THRESHOLD`], the engine
-//!    compiles a *trace* starting there.
+//! 1. **Hot-edge profiling.** The bulk interpreter counts entries per
+//!    `pc` (a span's start, the target of a decoded run's control
+//!    transfer, a trace's exit) and records, per branch pc, how often
+//!    each direction retired. When an entry crosses [`HOT_THRESHOLD`],
+//!    the engine compiles a *trace* starting there.
 //! 2. **Superblock stitching.** Compilation walks the *predicted* path:
 //!    straight-line code is appended, unconditional jumps are followed,
 //!    and conditional branches are resolved by the recorded edge profile
@@ -24,7 +24,7 @@
 //!    register-only semantic core as [`crate::cpu::Cpu::step`] — so a
 //!    mispredicted branch still *retires* exactly as the seed
 //!    interpreter would — and the executor then leaves the trace (a
-//!    [`SideExit::Guard`]) and the precise/block path continues from the
+//!    [`SideExit::Guard`]) and the bulk loop continues from the
 //!    already-correct state. Guards can therefore never produce wrong
 //!    architectural state, only shorter traces.
 //! 4. **Pre-costed ops.** Along the predicted path every op costs a
@@ -40,15 +40,16 @@
 //!    [`CompiledTrace::segments`]), and loads/stores whose effective
 //!    address reaches the MMIO floor are gated through the same
 //!    [`crate::bus::Bus::mmio_prologue`] /
-//!    [`crate::bus::Bus::mmio_epilogue`] protocol as block dispatch.
+//!    [`crate::bus::Bus::mmio_epilogue`] protocol as decoded runs.
 //!
-//! Self-modifying code is handled by the same explicit-invalidation tier
-//! as the bulk block path: at compile time the engine widens the
-//! [`crate::block::BlockCache`] watch range over every trace segment, so
-//! stores into compiled code (and reported external writes) invalidate
-//! the whole cached state; the engine's [`TraceEngine::generation`]
-//! counter lets an executing trace detect that it was invalidated *by
-//! one of its own ops* and side-exit before dispatching a stale decode.
+//! Self-modifying code is handled by explicit invalidation: the engine
+//! keeps the byte range its traces cover as a watch window, and a store
+//! into it (or a reported external write overlapping it) drops every
+//! trace and the profile behind them. The engine's
+//! [`TraceEngine::generation`] counter lets an executing trace detect
+//! that it was invalidated *by one of its own ops* and side-exit before
+//! dispatching a stale decode. Decoded runs need no such care: they read
+//! each word from memory just before it executes.
 
 use crate::bus::Bus;
 use crate::cpu::CycleModel;
@@ -56,7 +57,7 @@ use crate::isa::{decode, Instruction};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Block entries at the same pc before a trace is compiled there.
+/// Bulk entries at the same pc before a trace is compiled there.
 pub const HOT_THRESHOLD: u32 = 8;
 
 /// Hard cap on instructions per compiled trace.
@@ -136,20 +137,9 @@ pub struct CompiledTrace {
     pub worst_to_last: u64,
 }
 
-impl CompiledTrace {
-    /// Lowest and highest (exclusive) byte addresses of any op, per
-    /// contiguous segment — the ranges the block-cache watch window must
-    /// cover for store invalidation to reach this trace.
-    pub fn watch_ranges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.segments
-            .iter()
-            .map(|&(lo, n)| (lo, lo.saturating_add(4 * n)))
-    }
-}
-
 /// Compiles the predicted hot path starting at `start`, costing each op
 /// under `model`. Returns `None` when the path is too short to beat
-/// plain block dispatch.
+/// decoding from memory.
 pub fn compile<B: Bus + ?Sized>(
     bus: &B,
     start: u32,
@@ -174,9 +164,9 @@ pub fn compile<B: Bus + ?Sized>(
         let Some(word) = bus.peek_word(pc) else { break };
         let Ok(inst) = decode(word) else { break };
         let (expected_next, taken, branch) = match inst {
-            // Indirect and system ops end the trace: the block/precise
-            // path owns them (jalr targets are data-dependent; ecall /
-            // ebreak halt; wfi sleeps).
+            // Indirect and system ops end the trace: decoded runs and
+            // the precise path own them (jalr targets are
+            // data-dependent; ecall / ebreak halt; wfi sleeps).
             Jalr { .. } | Ecall | Ebreak | Wfi => break,
             Jal { offset, .. } => (pc.wrapping_add(offset as u32), true, false),
             Beq { offset, .. }
@@ -234,9 +224,9 @@ pub fn compile<B: Bus + ?Sized>(
         };
         pc = expected_next;
     }
-    // A trace that never crosses a block boundary adds nothing over the
-    // block cache; require at least two ops so the loop-back / stitch
-    // machinery has something to win.
+    // A one-op trace adds nothing over decoding that op from memory;
+    // require at least two ops so the loop-back / stitch machinery has
+    // something to win.
     if ops.len() < 2 {
         return None;
     }
@@ -257,7 +247,8 @@ pub fn compile<B: Bus + ?Sized>(
 }
 
 /// The trace engine: edge profile, entry heat, a direct-mapped cache of
-/// compiled traces, and the counters behind the `trace_*` perf surface.
+/// compiled traces with the watch window that keeps them coherent, and
+/// the counters behind the `trace_*` perf surface.
 ///
 /// Entirely microarchitectural: cloned with the CPU, excluded from
 /// architectural equality, dropped wholesale on invalidation.
@@ -265,16 +256,26 @@ pub fn compile<B: Bus + ?Sized>(
 pub struct TraceEngine {
     slots: Vec<Option<Arc<CompiledTrace>>>,
     mask: usize,
-    enabled: bool,
-    /// Block entries per start pc (cleared on invalidation).
+    /// Bulk entries per pc (cleared on invalidation).
     heat: HashMap<u32, u32>,
     /// Per-branch-pc retire counts: `[not_taken, taken]`.
     edges: HashMap<u32, [u32; 2]>,
+    // Byte range `[code_lo, code_hi)` covering every compiled trace — the
+    // watch window for store and external-write invalidation (empty when
+    // lo == hi). Eviction leaves it over-approximate, which is always
+    // safe.
+    code_lo: u32,
+    code_hi: u32,
     /// Bumped on every invalidation; an executing trace compares it
     /// against its entry value to catch self-invalidation.
     pub generation: u64,
     /// Trace dispatches (entries plus in-place loop-backs).
     pub hits: u64,
+    /// Bulk entries served by a compiled trace.
+    pub traced_entries: u64,
+    /// Bulk entries run by decoding from memory (counted by the bulk
+    /// interpreter as each run ends).
+    pub decoded_entries: u64,
     /// Exit counts indexed by [`SideExit`].
     pub exits: [u64; SIDE_EXIT_KINDS],
     /// Traces compiled over the run (recompiles after invalidation
@@ -294,32 +295,18 @@ impl TraceEngine {
         TraceEngine {
             slots: vec![None; slots],
             mask: slots - 1,
-            enabled: true,
             heat: HashMap::new(),
             edges: HashMap::new(),
+            code_lo: 0,
+            code_hi: 0,
             generation: 0,
             hits: 0,
+            traced_entries: 0,
+            decoded_entries: 0,
             exits: [0; SIDE_EXIT_KINDS],
             compiled: 0,
             conflict_evictions: 0,
             model: CycleModel::default(),
-        }
-    }
-
-    /// Whether trace compilation/dispatch is enabled (on by default —
-    /// but traces only ever run under bulk dispatch, so disabling the
-    /// block cache disables traces too).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables the trace tier; disabling drops all compiled
-    /// traces and profile state. With traces off, bulk dispatch runs
-    /// pure decoded-block spans — the benchmark A/B lever.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.invalidate();
         }
     }
 
@@ -334,6 +321,26 @@ impl TraceEngine {
         }
     }
 
+    /// The bulk interpreter's entry at `pc`: the cached trace starting
+    /// there or, when this entry crosses [`HOT_THRESHOLD`], one compiled
+    /// now under the model of the last [`TraceEngine::sync_model`].
+    /// `None` leaves the entry to decoding from memory.
+    #[inline]
+    pub fn enter<B: Bus + ?Sized>(&mut self, bus: &B, pc: u32) -> Option<Arc<CompiledTrace>> {
+        let trace = if let Some(trace) = self.lookup(pc) {
+            Arc::clone(trace)
+        } else {
+            if !self.note_entry(pc) {
+                return None;
+            }
+            let trace = compile(bus, pc, &self.edges, &self.model)?;
+            self.insert(trace)
+        };
+        self.hits += 1;
+        self.traced_entries += 1;
+        Some(trace)
+    }
+
     /// The compiled trace starting at `pc`, if cached.
     #[inline]
     pub fn lookup(&self, pc: u32) -> Option<&Arc<CompiledTrace>> {
@@ -344,7 +351,7 @@ impl TraceEngine {
         }
     }
 
-    /// Counts a block entry at `pc`; `true` exactly when this entry
+    /// Counts a bulk entry at `pc`; `true` exactly when this entry
     /// crosses [`HOT_THRESHOLD`] (compile now). Subsequent entries keep
     /// counting but never re-trigger — a failed compile is not retried
     /// until invalidation clears the heat table.
@@ -369,9 +376,19 @@ impl TraceEngine {
     }
 
     /// Installs a compiled trace, evicting any previous tenant of its
-    /// slot, and returns a handle for immediate execution.
+    /// slot, widens the watch window over its code, and returns a handle
+    /// for immediate execution.
     pub fn insert(&mut self, trace: CompiledTrace) -> Arc<CompiledTrace> {
         self.compiled += 1;
+        for &(lo, n) in &trace.segments {
+            let hi = lo.saturating_add(4 * n);
+            if self.code_lo == self.code_hi {
+                (self.code_lo, self.code_hi) = (lo, hi);
+            } else {
+                self.code_lo = self.code_lo.min(lo);
+                self.code_hi = self.code_hi.max(hi);
+            }
+        }
         let slot = ((trace.start >> 2) as usize) & self.mask;
         if let Some(old) = &self.slots[slot] {
             if old.start != trace.start {
@@ -383,11 +400,25 @@ impl TraceEngine {
         arc
     }
 
-    /// Drops every compiled trace and all profile state, and bumps the
-    /// generation so an executing trace notices. Cheap when nothing has
-    /// been profiled since the last invalidation.
+    /// `true` when a write to byte `addr` could land inside compiled
+    /// code.
+    #[inline]
+    pub fn watches(&self, addr: u32) -> bool {
+        addr.wrapping_sub(self.code_lo) < self.code_hi.wrapping_sub(self.code_lo)
+    }
+
+    /// `true` when the byte range `[lo, hi)` could overlap compiled code.
+    #[inline]
+    pub fn overlaps(&self, lo: u32, hi: u32) -> bool {
+        self.code_lo != self.code_hi && lo < self.code_hi && hi > self.code_lo
+    }
+
+    /// Drops every compiled trace and all profile state, empties the
+    /// watch window, and bumps the generation so an executing trace
+    /// notices. Cheap when nothing has been profiled or compiled since
+    /// the last invalidation (hosts call this on every run entry).
     pub fn invalidate(&mut self) {
-        if self.heat.is_empty() && self.edges.is_empty() {
+        if self.heat.is_empty() && self.edges.is_empty() && self.code_lo == self.code_hi {
             return;
         }
         for slot in &mut self.slots {
@@ -395,6 +426,8 @@ impl TraceEngine {
         }
         self.heat.clear();
         self.edges.clear();
+        self.code_lo = 0;
+        self.code_hi = 0;
         self.generation += 1;
     }
 
@@ -604,6 +637,78 @@ mod tests {
             gen + 2,
             "empty invalidations are free (first clears the re-heated entry)"
         );
+    }
+
+    #[test]
+    fn watch_window_tracks_compiled_traces() {
+        // 0: addi ; 4: bne +8 (taken) ; 12: addi ; 16: ecall — two
+        // segments, [0, 8) and [12, 16).
+        let mem = mem_with(&[
+            Addi {
+                rd: 1,
+                rs1: 0,
+                imm: 1,
+            },
+            Bne {
+                rs1: 1,
+                rs2: 0,
+                offset: 8,
+            },
+            Addi {
+                rd: 9,
+                rs1: 0,
+                imm: 9,
+            },
+            Addi {
+                rd: 2,
+                rs1: 0,
+                imm: 2,
+            },
+            Ecall,
+        ]);
+        let mut edges = HashMap::new();
+        edges.insert(4u32, [0u32, 10u32]);
+        let mut eng = TraceEngine::new(4);
+        assert!(!eng.watches(0), "an empty engine watches nothing");
+        assert!(!eng.overlaps(0, u32::MAX));
+        eng.insert(compile(&mem, 0, &edges, &CycleModel::default()).unwrap());
+        assert!(eng.watches(0) && eng.watches(15));
+        assert!(!eng.watches(16));
+        assert!(eng.overlaps(12, 20));
+        assert!(!eng.overlaps(16, 20));
+        let gen = eng.generation;
+        eng.invalidate();
+        assert_eq!(
+            eng.generation,
+            gen + 1,
+            "compiled code alone makes it count"
+        );
+        assert!(!eng.watches(0));
+        assert!(eng.lookup(0).is_none());
+    }
+
+    #[test]
+    fn entering_a_hot_pc_compiles_once_then_serves_from_the_cache() {
+        let mem = mem_with(&[
+            Addi {
+                rd: 1,
+                rs1: 1,
+                imm: 1,
+            },
+            Bne {
+                rs1: 1,
+                rs2: 2,
+                offset: -4,
+            },
+        ]);
+        let mut eng = TraceEngine::new(4);
+        for _ in 0..HOT_THRESHOLD - 1 {
+            assert!(eng.enter(&mem, 0).is_none(), "cold entries decode");
+        }
+        assert!(eng.enter(&mem, 0).is_some(), "the hot entry compiles");
+        assert!(eng.enter(&mem, 0).is_some(), "later entries hit");
+        assert_eq!((eng.compiled, eng.traced_entries, eng.hits), (1, 2, 2));
+        assert!(eng.watches(4));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!    instead of re-simulating the warm-up prefix. Because the simulator
 //!    is deterministic and snapshots capture complete state (device RNG
 //!    included), a resumed run is bit-identical to a from-zero replay —
-//!    enforced by construction: both paths share
-//!    [`Campaign::finish_with_fault`] after the injection point.
+//!    enforced by construction: both paths share one post-injection
+//!    step (`Campaign::finish_with_fault`).
 //! 2. **Deterministic parallelism** ([`Campaign::run_checkpointed`],
 //!    [`Campaign::run_stratified`]): injections fan out over the scoped
 //!    worker threads of [`neuropulsim_linalg::parallel`], split by fault
@@ -374,9 +374,9 @@ impl Campaign<'_> {
     /// Injects one fault, resuming from the last golden checkpoint at or
     /// before the injection cycle. Bit-identical in outcome to
     /// [`Campaign::inject`] from cycle 0: the simulator is deterministic,
-    /// snapshots capture complete state, and both paths run
-    /// [`Campaign::finish_with_fault`] once the injection point is
-    /// reached.
+    /// snapshots capture complete state, and both paths run the same
+    /// post-injection step (`Campaign::finish_with_fault`) once the
+    /// injection point is reached.
     pub fn inject_from(&self, golden: &GoldenRun, fault: Fault) -> Injection {
         let target = fault.cycle.min(self.max_cycles);
         let cp = golden.checkpoint_before(target);

@@ -467,7 +467,7 @@ pub struct System {
     pub digital_energy: DigitalEnergy,
     /// Sleep cycles crossed in bulk by the `wfi` fast-forward (stats,
     /// accumulated across runs). The fast-forward runs exactly when the
-    /// CPU's block cache is enabled; with it disabled, [`System::run`]
+    /// CPU's bulk dispatch is enabled; with it disabled, [`System::run`]
     /// is the seed stepping loop.
     pub fast_forwarded_cycles: u64,
     /// DMA ticks applied in bulk while the CPU ran (stats, accumulated
@@ -475,7 +475,7 @@ pub struct System {
     /// before each access of a bulk window that opened over it and
     /// whenever device time catches up to the CPU. Ticks the `wfi`
     /// fast-forward applies count in `fast_forwarded_cycles` instead.
-    /// Zero with the block cache disabled.
+    /// Zero with bulk dispatch disabled.
     pub bulk_dma_ticks: u64,
 }
 
@@ -539,10 +539,10 @@ impl System {
     /// Runs until halt, trap or `max_cycles`. Devices advance in lockstep
     /// with CPU cycles; the level-triggered IRQ line wakes `wfi`.
     ///
-    /// With the CPU's block cache enabled (the default), two
+    /// With the CPU's bulk dispatch enabled (the default), two
     /// accelerations keep this loop fast without changing a single
-    /// observable. Between device events, cached instructions and
-    /// compiled traces retire in bulk ([`Cpu::run_cached_span`]); the
+    /// observable. Between device events, compiled traces and code
+    /// decoded from memory retire in bulk ([`Cpu::run_cached_span`]); the
     /// window's horizon is the earliest PE event, the completion of a
     /// DMA transfer in flight, or the budget. And `wfi` sleeps are
     /// crossed in one jump (`sleep_advance`). A polled transfer's words
@@ -550,12 +550,12 @@ impl System {
     /// memory exactly as the seed loop would. Everything else — MMIO
     /// accesses the bus declines in bulk, a DMA transfer that may stall,
     /// the DRAM-latency model — takes the precise path ([`Cpu::step`]).
-    /// With the cache disabled this is the seed loop.
+    /// With bulk dispatch disabled this is the seed loop.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         // The host may have rewritten memory since the last run (fault
-        // injections, firmware pokes): drop cached decoded code so the
-        // bulk path re-reads it.
-        self.cpu.invalidate_blocks();
+        // injections, firmware pokes): drop compiled traces so the bulk
+        // path re-reads the code.
+        self.cpu.invalidate_traces();
         let start_cycles = self.cpu.cycles;
         let budget_end = start_cycles.saturating_add(max_cycles);
         let spm_end = SPM_BASE + self.platform.spm.size() as u32;
@@ -566,7 +566,7 @@ impl System {
             if self.platform.irq_level() {
                 self.cpu.interrupt();
             }
-            if self.cpu.block_cache_enabled()
+            if self.cpu.bulk_dispatch_enabled()
                 && self.cpu.waiting_for_interrupt
                 && self.platform.now == self.cpu.cycles
             {
@@ -576,8 +576,8 @@ impl System {
             // Bulk retire between event horizons: every PE tick strictly
             // before the earliest pending event is a no-op, and a DMA
             // transfer that cannot stall (`CompletesIn`) moves only
-            // words until it completes. So cached instructions (and
-            // compiled traces) retire back to back up to the first of
+            // words until it completes. So instructions (and compiled
+            // traces) retire back to back up to the first of
             // those events — full quiescence is just the case with no
             // horizon at all. This lets an MMIO polling loop spin in
             // bulk while a PE crunches a job or a DMA copy runs. A
@@ -585,7 +585,7 @@ impl System {
             // does the DRAM-latency model (each instruction settles its
             // own timing). The DMA is classified only while busy, so an
             // idle engine costs one flag test.
-            if self.cpu.block_cache_enabled()
+            if self.cpu.bulk_dispatch_enabled()
                 && !self.cpu.waiting_for_interrupt
                 && self.platform.dram_latency == 0
                 && self.platform.now == self.cpu.cycles
@@ -601,7 +601,7 @@ impl System {
                     self.platform.bulk_dma = dma_writes.is_some();
                     // With a transfer in flight every load and store
                     // meets the prologue (floor 0), which moves the
-                    // transfer's words up to the access cycle; cached
+                    // transfer's words up to the access cycle; traced
                     // code the transfer will overwrite goes now, and
                     // `peek_word` keeps it from being decoded again.
                     let mmio_floor = match dma_writes {
@@ -643,7 +643,7 @@ impl System {
                     if self.cpu.cycles != before {
                         // An in-span device doorbell may have deposited
                         // results into the scratchpad (it ends the span,
-                        // so this single check covers it); cached SPM
+                        // so this single check covers it); traced SPM
                         // code must go before the next dispatch.
                         self.cpu.note_external_writes(SPM_BASE, spm_end);
                         // Skipped PE ticks were no-ops, so device time
@@ -655,7 +655,7 @@ impl System {
                         continue;
                     }
                 }
-                // No progress (MMIO access or uncacheable entry next), or
+                // No progress (MMIO access or undecodable entry next), or
                 // a transfer that may stall: fall through to the precise
                 // per-instruction path.
             }
@@ -670,7 +670,7 @@ impl System {
                 Err(trap) => break RunOutcome::Trapped(trap),
             }
             // An MMIO store may have made an accelerator deposit results
-            // into the scratchpad just now; if code is cached from SPM,
+            // into the scratchpad just now; if traced code lies in SPM,
             // drop it.
             self.cpu.note_external_writes(SPM_BASE, spm_end);
             self.bulk_dma_ticks += self.catch_up_devices(self.cpu.cycles);
@@ -692,7 +692,7 @@ impl System {
     /// run as one jump plus one [`DmaDevice::advance_bulk`], and only
     /// the eventful tail ticks cycle by cycle, so a completion and its
     /// interrupt land on their seed cycle. A transfer that may stall, or
-    /// any transfer with the block cache disabled, ticks every cycle.
+    /// any transfer with bulk dispatch disabled, ticks every cycle.
     /// Returns the DMA ticks applied in bulk.
     fn catch_up_devices(&mut self, target: u64) -> u64 {
         let now = self.platform.now;
@@ -705,13 +705,13 @@ impl System {
         }
         let mut bulk_ticks = 0;
         // A busy DMA engine writes memory as it ticks; if its target
-        // range holds cached code the decoded blocks must go. (The range
+        // range holds traced code the traces must go. (The range
         // is fixed for the whole transfer, so capturing it once covers
         // every tick below.)
         let dma_writes = self.platform.dma.active_write_range();
-        // With the block cache disabled a busy engine ticks every cycle:
+        // With bulk dispatch disabled a busy engine ticks every cycle:
         // that seed loop is the reference the bulk advance is held to.
-        let dma_event = if dma_writes.is_none() || self.cpu.block_cache_enabled() {
+        let dma_event = if dma_writes.is_none() || self.cpu.bulk_dispatch_enabled() {
             self.platform.dma_event()
         } else {
             None
@@ -957,7 +957,7 @@ mod tests {
         assert!(cached >= flat, "cache cannot beat flat memory");
     }
 
-    /// Builds a system in fast (block cache, which also turns on the
+    /// Builds a system in fast (bulk dispatch, which also turns on the
     /// `wfi` fast-forward) or seed-identical slow mode, runs `firmware`,
     /// and returns the report and final system for observability
     /// comparison.
@@ -968,7 +968,7 @@ mod tests {
         max_cycles: u64,
     ) -> (RunReport, System) {
         let mut sys = System::new();
-        sys.cpu.set_block_cache_enabled(fast);
+        sys.cpu.set_bulk_dispatch_enabled(fast);
         setup(&mut sys);
         sys.load_firmware_source(firmware);
         let report = sys.run(max_cycles);

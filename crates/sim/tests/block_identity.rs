@@ -1,7 +1,8 @@
-//! Bit-identity of the fast simulation paths (decoded-block cache +
-//! `wfi` fast-forward) against the seed interpreter, on workloads chosen
-//! to attack the cache's weak spots: randomized program grids, faults
-//! injected into already-cached text, and DMA writes over code.
+//! Bit-identity of the fast simulation paths (bulk dispatch — compiled
+//! traces plus code decoded from memory — and the `wfi` fast-forward)
+//! against the seed interpreter, on workloads chosen to attack their
+//! weak spots: randomized program grids, faults injected into text the
+//! bulk path has already run or traced, and DMA writes over code.
 
 use neuropulsim_linalg::RMatrix;
 use neuropulsim_riscv::cpu::Halt;
@@ -79,7 +80,7 @@ fn random_program(seed: u64, len: usize) -> Vec<u32> {
 
 fn system_in_mode(fast: bool) -> System {
     let mut sys = System::new();
-    sys.cpu.set_block_cache_enabled(fast);
+    sys.cpu.set_bulk_dispatch_enabled(fast);
     sys
 }
 
@@ -89,8 +90,8 @@ fn assert_identical_with_text_fault(words: &[u32], flip: Option<(u32, u8)>, tag:
     let run = |fast: bool| {
         let mut sys = system_in_mode(fast);
         sys.load_firmware(words);
-        // Warm the block cache (and make partial progress) first, so the
-        // injected fault lands in text that is already cached.
+        // Make partial progress on the bulk path first, so the injected
+        // fault lands in text that has already run there.
         let first = sys.run(137);
         if let Some((addr, bit)) = flip {
             sys.platform.dram.flip_bit(addr, bit).unwrap();
@@ -127,7 +128,7 @@ fn randomized_program_grid_is_bit_identical() {
 #[test]
 fn faults_into_cached_text_take_effect_identically() {
     // Flip bits in words across the text segment — including high bits
-    // that turn instructions illegal — after the block cache has run the
+    // that turn instructions illegal — after the bulk path has run the
     // code once. The fault must be seen on the exact same cycle as the
     // seed interpreter sees it, whatever the outcome class.
     for seed in 0..12u64 {
@@ -146,7 +147,7 @@ fn faults_into_cached_text_take_effect_identically() {
 #[test]
 fn dma_overwrite_of_cached_text_is_seen() {
     use Instruction::*;
-    // A subroutine at `target` is called once (caching its block), then
+    // A subroutine at `target` is called once (running it in bulk), then
     // DMA rewrites it in place while the CPU sleeps in wfi; the second
     // call must execute the patched code in both modes.
     const TARGET: i32 = 16 * 4;
@@ -456,14 +457,14 @@ fn polled_dma_with_cpu_traffic_in_flight_ranges_is_bit_identical() {
 #[test]
 fn polled_dma_overwriting_code_the_poll_loop_runs_is_seen() {
     use Instruction::*;
-    // `routine` at 0x1000 returns a0 = 1. A first call caches it. Then
+    // `routine` at 0x1000 returns a0 = 1. A first call runs it. Then
     // a DMA copies 200 filler words, a patched routine (a0 = 99) over
     // it, and 200 more filler words, while a poll loop keeps calling the
     // routine and summing what it returns. Early passes
     // must run the old code and late passes the new one, switching on
     // the seed cycle: the routine sits in the transfer's write range,
-    // so bulk dispatch must neither keep its stale decode nor decode it
-    // again before the transfer completes.
+    // so bulk dispatch must not decode it before the transfer
+    // completes.
     const ROUTINE: u32 = 0x1000;
     const FILLER: u32 = 200;
     let routine = |value: i32| {
@@ -483,7 +484,7 @@ fn polled_dma_overwriting_code_the_poll_loop_runs_is_seen() {
     let firmware = format!(
         "
         li   s0, {ROUTINE}
-        jalr ra, 0(s0)        # first call: caches the routine
+        jalr ra, 0(s0)        # first call: the old routine
         mv   s1, a0
         li   t0, 0x41000000
         li   t1, 0x2000

@@ -1,5 +1,5 @@
 //! Fuzz: `System::snapshot`/`restore` round-trips taken at random cut
-//! points — including mid-decoded-block, mid-wfi-fast-forward, inside a
+//! points — including mid-decoded-run, mid-wfi-fast-forward, inside a
 //! bulk window over a polled DMA transfer, and with multi-PE fabric jobs
 //! in flight — must leave resumed runs bit-identical to uninterrupted
 //! ones over seeded random workloads.
@@ -22,7 +22,8 @@ const BUDGET: u64 = 10_000_000;
 /// Which firmware the randomized workload runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
-    /// Pure-software MVM: straight-line decoded-block execution.
+    /// Pure-software MVM: straight-line code, decoded from memory until
+    /// it turns hot.
     Software,
     /// Software MVM sized so its inner loops cross the trace
     /// compiler's hot threshold: cuts land mid-trace and mid-bulk-
@@ -218,8 +219,8 @@ fn check_cuts(seed: u64, workload: Workload, cuts: usize) -> CutStats {
 
 #[test]
 fn snapshot_roundtrip_mid_block_over_random_programs() {
-    // Software MVM runs entirely through the decoded-block
-    // interpreter, so random cuts land mid-block.
+    // Small software MVMs run mostly as runs decoded from memory, so
+    // random cuts land mid-run.
     for i in 0..12u64 {
         check_cuts(split_seed(0x5eed_b10c, i), Workload::Software, 3);
     }

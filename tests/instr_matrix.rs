@@ -41,7 +41,7 @@ fn matrix_retires_real_work() {
 fn hot_loop_cases_run_inside_traces() {
     // The `hot_` cases exist to drive every trace-executor arm; require
     // that the cached replay actually dispatched compiled traces and
-    // looped in them, not just block spans.
+    // looped in them, not just decoded runs.
     use neuropulsim_riscv::asm::assemble;
     use neuropulsim_riscv::bus::FlatMemory;
     use neuropulsim_riscv::cpu::Cpu;
@@ -62,5 +62,29 @@ fn hot_loop_cases_run_inside_traces() {
             case.name,
             cpu.trace_engine().hits
         );
+    }
+}
+
+#[test]
+fn hot_jalr_cases_run_between_traces() {
+    // Traces stop at `jalr`, so every `jalr` the hot call/return and
+    // computed-jump loops retire in bulk ends a run decoded from
+    // memory, while the code around it runs in traces.
+    use neuropulsim_riscv::asm::assemble;
+    use neuropulsim_riscv::bus::FlatMemory;
+    use neuropulsim_riscv::cpu::Cpu;
+    for name in ["hot_call_ret", "hot_computed_jump"] {
+        let case = cases()
+            .into_iter()
+            .find(|c| c.name == name)
+            .expect("case exists");
+        let words = assemble(case.source).expect("fixture assembles");
+        let mut mem = FlatMemory::new(4096);
+        mem.load_words(0, &words);
+        let mut cpu = Cpu::new(0);
+        cpu.run(&mut mem, MATRIX_BUDGET).expect("no trap");
+        let perf = cpu.perf_counters();
+        assert!(perf.block_hits >= 8, "{name}: {perf:?}");
+        assert!(perf.block_misses >= 20, "{name}: {perf:?}");
     }
 }
