@@ -9,15 +9,10 @@
 //! Exits nonzero if any matrix case or any binary diverges, so CI
 //! fails on the report it just uploaded.
 
+use neuropulsim_oracle::harness::escape_json;
 use neuropulsim_oracle::rv32_matrix::{lockstep_elf, run_matrix};
 use neuropulsim_sim::loader::workloads;
 use neuropulsim_sim::system::System;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
 
 struct BinaryResult {
     name: &'static str,
@@ -134,7 +129,7 @@ fn main() {
     let matrix_failures: Vec<String> = matrix
         .failures
         .iter()
-        .map(|f| format!("\"{}\"", json_escape(f)))
+        .map(|f| format!("\"{}\"", escape_json(f)))
         .collect();
     let binary_json: Vec<String> = binaries
         .iter()
@@ -148,7 +143,7 @@ fn main() {
                 b.instructions,
                 b.syscalls,
                 b.trace_conflict_evictions,
-                json_escape(&b.detail)
+                escape_json(&b.detail)
             )
         })
         .collect();

@@ -7,8 +7,8 @@
 
 use neuropulsim_bench::{experiment_rng, fmt, Table};
 use neuropulsim_core::error::{HardwareModel, ShifterTech};
-use neuropulsim_core::mvm::{MvmCore, MvmNoiseConfig, RealizedMvm};
-use neuropulsim_linalg::RMatrix;
+use neuropulsim_core::inference::{LayerSpec, PhotonicNetwork};
+use neuropulsim_core::mvm::MvmNoiseConfig;
 use neuropulsim_nn::dataset::{synthetic_digits, Dataset, DigitsConfig};
 use neuropulsim_nn::mlp::Mlp;
 use neuropulsim_photonics::converter::Converter;
@@ -16,39 +16,21 @@ use neuropulsim_photonics::pcm::PcmMaterial;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn padded_core(weights: &RMatrix) -> (MvmCore, usize) {
-    let n = weights.rows().max(weights.cols());
-    let padded = RMatrix::from_fn(n, n, |i, j| {
-        if i < weights.rows() && j < weights.cols() {
-            weights[(i, j)]
-        } else {
-            0.0
-        }
-    });
-    (MvmCore::new(&padded), weights.rows())
-}
-
 fn photonic_accuracy(mlp: &Mlp, test: &Dataset, config: &MvmNoiseConfig, seed: u64) -> f64 {
-    let cores: Vec<(MvmCore, usize)> = mlp
+    let specs: Vec<LayerSpec> = mlp
         .layers()
         .iter()
-        .map(|l| padded_core(&l.weights))
+        .map(|l| LayerSpec::new(l.weights.clone(), l.bias.clone(), l.relu))
         .collect();
-    let mut inst_rng = StdRng::seed_from_u64(seed);
-    let instances: Vec<(RealizedMvm, usize)> = cores
-        .iter()
-        .map(|(core, rows)| (core.realize(config, &mut inst_rng), *rows))
-        .collect();
+    let net = PhotonicNetwork::compile(&specs, config, &mut StdRng::seed_from_u64(seed));
     let mut shot_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-    let mut call = 0usize;
-    mlp.accuracy_with(test, |_w, x| {
-        let (instance, rows) = &instances[call % instances.len()];
-        call += 1;
-        let mut padded = vec![0.0; x.len().max(*rows)];
-        padded[..x.len()].copy_from_slice(x);
-        let y = instance.multiply_noisy(&padded, &mut shot_rng);
-        y[..*rows].to_vec()
-    })
+    let correct = test
+        .samples
+        .iter()
+        .zip(&test.labels)
+        .filter(|(x, &label)| net.classify(x, &mut shot_rng) == label)
+        .count();
+    correct as f64 / test.len() as f64
 }
 
 fn main() {

@@ -10,8 +10,8 @@
 //! inherently error-aware, which is where the architecture's robustness
 //! advantage comes from (experiment E2).
 
-use crate::program::MeshScratch;
-use neuropulsim_linalg::soa::{self, CellColumn};
+use crate::program::CompiledMesh;
+use neuropulsim_linalg::soa::CellColumn;
 use neuropulsim_linalg::{metrics, CMatrix, C64};
 use rand::Rng;
 
@@ -413,154 +413,59 @@ impl LayeredMesh {
         }
     }
 
-    /// Compiles the mesh into a fused execution plan: each
-    /// `[phase column -> coupler column]` pair collapses into a single
-    /// column of 2×2 cells (`C · diag(e^{iφ_p}, e^{iφ_q})` is itself a
-    /// 2×2 constant), so applying the mesh is one lane pass per layer
-    /// with all trigonometry paid at compile time.
-    pub fn compile(&self) -> CompiledLayeredMesh {
-        let mut layers = Vec::with_capacity(self.num_layers());
-        for l in 0..self.num_layers() {
-            let offset = l % 2;
-            let phases = &self.phase_layers[l];
+    /// Compiles the mesh into a [`CompiledMesh`] with one cell column per
+    /// layer: each `[phase column -> coupler column]` pair collapses into
+    /// a single column of 2×2 cells (`C · diag(e^{iφ_p}, e^{iφ_q})` is
+    /// itself a 2×2 constant), with all trigonometry paid at compile time.
+    ///
+    /// A phase on a mode that no coupler of its layer touches (mode 0 of
+    /// an offset layer, the last mode of an incomplete pair) has no cell
+    /// to fold into. It is carried forward as a phasor owed to that mode
+    /// and multiplied into the next cell on the mode, or into the mode's
+    /// output phasor.
+    pub fn compile(&self) -> CompiledMesh {
+        let mut owed: Vec<Option<C64>> = vec![None; self.n];
+        let mut columns = Vec::with_capacity(self.num_layers());
+        for (l, kappas) in self.coupler_kappa.iter().enumerate() {
+            let (offset, phases) = (l % 2, &self.phase_layers[l]);
             let mut cells = CellColumn::new();
-            for (p, &kappa) in self.coupler_kappa[l].iter().enumerate() {
+            for (p, &kappa) in kappas.iter().enumerate() {
                 let top = offset + 2 * p;
                 let c = C64::real(kappa.cos());
                 let s = C64::new(0.0, kappa.sin());
-                let ep = C64::cis(phases[top]);
-                let eq = C64::cis(phases[top + 1]);
+                let ep = settle(&mut owed[top], phases[top]);
+                let eq = settle(&mut owed[top + 1], phases[top + 1]);
                 cells.push(top as u32, c * ep, s * eq, s * ep, c * eq);
             }
             cells.finish();
-            // Modes not covered by a coupler this layer still get their
-            // phase shifter: mode 0 when the column is offset, and the
-            // last mode when the remaining pair is incomplete.
-            let covered = offset + 2 * self.coupler_kappa[l].len();
-            let mut loose = Vec::new();
+            columns.push(cells);
+            let covered = offset + 2 * kappas.len();
             for m in (0..offset).chain(covered..self.n) {
-                loose.push((m, C64::cis(phases[m])));
+                owed[m] = Some(settle(&mut owed[m], phases[m]));
             }
-            layers.push(FusedLayer { cells, loose });
         }
-        let (out_re, out_im) = self
+        let output: Vec<C64> = self
             .output_phases
             .iter()
-            .map(|&p| {
-                let e = C64::cis(p);
-                (e.re, e.im)
-            })
-            .unzip();
-        CompiledLayeredMesh {
-            n: self.n,
-            layers,
-            out_re,
-            out_im,
-        }
+            .zip(&mut owed)
+            .map(|(&p, owed)| settle(owed, p))
+            .collect();
+        CompiledMesh::from_columns(columns, &output)
     }
 }
 
-/// One fused layer of a [`CompiledLayeredMesh`]: the phase column folded
-/// into the coupler column, plus phase-only cells for uncovered modes.
-#[derive(Debug, Clone, PartialEq)]
-struct FusedLayer {
-    cells: CellColumn,
-    loose: Vec<(usize, C64)>,
-}
-
-/// A compiled [`LayeredMesh`]: the fused multi-column execution plan.
-///
-/// Like [`crate::program::CompiledMesh`] this is a snapshot — recompile
-/// after mutating phases or couplers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledLayeredMesh {
-    n: usize,
-    layers: Vec<FusedLayer>,
-    out_re: Vec<f64>,
-    out_im: Vec<f64>,
-}
-
-impl CompiledLayeredMesh {
-    /// Number of optical modes.
-    pub fn modes(&self) -> usize {
-        self.n
-    }
-
-    /// Number of fused layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Applies the mesh to a field vector in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != modes()`.
-    pub fn apply_in_place(&self, v: &mut [C64], scratch: &mut MeshScratch) {
-        assert_eq!(v.len(), self.n, "apply_in_place: dimension mismatch");
-        scratch.lanes.pack_slice(v);
-        let (re, im) = scratch.lanes.lanes_mut();
-        for layer in &self.layers {
-            layer.cells.apply(re, im);
-            for &(m, ph) in &layer.loose {
-                let (vr, vi) = (re[m], im[m]);
-                re[m] = vr * ph.re - vi * ph.im;
-                im[m] = vr * ph.im + vi * ph.re;
-            }
-        }
-        soa::apply_phasors(re, im, &self.out_re, &self.out_im);
-        scratch.lanes.unpack_into(v);
-    }
-
-    /// Applies the mesh to a batch of vectors stored consecutively
-    /// (`batch[j*n..(j+1)*n]` is vector `j`), amortizing each layer's
-    /// coefficient stream over the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.len()` is not a non-zero multiple of `modes()`.
-    pub fn apply_batch(&self, batch: &mut [C64], scratch: &mut MeshScratch) {
-        assert!(
-            !batch.is_empty() && batch.len().is_multiple_of(self.n),
-            "apply_batch: batch must hold a whole number of vectors"
-        );
-        let width = batch.len() / self.n;
-        soa::pack_columns(
-            batch,
-            self.n,
-            width,
-            &mut scratch.batch_re,
-            &mut scratch.batch_im,
-        );
-        for layer in &self.layers {
-            layer
-                .cells
-                .apply_batch(&mut scratch.batch_re, &mut scratch.batch_im, width);
-            for &(m, ph) in &layer.loose {
-                let s = m * width;
-                let re = &mut scratch.batch_re[s..s + width];
-                let im = &mut scratch.batch_im[s..s + width];
-                for j in 0..width {
-                    let (vr, vi) = (re[j], im[j]);
-                    re[j] = vr * ph.re - vi * ph.im;
-                    im[j] = vr * ph.im + vi * ph.re;
-                }
-            }
-        }
-        soa::apply_phasors_batch(
-            &mut scratch.batch_re,
-            &mut scratch.batch_im,
-            &self.out_re,
-            &self.out_im,
-            width,
-        );
-        soa::unpack_columns(&scratch.batch_re, &scratch.batch_im, self.n, width, batch);
-    }
+/// `e^{iφ}` times the phasor the mode still owes, clearing the debt.
+/// Multiplies only when something is owed, so a mode with no loose
+/// phase behind it gets exactly `C64::cis(phase)`.
+fn settle(owed: &mut Option<C64>, phase: f64) -> C64 {
+    let e = C64::cis(phase);
+    owed.take().map_or(e, |o| e * o)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::MeshScratch;
     use neuropulsim_linalg::random::haar_unitary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -730,10 +635,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_compiled_apply_matches_transfer_matrix() {
+    fn compiled_apply_matches_transfer_matrix() {
+        // Shallow meshes (one or two layers) leave loose phases owed all
+        // the way to the output screen; universal depth folds them into
+        // later cells.
         let mut rng = StdRng::seed_from_u64(19);
-        for n in [1usize, 2, 3, 6, 9] {
-            let mut mesh = LayeredMesh::universal(n);
+        let sizes = [1usize, 2, 3, 6, 9];
+        let shapes = sizes
+            .iter()
+            .map(|&n| (n, 2 * n))
+            .chain(sizes.iter().flat_map(|&n| [(n, 1), (n, 2)]));
+        for (n, layers) in shapes {
+            let mut mesh = LayeredMesh::new(n, layers);
             mesh.randomize_phases(&mut rng);
             mesh.perturb_couplers(&mut rng, 0.1);
             let u = mesh.transfer_matrix();
@@ -752,12 +665,15 @@ mod tests {
                 .zip(want.iter())
                 .map(|(g, w)| (*g - *w).abs())
                 .sum();
-            assert!(dist < 1e-10, "n={n}: fused apply diverges by {dist}");
+            assert!(
+                dist < 1e-10,
+                "n={n} layers={layers}: compiled apply diverges by {dist}"
+            );
         }
     }
 
     #[test]
-    fn fused_batch_apply_matches_single_apply_bitwise() {
+    fn batch_apply_matches_single_apply_bitwise() {
         let mut rng = StdRng::seed_from_u64(23);
         let n = 6;
         let width = 4;

@@ -238,10 +238,13 @@ impl MeshProgram {
     }
 }
 
-/// An execution plan for a [`MeshProgram`]: every block's 2×2 elements
-/// and every output phasor evaluated once at compile time, packed into
-/// independent cell layers in split re/im (SoA) form, leaving the
-/// per-application work as pure real multiply-adds on lane buffers.
+/// An execution plan for a mesh: every cell's 2×2 elements and every
+/// output phasor evaluated once at compile time, packed into independent
+/// cell layers in split re/im (SoA) form, leaving the per-application
+/// work as pure real multiply-adds on lane buffers. Every mesh
+/// architecture compiles to this one form: [`MeshProgram::compile`] and
+/// [`MeshProgram::compile_compact`] (Clements, Reck, Bell–Walmsley) and
+/// [`crate::layered::LayeredMesh::compile`] (Fldzhyan).
 ///
 /// Applying a compiled mesh costs O(blocks) with **zero** steady-state
 /// allocations and **zero** trigonometric calls — [`MeshProgram::apply`]
@@ -303,13 +306,16 @@ impl CompiledMesh {
                 col
             })
             .collect();
-        let (out_re, out_im) = program
-            .output_phases
-            .iter()
-            .map(|&p| (C64::cis(p).re, C64::cis(p).im))
-            .unzip();
+        let output: Vec<C64> = program.output_phases.iter().map(|&p| C64::cis(p)).collect();
+        CompiledMesh::from_columns(layers, &output)
+    }
+
+    /// A plan from finished cell columns, applied in order, followed by
+    /// one output phasor per mode. The mode count is `output.len()`.
+    pub(crate) fn from_columns(layers: Vec<CellColumn>, output: &[C64]) -> Self {
+        let (out_re, out_im) = output.iter().map(|e| (e.re, e.im)).unzip();
         CompiledMesh {
-            n: program.n,
+            n: output.len(),
             layers,
             out_re,
             out_im,
@@ -329,9 +335,10 @@ impl CompiledMesh {
 
     /// Applies the mesh to a field vector in place.
     ///
-    /// Bit-identical to [`MeshProgram::apply`]: the layer schedule only
-    /// reorders blocks that touch disjoint modes, and the lane arithmetic
-    /// reproduces scalar `C64` operations exactly (see DESIGN.md §11).
+    /// For a compiled [`MeshProgram`] this is bit-identical to
+    /// [`MeshProgram::apply`]: the layer schedule only reorders blocks
+    /// that touch disjoint modes, and the lane arithmetic reproduces
+    /// scalar `C64` operations exactly (see DESIGN.md §11).
     /// The layout — split re/im lanes with no interleaving and no
     /// store-to-load dependence between cells of a layer — lets the
     /// compiler vectorize and the core overlap independent cells.

@@ -320,7 +320,9 @@ impl ConformanceReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and
+/// every control character (`\n` by name, the rest as `\u00XX`).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1406,6 +1408,14 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_json_escapes_every_control_character() {
+        assert_eq!(
+            escape_json("a\"b\\c\nd\te\rf\u{1}g"),
+            "a\\\"b\\\\c\\nd\\u0009e\\u000df\\u0001g"
+        );
+    }
 
     #[test]
     fn riscv_cases_reach_the_trace_tier() {

@@ -6,30 +6,13 @@
 //! Run with: `cargo run --release --example photonic_inference`
 
 use neuropulsim::core::error::{HardwareModel, ShifterTech};
-use neuropulsim::core::mvm::{MvmCore, MvmNoiseConfig};
-use neuropulsim::linalg::RMatrix;
+use neuropulsim::core::inference::{LayerSpec, PhotonicNetwork};
+use neuropulsim::core::mvm::MvmNoiseConfig;
 use neuropulsim::nn::dataset::{synthetic_digits, DigitsConfig};
 use neuropulsim::nn::mlp::Mlp;
 use neuropulsim::photonics::pcm::PcmMaterial;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-
-/// Pads a rectangular weight matrix into the smallest square core that
-/// holds it (photonic meshes are square), returning the core.
-fn core_for(weights: &RMatrix) -> (MvmCore, usize, usize) {
-    let rows = weights.rows();
-    let cols = weights.cols();
-    let n = rows.max(cols);
-    let padded = RMatrix::from_fn(n, n, |i, j| {
-        if i < rows && j < cols {
-            weights[(i, j)]
-        } else {
-            0.0
-        }
-    });
-    (MvmCore::new(&padded), rows, cols)
-}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -48,11 +31,12 @@ fn main() {
     println!("digital test accuracy: {:.1}%", 100.0 * digital_accuracy);
 
     // --- photonic inference ------------------------------------------
-    // Program one core per layer, cached by layer identity.
-    let mut cores: HashMap<usize, (MvmCore, usize, usize)> = HashMap::new();
-    for (k, layer) in mlp.layers().iter().enumerate() {
-        cores.insert(k, core_for(&layer.weights));
-    }
+    // One padded square core per layer; bias and ReLU stay electronic.
+    let specs: Vec<LayerSpec> = mlp
+        .layers()
+        .iter()
+        .map(|l| LayerSpec::new(l.weights.clone(), l.bias.clone(), l.relu))
+        .collect();
 
     for (label, config) in [
         ("ideal optics", MvmNoiseConfig::ideal()),
@@ -96,26 +80,17 @@ fn main() {
             },
         ),
     ] {
-        // Freeze one hardware instance per layer for the whole test set.
-        let mut inst_rng = StdRng::seed_from_u64(99);
-        let instances: HashMap<usize, _> = cores
-            .iter()
-            .map(|(&k, (core, rows, cols))| {
-                (k, (core.realize(&config, &mut inst_rng), *rows, *cols))
-            })
-            .collect();
+        // Freeze one hardware instance per layer, in layer order, for the
+        // whole test set.
+        let net = PhotonicNetwork::compile(&specs, &config, &mut StdRng::seed_from_u64(99));
         let mut shot_rng = StdRng::seed_from_u64(123);
-        let mut layer_index = 0usize;
-        let accuracy = mlp.accuracy_with(&test, |_w, x| {
-            let k = layer_index % instances.len();
-            layer_index += 1;
-            let (instance, rows, cols) = &instances[&k];
-            let n = x.len().max(*rows).max(*cols);
-            let mut padded = vec![0.0; n];
-            padded[..x.len()].copy_from_slice(x);
-            let y = instance.multiply_noisy(&padded, &mut shot_rng);
-            y[..*rows].to_vec()
-        });
+        let correct = test
+            .samples
+            .iter()
+            .zip(&test.labels)
+            .filter(|(x, &label)| net.classify(x, &mut shot_rng) == label)
+            .count();
+        let accuracy = correct as f64 / test.len() as f64;
         println!("photonic accuracy [{label}]: {:.1}%", 100.0 * accuracy);
     }
 }

@@ -331,6 +331,58 @@ fn photonic_network_module_runs_a_trained_mlp() {
         (photonic - digital).abs() < 1e-9,
         "ideal photonic compile must match digital: {photonic} vs {digital}"
     );
+
+    // Under phase noise, coupler imbalance and readout noise the network
+    // must equal the digital forward pass over the same cores realized in
+    // layer order from the same seed, bit for bit.
+    let noisy = MvmNoiseConfig {
+        hardware: HardwareModel {
+            phase_noise_sigma: 0.02,
+            coupler_imbalance_sigma: 0.02,
+            ..HardwareModel::ideal()
+        },
+        readout_sigma: 1e-3,
+        ..MvmNoiseConfig::ideal()
+    };
+    let net = PhotonicNetwork::compile(&specs, &noisy, &mut StdRng::seed_from_u64(31));
+    let mut inst_rng = StdRng::seed_from_u64(31);
+    let instances: Vec<_> = mlp
+        .layers()
+        .iter()
+        .map(|l| {
+            let (rows, cols) = (l.weights.rows(), l.weights.cols());
+            let pad = rows.max(cols);
+            let padded = RMatrix::from_fn(pad, pad, |i, j| {
+                if i < rows && j < cols {
+                    l.weights[(i, j)]
+                } else {
+                    0.0
+                }
+            });
+            (
+                MvmCore::new(&padded).realize(&noisy, &mut inst_rng),
+                pad,
+                rows,
+            )
+        })
+        .collect();
+    let mut net_shots = StdRng::seed_from_u64(37);
+    let mut ref_shots = StdRng::seed_from_u64(37);
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for x in &test.samples {
+        let got = net.infer(x, &mut net_shots);
+        let mut layer = 0;
+        let want = mlp.forward_with(x, |_w, v| {
+            let (instance, pad, rows) = &instances[layer];
+            layer += 1;
+            let mut padded = vec![0.0; *pad];
+            padded[..v.len()].copy_from_slice(v);
+            let mut y = instance.multiply_noisy(&padded, &mut ref_shots);
+            y.truncate(*rows);
+            y
+        });
+        assert_eq!(bits(&got), bits(&want), "noisy photonic network diverged");
+    }
 }
 
 #[test]

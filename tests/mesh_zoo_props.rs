@@ -180,10 +180,10 @@ fn blocked_apply_is_bit_identical_up_to_n128_any_thread_count() {
     }
 }
 
-/// Same bit-identity contract for the fused layered kernel: batched
-/// columns reproduce the single-vector fused apply exactly.
+/// The compiled layered (Fldzhyan) plan keeps the same batch contract:
+/// batched columns reproduce its single-vector apply exactly.
 #[test]
-fn layered_batch_matches_fused_single_apply_bitwise() {
+fn layered_batch_matches_single_apply_bitwise() {
     for (i, &n) in [1usize, 2, 7, 32, 128].iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(split_seed(777, i as u64));
         let mut mesh = LayeredMesh::universal(n);
