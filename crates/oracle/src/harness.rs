@@ -56,9 +56,9 @@ pub enum Domain {
     SnnSparse,
     /// The mesh zoo: all four [`MeshArchitecture`]s (Clements, compacted
     /// Clements, Fldzhyan layered, Reck) vs their dense golden
-    /// reconstructions, plus bit-identity of the blocked/fused apply
-    /// kernels against the oracle per-block plan
-    /// ([`decomp_ref::PerBlockPlan`]).
+    /// reconstructions, plus bit-identity of the blocked apply kernels
+    /// against the oracle per-block plan ([`decomp_ref::PerBlockPlan`])
+    /// and of the layered mesh's batch apply against its single apply.
     MeshZoo,
 }
 
@@ -513,11 +513,15 @@ fn bits_equal(a: &[C64], b: &[C64]) -> bool {
             .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
+/// A bit-identity failure: the leg that differs, what it must equal,
+/// and its error against the golden output.
+type BitFailure = (&'static str, &'static str, f64);
+
 /// Named error legs plus an optional bit-identity failure.
-type ZooLegs = (Vec<(&'static str, f64)>, Option<(&'static str, f64)>);
+type ZooLegs = (Vec<(&'static str, f64)>, Option<BitFailure>);
 
 /// One mesh-zoo case: draw an architecture, realize a mesh on it,
-/// compare the fast transfer matrix and the blocked/fused apply kernel
+/// compare the fast transfer matrix and the compiled apply kernel
 /// against the dense golden reconstruction, and require the blocked
 /// kernel to be *bit-identical* to the oracle per-block plan (batch vs
 /// single apply for the layered mesh, which has no per-block plan).
@@ -549,8 +553,13 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             let e_u = linalg_ref::max_entry_error(&program.transfer_matrix(), &golden_u);
             let e_round = linalg_ref::max_entry_error(&golden_u, &target);
             let e_blocked = max_slice_error(&blocked, &golden_y);
-            let bits = (!bits_equal(&per_block, &blocked))
-                .then(|| ("blocked apply", max_slice_error(&blocked, &golden_y)));
+            let bits = (!bits_equal(&per_block, &blocked)).then(|| {
+                (
+                    "blocked apply",
+                    "the per-block path",
+                    max_slice_error(&blocked, &golden_y),
+                )
+            });
             (
                 vec![
                     ("transfer_matrix", e_u),
@@ -583,6 +592,7 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             let bits = (!bits_equal(&per_block, &blocked)).then(|| {
                 (
                     "blocked compact apply",
+                    "the per-block path",
                     max_slice_error(&blocked, &golden_y),
                 )
             });
@@ -602,10 +612,10 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             let golden_u = decomp_ref::layered_transfer_matrix_ref(&mesh);
             let golden_y = linalg_ref::mul_vec_ref(&golden_u, &x);
             let compiled = mesh.compile();
-            let mut fused: Vec<C64> = x.as_slice().to_vec();
-            compiled.apply_in_place(&mut fused, &mut scratch);
+            let mut single: Vec<C64> = x.as_slice().to_vec();
+            compiled.apply_in_place(&mut single, &mut scratch);
             if inject {
-                fused[0] += C64::new(100.0 * tol, 0.0);
+                single[0] += C64::new(100.0 * tol, 0.0);
             }
             // Batch apply on two copies must match the single-vector
             // path bit-for-bit, column by column.
@@ -613,13 +623,19 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
             batch.extend_from_slice(x.as_slice());
             compiled.apply_batch(&mut batch, &mut scratch);
             let e_u = linalg_ref::max_entry_error(&mesh.transfer_matrix(), &golden_u);
-            let e_fused = max_slice_error(&fused, &golden_y);
-            let bits = (!bits_equal(&batch[..n], &fused) || !bits_equal(&batch[n..], &fused))
-                .then(|| ("fused batch apply", max_slice_error(&batch[..n], &golden_y)));
+            let e_single = max_slice_error(&single, &golden_y);
+            let bits = (!bits_equal(&batch[..n], &single) || !bits_equal(&batch[n..], &single))
+                .then(|| {
+                    (
+                        "compiled batch apply",
+                        "the compiled single apply",
+                        max_slice_error(&batch[..n], &golden_y),
+                    )
+                });
             (
                 vec![
                     ("LayeredMesh::transfer_matrix", e_u),
-                    ("fused apply", e_fused),
+                    ("compiled apply", e_single),
                 ],
                 bits,
             )
@@ -627,12 +643,15 @@ fn mesh_zoo_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> 
     };
 
     let worst = legs.iter().map(|l| l.1).fold(0.0f64, f64::max);
-    if let Some((what, e_bits)) = bit_failure {
+    if let Some((what, reference, e_bits)) = bit_failure {
         let worst = worst.max(e_bits);
         return CaseOutcome::diverged(
             n,
             worst,
-            format!("mesh_zoo n={n} {}: {what} not bit-identical to the per-block path (error {worst:e})", arch.name()),
+            format!(
+                "mesh_zoo n={n} {}: {what} not bit-identical to {reference} (error {worst:e})",
+                arch.name()
+            ),
         );
     }
     if worst > tol {

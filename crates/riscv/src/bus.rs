@@ -1,6 +1,15 @@
 //! The memory bus abstraction between the CPU and the system: the sim
 //! crate implements [`Bus`] over its memory map (DRAM, scratchpads,
 //! memory-mapped accelerator registers).
+//!
+//! Every access the CPU makes — instruction fetches, loads and stores of
+//! every width — goes through the two required word accessors,
+//! [`Bus::load_word`] and [`Bus::store_word`], so a bus charges its
+//! access accounting in exactly one place. The bulk interpreter adds
+//! only the hooks [`Bus::peek_word`] (side-effect-free decode),
+//! [`Bus::charge_fetches`] (fetch accounting for a whole run) and
+//! [`Bus::mmio_prologue`]/[`Bus::mmio_epilogue`] (device accesses inside
+//! a bulk window).
 
 use std::fmt;
 
@@ -28,13 +37,16 @@ impl std::error::Error for BusFault {}
 
 /// A 32-bit little-endian memory bus.
 ///
-/// Only word-width primitives are required; byte and halfword accessors
-/// have default implementations that read-modify-write the containing
-/// word, which is correct for memories and acceptable for the register
-/// devices in this workspace.
+/// Only the two word accessors are required, and they are the one path
+/// of every CPU access: fetches and word loads/stores call them
+/// directly, and the default byte and halfword accessors read-modify-
+/// write the containing word through them, which is correct for
+/// memories and acceptable for the register devices in this workspace.
+/// The remaining methods are the bulk interpreter's hooks; their
+/// defaults decline, which keeps every access on the two accessors.
 pub trait Bus {
     /// Loads the aligned 32-bit word containing `addr` (low 2 bits
-    /// ignored).
+    /// ignored). Instruction fetches use it too.
     ///
     /// # Errors
     ///
@@ -54,7 +66,7 @@ pub trait Bus {
     ///
     /// Propagates the word access fault.
     fn load_byte(&mut self, addr: u32) -> Result<u8, BusFault> {
-        let w = self.load_word_fast(addr & !3)?;
+        let w = self.load_word(addr & !3)?;
         Ok((w >> ((addr & 3) * 8)) as u8)
     }
 
@@ -64,7 +76,7 @@ pub trait Bus {
     ///
     /// Propagates the word access fault.
     fn load_half(&mut self, addr: u32) -> Result<u16, BusFault> {
-        let w = self.load_word_fast(addr & !3)?;
+        let w = self.load_word(addr & !3)?;
         Ok((w >> ((addr & 2) * 8)) as u16)
     }
 
@@ -76,9 +88,9 @@ pub trait Bus {
     fn store_byte(&mut self, addr: u32, value: u8) -> Result<(), BusFault> {
         let aligned = addr & !3;
         let shift = (addr & 3) * 8;
-        let w = self.load_word_fast(aligned)?;
+        let w = self.load_word(aligned)?;
         let w = (w & !(0xffu32 << shift)) | ((value as u32) << shift);
-        self.store_word_fast(aligned, w)
+        self.store_word(aligned, w)
     }
 
     /// Stores one halfword (read-modify-write).
@@ -89,22 +101,9 @@ pub trait Bus {
     fn store_half(&mut self, addr: u32, value: u16) -> Result<(), BusFault> {
         let aligned = addr & !3;
         let shift = (addr & 2) * 8;
-        let w = self.load_word_fast(aligned)?;
+        let w = self.load_word(aligned)?;
         let w = (w & !(0xffffu32 << shift)) | ((value as u32) << shift);
-        self.store_word_fast(aligned, w)
-    }
-
-    /// Instruction fetch: must be observably identical to [`Bus::load_word`]
-    /// (same value, same faults, same access accounting). Implementations
-    /// backed by plain RAM may override it with a leaner single-bounds-check
-    /// path; the precise interpreter ([`crate::cpu::Cpu::step`]) issues
-    /// all its fetches through this hook.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusFault`] for unmapped addresses.
-    fn fetch_word(&mut self, addr: u32) -> Result<u32, BusFault> {
-        self.load_word(addr)
+        self.store_word(aligned, w)
     }
 
     /// Side-effect-free read of the aligned word containing `addr`, used by
@@ -118,32 +117,10 @@ pub trait Bus {
         None
     }
 
-    /// Fused data-load fast path: observably identical to
-    /// [`Bus::load_word`], overridable to bypass full bus dispatch when the
-    /// address window is plain RAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusFault`] for unmapped addresses.
-    fn load_word_fast(&mut self, addr: u32) -> Result<u32, BusFault> {
-        self.load_word(addr)
-    }
-
-    /// Fused data-store fast path: observably identical to
-    /// [`Bus::store_word`], overridable to bypass full bus dispatch when the
-    /// address window is plain RAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusFault`] for unmapped or read-only addresses.
-    fn store_word_fast(&mut self, addr: u32, value: u32) -> Result<(), BusFault> {
-        self.store_word(addr, value)
-    }
-
     /// Bulk-charges the accounting side effects of `count` instruction
     /// fetches covering `[start, start + 4*count)` without reading the
     /// words, or reports that it cannot. Returning `true` promises that
-    /// *exactly* the accounting of that many [`Bus::fetch_word`] calls
+    /// *exactly* the accounting of that many [`Bus::load_word`] fetches
     /// was applied (e.g. read counters) and nothing else; implementations
     /// whose fetches have per-access state (stall charging, cache
     /// modelling) must return `false`, and the caller then performs real

@@ -381,7 +381,7 @@ impl Cpu {
         }
         let pc = self.pc;
         let word = bus
-            .fetch_word(pc)
+            .load_word(pc)
             .map_err(|fault| Trap::MemoryFault { pc, fault })?;
         let inst = decode(word).map_err(|_| Trap::IllegalInstruction {
             pc,
@@ -612,7 +612,7 @@ impl Cpu {
         match inst {
             Lb { rd, .. } => self.set_reg(rd, bus.load_byte(addr)? as i8 as i32 as u32),
             Lh { rd, .. } => self.set_reg(rd, bus.load_half(addr)? as i16 as i32 as u32),
-            Lw { rd, .. } => self.set_reg(rd, bus.load_word_fast(addr)?),
+            Lw { rd, .. } => self.set_reg(rd, bus.load_word(addr)?),
             Lbu { rd, .. } => self.set_reg(rd, bus.load_byte(addr)? as u32),
             Lhu { rd, .. } => self.set_reg(rd, bus.load_half(addr)? as u32),
             Sb { rs2, .. } => {
@@ -624,7 +624,7 @@ impl Cpu {
                 self.note_store(addr);
             }
             Sw { rs2, .. } => {
-                bus.store_word_fast(addr, self.reg(rs2))?;
+                bus.store_word(addr, self.reg(rs2))?;
                 self.note_store(addr);
             }
             _ => unreachable!("access on a non-memory op"),

@@ -149,25 +149,19 @@ impl DmaDevice {
             return DmaSchedule::CompletesIn(1);
         }
         // The remaining source and destination word ranges must each sit
-        // entirely inside one memory; [`DmaDevice::tick`] then never hits
-        // the stall paths and completion timing is pure arithmetic.
-        let lo = self.moved;
-        let hi = self.len - 4; // len > moved and word-aligned
+        // entirely inside one memory; [`DmaDevice::tick`] then never
+        // stalls and completion timing is pure arithmetic. A range that
+        // would wrap the address space fits in neither.
+        let words = ((self.len - self.moved) / 4) as usize;
         let in_one = |base: u32| {
-            // Overflowing ranges wrap mid-transfer and can leave the
-            // memory even when both endpoints are inside it.
-            let Some(last) = base.checked_add(hi) else {
-                return false;
-            };
-            let first = base + lo;
-            (mem_a.contains(first) && mem_a.contains(last))
-                || (mem_b.contains(first) && mem_b.contains(last))
+            base.checked_add(self.moved).is_some_and(|first| {
+                mem_a.word_span(first, words).is_some() || mem_b.word_span(first, words).is_some()
+            })
         };
         if !in_one(self.src) || !in_one(self.dst) {
             return DmaSchedule::Opaque;
         }
-        let words = ((self.len - self.moved) / 4) as u64;
-        DmaSchedule::CompletesIn(words.div_ceil(self.words_per_cycle as u64).max(1))
+        DmaSchedule::CompletesIn((words as u64).div_ceil(self.words_per_cycle as u64).max(1))
     }
 
     /// Moves up to `words_per_cycle` words this cycle between the two
@@ -184,31 +178,38 @@ impl DmaDevice {
             if self.moved >= self.len {
                 break;
             }
-            let s = self.src + self.moved;
-            let d = self.dst + self.moved;
-            let word = if mem_a.contains(s) {
-                mem_a.load(s).ok()
-            } else if mem_b.contains(s) {
-                mem_b.load(s).ok()
-            } else {
-                None
-            };
-            let Some(word) = word else {
-                return false;
-            };
-            let ok = if mem_a.contains(d) {
-                mem_a.store(d, word).is_ok()
-            } else if mem_b.contains(d) {
-                mem_b.store(d, word).is_ok()
-            } else {
-                false
-            };
-            if !ok {
+            if !self.move_word(mem_a, mem_b) {
                 return false;
             }
-            self.moved += 4;
-            self.bytes_moved += 4;
         }
+        self.finish_if_done()
+    }
+
+    /// Moves the next word: one counted load from whichever memory holds
+    /// the source, one counted store to whichever holds the destination.
+    /// Returns `false` on a stall (either address in neither memory),
+    /// with a source word that was read still counted as read.
+    fn move_word(&mut self, mem_a: &mut Ram, mem_b: &mut Ram) -> bool {
+        let s = self.src.wrapping_add(self.moved);
+        let d = self.dst.wrapping_add(self.moved);
+        let Ok(word) = mem_a.load(s).or_else(|_| mem_b.load(s)) else {
+            return false;
+        };
+        if mem_a
+            .store(d, word)
+            .or_else(|_| mem_b.store(d, word))
+            .is_err()
+        {
+            return false;
+        }
+        self.moved += 4;
+        self.bytes_moved += 4;
+        true
+    }
+
+    /// Completes the transfer once every byte has moved. Returns `true`
+    /// when the completion interrupt fires.
+    fn finish_if_done(&mut self) -> bool {
         if self.moved >= self.len {
             self.busy = false;
             self.done = true;
@@ -217,13 +218,14 @@ impl DmaDevice {
         false
     }
 
-    /// Advances the transfer by `ticks` cycles in one pass, with
-    /// per-word accounting identical to calling [`DmaDevice::tick`] that
-    /// many times (each word is one counted load and one counted store).
-    /// Returns `true` when the completion interrupt fires within the
-    /// span. Only valid for [`DmaSchedule::CompletesIn`] transfers; a
-    /// stall mid-span (which `schedule` rules out) stops early exactly as
-    /// `tick` would.
+    /// Advances the transfer by `ticks` cycles, with accounting identical
+    /// to calling [`DmaDevice::tick`] that many times (each word is one
+    /// counted load and one counted store). Returns `true` when the
+    /// completion interrupt fires within the span. The span's words move
+    /// in one bulk copy when its source and destination ranges each sit
+    /// inside one memory, as for every [`DmaSchedule::CompletesIn`]
+    /// transfer; otherwise the span may stall, and its `ticks` ticks run
+    /// one by one.
     pub(crate) fn advance_bulk(&mut self, ticks: u64, mem_a: &mut Ram, mem_b: &mut Ram) -> bool {
         if !self.busy || ticks == 0 {
             return false;
@@ -232,79 +234,35 @@ impl DmaDevice {
         let budget = ticks.saturating_mul(self.words_per_cycle as u64);
         let count = remaining.min(budget) as usize;
         if count > 0 && !self.copy_words(count, mem_a, mem_b) {
-            return false;
+            return (0..ticks).any(|_| self.tick(mem_a, mem_b));
         }
-        if self.moved >= self.len {
-            self.busy = false;
-            self.done = true;
-            return self.irq_enable;
-        }
-        false
+        self.finish_if_done()
     }
 
-    /// Moves the next `count > 0` words, as `count` per-word
-    /// load/store pairs would. Returns `false` where [`DmaDevice::tick`]
-    /// would stall, with the words before the stall moved.
+    /// Moves the next `count > 0` words in one bulk copy when the source
+    /// range and the destination range each sit inside one memory, with
+    /// the exact accounting of `count` per-word moves. Returns `false`,
+    /// with nothing moved, otherwise.
     fn copy_words(&mut self, count: usize, mem_a: &mut Ram, mem_b: &mut Ram) -> bool {
-        let s = self.src + self.moved;
-        let d = self.dst + self.moved;
-        // One bulk copy when each range sits inside one memory (the
-        // [`DmaSchedule::CompletesIn`] contract); the copy applies the
-        // exact accounting of `count` per-word load/store pairs. Word by
-        // word otherwise, reproducing `tick`'s stall behavior.
-        let last = 4 * (count as u32 - 1);
-        let one_mem =
-            |m: &Ram, a: u32| m.contains(a) && a.checked_add(last).is_some_and(|e| m.contains(e));
-        let copied = if one_mem(mem_a, s) {
-            if one_mem(mem_a, d) {
-                mem_a.copy_words_within(s, d, count).is_ok()
-            } else if one_mem(mem_b, d) {
-                mem_a.copy_words_to(s, mem_b, d, count).is_ok()
-            } else {
-                false
-            }
-        } else if one_mem(mem_b, s) {
-            if one_mem(mem_b, d) {
-                mem_b.copy_words_within(s, d, count).is_ok()
-            } else if one_mem(mem_a, d) {
-                mem_b.copy_words_to(s, mem_a, d, count).is_ok()
-            } else {
-                false
-            }
+        let s = self.src.wrapping_add(self.moved);
+        let d = self.dst.wrapping_add(self.moved);
+        let (from, to) = if mem_a.word_span(s, count).is_some() {
+            (mem_a, mem_b)
+        } else if mem_b.word_span(s, count).is_some() {
+            (mem_b, mem_a)
         } else {
-            false
+            return false;
         };
-        if copied {
-            self.moved += 4 * count as u32;
-            self.bytes_moved += 4 * count as u64;
+        let copied = if from.word_span(d, count).is_some() {
+            from.copy_words_within(s, d, count)
         } else {
-            for _ in 0..count {
-                let s = self.src + self.moved;
-                let d = self.dst + self.moved;
-                let word = if mem_a.contains(s) {
-                    mem_a.load(s).ok()
-                } else if mem_b.contains(s) {
-                    mem_b.load(s).ok()
-                } else {
-                    None
-                };
-                let Some(word) = word else {
-                    return false;
-                };
-                let ok = if mem_a.contains(d) {
-                    mem_a.store(d, word).is_ok()
-                } else if mem_b.contains(d) {
-                    mem_b.store(d, word).is_ok()
-                } else {
-                    false
-                };
-                if !ok {
-                    return false;
-                }
-                self.moved += 4;
-                self.bytes_moved += 4;
-            }
+            from.copy_words_to(s, to, d, count)
+        };
+        if copied.is_err() {
+            return false;
         }
+        self.moved += 4 * count as u32;
+        self.bytes_moved += 4 * count as u64;
         true
     }
 
@@ -329,6 +287,86 @@ mod tests {
 
     fn memories() -> (Ram, Ram) {
         (Ram::new(0x0000_0000, 4096), Ram::new(0x1000_0000, 4096))
+    }
+
+    /// An engine with `words_per_cycle` started on `len` bytes from
+    /// `src` to `dst`, interrupt enabled, over a 64-word DRAM and a
+    /// 16-word SPM whose words are all distinct.
+    fn started(words_per_cycle: u32, src: u32, dst: u32, len: u32) -> (DmaDevice, Ram, Ram) {
+        let (mut dram, mut spm) = (Ram::new(0, 256), Ram::new(0x1000_0000, 64));
+        for k in 0..64u32 {
+            dram.poke(k * 4, k + 1).unwrap();
+        }
+        for k in 0..16u32 {
+            spm.poke(0x1000_0000 + k * 4, 0x8000 + k).unwrap();
+        }
+        let mut dma = DmaDevice::new(words_per_cycle);
+        dma.mmr_store(mmr::SRC, src);
+        dma.mmr_store(mmr::DST, dst);
+        dma.mmr_store(mmr::LEN, len);
+        dma.mmr_store(mmr::IRQ_ENABLE, 1);
+        assert!(dma.mmr_store(mmr::CTRL, 1));
+        (dma, dram, spm)
+    }
+
+    #[test]
+    fn advance_bulk_equals_that_many_ticks() {
+        for wpc in 1..=3 {
+            // DRAM to SPM.
+            let to_spm = started(wpc, 0x40, 0x1000_0010, 40);
+            // Overlapping DRAM to DRAM, destination one word ahead: each
+            // word moved feeds the next read.
+            let forward = started(wpc, 0x80, 0x84, 32);
+            // The destination runs off the SPM end after four words.
+            let off_end = started(wpc, 0x0, 0x1000_0030, 40);
+            // LEN rewritten below the bytes already moved.
+            let mut shrunk = started(wpc, 0x0, 0x1000_0000, 40);
+            for _ in 0..2 {
+                let (dma, dram, spm) = &mut shrunk;
+                assert!(!dma.tick(dram, spm));
+            }
+            shrunk.0.mmr_store(mmr::LEN, 4);
+            let cases = [
+                (
+                    "to_spm",
+                    to_spm,
+                    DmaSchedule::CompletesIn((10u64).div_ceil(wpc as u64)),
+                ),
+                (
+                    "forward",
+                    forward,
+                    DmaSchedule::CompletesIn((8u64).div_ceil(wpc as u64)),
+                ),
+                ("off_end", off_end, DmaSchedule::Opaque),
+                ("shrunk", shrunk, DmaSchedule::CompletesIn(1)),
+            ];
+            for (name, start, schedule) in cases {
+                assert_eq!(start.0.schedule(&start.1, &start.2), schedule, "{name}");
+                for k in 0..=12 {
+                    let (mut dma, mut dram, mut spm) = start.clone();
+                    let bulk_fired = dma.advance_bulk(k, &mut dram, &mut spm);
+                    let (mut ref_dma, mut ref_dram, mut ref_spm) = start.clone();
+                    let mut fired = false;
+                    for _ in 0..k {
+                        fired |= ref_dma.tick(&mut ref_dram, &mut ref_spm);
+                    }
+                    let at = format!("{name}, {wpc} words/cycle, {k} ticks");
+                    assert_eq!(bulk_fired, fired, "{at}: interrupt");
+                    assert_eq!(dma, ref_dma, "{at}: engine");
+                    assert_eq!(dram, ref_dram, "{at}: DRAM");
+                    assert_eq!(spm, ref_spm, "{at}: SPM");
+                }
+            }
+        }
+        // The forward copy propagated its first word, and the stalled
+        // transfer re-read its source on every tick after the stall.
+        let (mut dma, mut dram, mut spm) = started(2, 0x80, 0x84, 32);
+        assert!(dma.advance_bulk(4, &mut dram, &mut spm));
+        assert_eq!(dram.peek_words(0x80, 9).unwrap(), &[0x21; 9]);
+        let (mut dma, mut dram, mut spm) = started(2, 0x0, 0x1000_0030, 40);
+        assert!(!dma.advance_bulk(6, &mut dram, &mut spm));
+        assert!(dma.is_busy());
+        assert_eq!((dma.bytes_moved, dram.reads, spm.writes), (16, 4 + 4, 4));
     }
 
     #[test]

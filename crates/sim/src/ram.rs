@@ -37,7 +37,16 @@ impl std::error::Error for RamFault {}
 impl Ram {
     /// Creates a zeroed RAM of `size_bytes` at `base` (size rounded up to
     /// a word).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the RAM would run past the end of the 32-bit address
+    /// space.
     pub fn new(base: u32, size_bytes: usize) -> Self {
+        assert!(
+            base as u64 + size_bytes.div_ceil(4) as u64 * 4 <= 1 << 32,
+            "RAM wraps past the end of the address space"
+        );
         Ram {
             base,
             data: vec![0; size_bytes.div_ceil(4)],
@@ -58,14 +67,20 @@ impl Ram {
 
     /// `true` if `addr` falls inside this RAM.
     pub fn contains(&self, addr: u32) -> bool {
-        addr >= self.base && ((addr - self.base) as usize) < self.size()
+        self.index(addr).is_ok()
     }
 
+    /// The word index of `addr`: one bounds check on the wrapping offset
+    /// from the base, so an address below the base wraps far past the
+    /// end and faults like one above it.
+    #[inline]
     fn index(&self, addr: u32) -> Result<usize, RamFault> {
-        if !self.contains(addr) {
-            return Err(RamFault { addr });
+        let i = (addr.wrapping_sub(self.base) / 4) as usize;
+        if i < self.data.len() {
+            Ok(i)
+        } else {
+            Err(RamFault { addr })
         }
-        Ok(((addr - self.base) / 4) as usize)
     }
 
     /// Loads the word containing absolute address `addr`.
@@ -73,6 +88,7 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`RamFault`] when out of range.
+    #[inline]
     pub fn load(&mut self, addr: u32) -> Result<u32, RamFault> {
         let i = self.index(addr)?;
         self.reads += 1;
@@ -84,6 +100,7 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`RamFault`] when out of range.
+    #[inline]
     pub fn store(&mut self, addr: u32, value: u32) -> Result<(), RamFault> {
         let i = self.index(addr)?;
         self.writes += 1;
@@ -91,46 +108,14 @@ impl Ram {
         Ok(())
     }
 
-    /// Counted word load with a single bounds check and no error-value
-    /// construction: the hot path for fused CPU loads and instruction
-    /// fetches. Observably identical to [`Ram::load`] (`None` ⇔ `Err`).
-    #[inline]
-    pub fn load_fast(&mut self, addr: u32) -> Option<u32> {
-        let i = (addr.wrapping_sub(self.base) / 4) as usize;
-        let w = *self.data.get(i)?;
-        self.reads += 1;
-        Some(w)
-    }
-
-    /// Counted word store mirroring [`Ram::load_fast`]. Observably
-    /// identical to [`Ram::store`].
-    #[inline]
-    pub fn store_fast(&mut self, addr: u32, value: u32) -> Option<()> {
-        let i = (addr.wrapping_sub(self.base) / 4) as usize;
-        let slot = self.data.get_mut(i)?;
-        self.writes += 1;
-        *slot = value;
-        Some(())
-    }
-
-    /// Uncounted word read with a single bounds check — the side-effect-
-    /// free peek used for pre-decoding instruction blocks.
-    #[inline]
-    pub fn peek_fast(&self, addr: u32) -> Option<u32> {
-        let i = (addr.wrapping_sub(self.base) / 4) as usize;
-        self.data.get(i).copied()
-    }
-
-    /// Reads without counting (host-side debug access).
+    /// Reads without counting (host-side debug access and code decode).
     ///
     /// # Errors
     ///
     /// Returns [`RamFault`] when out of range.
+    #[inline]
     pub fn peek(&self, addr: u32) -> Result<u32, RamFault> {
-        if !self.contains(addr) {
-            return Err(RamFault { addr });
-        }
-        Ok(self.data[((addr - self.base) / 4) as usize])
+        Ok(self.data[self.index(addr)?])
     }
 
     /// Writes without counting (host-side program loading).
@@ -139,10 +124,8 @@ impl Ram {
     ///
     /// Returns [`RamFault`] when out of range.
     pub fn poke(&mut self, addr: u32, value: u32) -> Result<(), RamFault> {
-        if !self.contains(addr) {
-            return Err(RamFault { addr });
-        }
-        self.data[((addr - self.base) / 4) as usize] = value;
+        let i = self.index(addr)?;
+        self.data[i] = value;
         Ok(())
     }
 
@@ -381,6 +364,41 @@ mod tests {
         assert!(!r.contains(0xFFF));
         assert!(r.load(0x1010).is_err());
         assert!(r.store(0x0, 1).is_err());
+    }
+
+    #[test]
+    fn one_bounds_check_guards_every_word_access() {
+        let (base, size) = (0x1000_0000u32, 64u32);
+        let mut r = Ram::new(base, size as usize);
+        // The last byte is inside: it addresses the last word.
+        let last = base + size - 1;
+        assert!(r.contains(last));
+        r.poke(last, 5).unwrap();
+        assert_eq!(r.peek(base + size - 4).unwrap(), 5);
+        r.store(last, 6).unwrap();
+        assert_eq!(r.load(last).unwrap(), 6);
+        r.flip_bit(last, 0).unwrap();
+        assert_eq!(r.peek(last).unwrap(), 7);
+        assert_eq!((r.reads, r.writes), (1, 1));
+        // Below the base (the wrapping offset is huge), one past the end
+        // and the top of the address space all fault, uncounted and
+        // without touching memory.
+        let before = r.clone();
+        for addr in [base - 4, base + size, u32::MAX] {
+            assert!(!r.contains(addr), "{addr:#x}");
+            assert_eq!(r.load(addr), Err(RamFault { addr }));
+            assert_eq!(r.store(addr, 1), Err(RamFault { addr }));
+            assert_eq!(r.peek(addr), Err(RamFault { addr }));
+            assert_eq!(r.poke(addr, 1), Err(RamFault { addr }));
+            assert_eq!(r.flip_bit(addr, 3), Err(RamFault { addr }));
+        }
+        assert_eq!(r, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "RAM wraps past the end of the address space")]
+    fn a_ram_may_not_wrap_the_address_space() {
+        let _ = Ram::new(0xFFFF_FFF0, 32);
     }
 
     #[test]

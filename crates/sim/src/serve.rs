@@ -676,10 +676,17 @@ impl InferenceServer {
     ///
     /// # Panics
     ///
-    /// Panics if a spec names a missing model, a model matrix is not
-    /// square, or the per-PE operand windows overflow the scratchpad.
+    /// Panics if the fleet is empty or has more than 64 PEs (routing
+    /// affinity keeps one bit per PE slot in a `u64`), a spec names a
+    /// missing model, a model matrix is not square, or the per-PE
+    /// operand windows overflow the scratchpad.
     pub fn new(models: Vec<RMatrix>, specs: &[PeSpec], cfg: ServeConfig) -> Self {
         assert!(!specs.is_empty(), "serve: fleet must have at least one PE");
+        assert!(
+            specs.len() <= 64,
+            "serve: fleet of {} PEs exceeds the 64-slot affinity mask",
+            specs.len()
+        );
         let checksum_rows: Vec<Vec<f64>> = models
             .iter()
             .map(|w| {
@@ -797,7 +804,7 @@ impl InferenceServer {
             .iter()
             .enumerate()
             .filter(|(_, p)| p.spec.model == model && p.health != PeHealth::Dead)
-            .fold(0u64, |m, (i, _)| m | (1u64 << (i as u32 & 63)))
+            .fold(0u64, |m, (i, _)| m | (1u64 << i))
     }
 
     /// Number of PEs currently in-fleet (healthy, suspect or draining
@@ -1151,10 +1158,7 @@ impl InferenceServer {
                     if let Some(oldest) = st
                         .queue
                         .iter()
-                        .filter(|p| {
-                            p.req.model == pe.spec.model
-                                && p.failed_on & (1u64 << (i as u32 & 63)) == 0
-                        })
+                        .filter(|p| p.req.model == pe.spec.model && p.failed_on & (1u64 << i) == 0)
                         .map(|p| p.req.arrival)
                         .min()
                     {
@@ -1488,7 +1492,7 @@ impl InferenceServer {
             self.device_strike(i);
         }
         let live = self.live_mask(model);
-        let bit = 1u64 << (i as u32 & 63);
+        let bit = 1u64 << i;
         for mut p in bad.into_iter().rev() {
             p.attempts += 1;
             p.strikes += 1;
@@ -1646,7 +1650,7 @@ fn take_batch(
     now: u64,
     arrivals_done: bool,
 ) -> Option<Job> {
-    let bit = 1u64 << (slot as u32 & 63);
+    let bit = 1u64 << slot;
     let matching: Vec<usize> = queue
         .iter()
         .enumerate()
@@ -1740,6 +1744,19 @@ mod tests {
                 seed: 0x10ad,
             },
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "serve: fleet of 65 PEs exceeds the 64-slot affinity mask")]
+    fn fleets_beyond_the_affinity_mask_are_rejected() {
+        let models = vec![test_model(2)];
+        let full = InferenceServer::new(
+            models.clone(),
+            &homogeneous_fleet(64, &[]),
+            ServeConfig::default(),
+        );
+        assert_eq!(full.pes.len(), 64);
+        let _ = InferenceServer::new(models, &homogeneous_fleet(65, &[]), ServeConfig::default());
     }
 
     #[test]

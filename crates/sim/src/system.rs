@@ -5,12 +5,12 @@
 //!
 //! Memory map:
 //!
-//! | region      | base          | size    |
-//! |-------------|---------------|---------|
-//! | DRAM        | `0x0000_0000` | 4 MiB   |
-//! | SPM         | `0x1000_0000` | 256 KiB |
-//! | Accel MMRs  | `0x4000_0000` | 0x30    |
-//! | DMA MMRs    | `0x4100_0000` | 0x18    |
+//! | region      | base          | size                                    |
+//! |-------------|---------------|-----------------------------------------|
+//! | DRAM        | `0x0000_0000` | 4 MiB                                   |
+//! | SPM         | `0x1000_0000` | 256 KiB                                 |
+//! | Accel MMRs  | `0x4000_0000` | 0x30 per PE, `PE_STRIDE` apart (≤ 4096) |
+//! | DMA MMRs    | `0x4100_0000` | 0x18                                    |
 
 use crate::accel::AccelDevice;
 use crate::cache::DirectMappedCache;
@@ -113,10 +113,21 @@ impl Platform {
 
     /// Adds another processing element to the cluster, returning its MMR
     /// base address (`ACCEL_BASE + PE_STRIDE * slot`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new PE's register window would reach the DMA
+    /// registers at [`DMA_BASE`] (the cluster holds at most
+    /// `(DMA_BASE - ACCEL_BASE) / PE_STRIDE` PEs).
     pub fn add_pe(&mut self) -> u32 {
+        let slot = self.pes.len() as u32;
+        assert!(
+            slot < (DMA_BASE - ACCEL_BASE) / PE_STRIDE,
+            "add_pe: PE window {slot} would overlap the DMA registers"
+        );
         let cpu_hz = self.pes[0].cpu_hz;
         self.pes.push(AccelDevice::new(cpu_hz));
-        ACCEL_BASE + PE_STRIDE * (self.pes.len() - 1) as u32
+        ACCEL_BASE + PE_STRIDE * slot
     }
 
     /// Number of processing elements.
@@ -168,6 +179,7 @@ impl Platform {
     }
 
     /// Charges the memory-hierarchy cost of one CPU access to DRAM.
+    #[inline]
     fn charge_dram(&mut self, addr: u32) {
         if self.dram_latency == 0 {
             return;
@@ -228,86 +240,69 @@ impl Platform {
         }
     }
 
-    /// Resolves an address to a PE slot and register offset.
-    fn pe_slot(&self, addr: u32) -> Option<(usize, u32)> {
-        if addr < ACCEL_BASE {
-            return None;
+    /// Decodes a device address: the DMA register bank, or a PE slot
+    /// with its register offset. `None` for unmapped addresses.
+    fn mmio_slot(&self, addr: u32) -> Option<Mmio> {
+        if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&addr) {
+            return Some(Mmio::Dma(addr - DMA_BASE));
         }
-        let rel = addr - ACCEL_BASE;
+        let rel = addr.checked_sub(ACCEL_BASE)?;
         let slot = (rel / PE_STRIDE) as usize;
-        if slot < self.pe_count() {
-            Some((slot, rel % PE_STRIDE))
-        } else {
-            None
-        }
+        (slot < self.pe_count()).then_some(Mmio::Pe(slot, rel % PE_STRIDE))
     }
+}
+
+/// A decoded device address (see [`Platform::mmio_slot`]).
+enum Mmio {
+    /// DMA register at this offset.
+    Dma(u32),
+    /// Register of PE `slot` at this offset.
+    Pe(usize, u32),
 }
 
 impl Bus for Platform {
     fn load_word(&mut self, addr: u32) -> Result<u32, BusFault> {
         let a = addr & !3;
-        if self.dram.contains(a) {
+        if let Ok(w) = self.dram.load(a) {
             self.charge_dram(a);
-            return self.dram.load(a).map_err(|_| BusFault {
+            return Ok(w);
+        }
+        if let Ok(w) = self.spm.load(a) {
+            return Ok(w);
+        }
+        match self.mmio_slot(a) {
+            Some(Mmio::Dma(offset)) => Ok(self.dma.mmr_load(offset)),
+            Some(Mmio::Pe(slot, offset)) => Ok(self.pes[slot].mmr_load(offset)),
+            None => Err(BusFault {
                 addr,
                 is_store: false,
-            });
+            }),
         }
-        if self.spm.contains(a) {
-            return self.spm.load(a).map_err(|_| BusFault {
-                addr,
-                is_store: false,
-            });
-        }
-        if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&a) {
-            return Ok(self.dma.mmr_load(a - DMA_BASE));
-        }
-        if let Some((slot, offset)) = self.pe_slot(a) {
-            return Ok(self.pes[slot].mmr_load(offset));
-        }
-        Err(BusFault {
-            addr,
-            is_store: false,
-        })
     }
 
     fn store_word(&mut self, addr: u32, value: u32) -> Result<(), BusFault> {
         let a = addr & !3;
-        if self.dram.contains(a) {
+        if self.dram.store(a, value).is_ok() {
             self.charge_dram(a);
-            return self.dram.store(a, value).map_err(|_| BusFault {
-                addr,
-                is_store: true,
-            });
-        }
-        if self.spm.contains(a) {
-            return self.spm.store(a, value).map_err(|_| BusFault {
-                addr,
-                is_store: true,
-            });
-        }
-        if (ACCEL_BASE..DMA_BASE).contains(&a) {
-            if let Some((slot, offset)) = self.pe_slot(a) {
-                self.pes[slot].mmr_store(offset, value, self.now, &mut self.spm);
-                return Ok(());
-            }
-            return Err(BusFault {
-                addr,
-                is_store: true,
-            });
-        }
-        if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&a) {
-            let _ = self.dma.mmr_store(a - DMA_BASE, value);
             return Ok(());
         }
-        Err(BusFault {
-            addr,
-            is_store: true,
-        })
-    }
-
-    fn fetch_word(&mut self, addr: u32) -> Result<u32, BusFault> {
-        self.load_word_fast(addr)
+        if self.spm.store(a, value).is_ok() {
+            return Ok(());
+        }
+        match self.mmio_slot(a) {
+            Some(Mmio::Dma(offset)) => {
+                let _ = self.dma.mmr_store(offset, value);
+                Ok(())
+            }
+            Some(Mmio::Pe(slot, offset)) => {
+                self.pes[slot].mmr_store(offset, value, self.now, &mut self.spm);
+                Ok(())
+            }
+            None => Err(BusFault {
+                addr,
+                is_store: true,
+            }),
+        }
     }
 
     fn peek_word(&self, addr: u32) -> Option<u32> {
@@ -324,42 +319,7 @@ impl Bus for Platform {
         {
             return None;
         }
-        self.dram.peek_fast(a).or_else(|| self.spm.peek_fast(a))
-    }
-
-    fn load_word_fast(&mut self, addr: u32) -> Result<u32, BusFault> {
-        let a = addr & !3;
-        if self.dram_latency == 0 {
-            // Flat-memory model: charge_dram is a no-op, one bounds check.
-            if let Some(w) = self.dram.load_fast(a) {
-                return Ok(w);
-            }
-        } else if self.dram.contains(a) {
-            self.charge_dram(a);
-            return Ok(self.dram.load_fast(a).expect("contains checked"));
-        }
-        if let Some(w) = self.spm.load_fast(a) {
-            return Ok(w);
-        }
-        // MMIO and faulting addresses take the full dispatch path.
-        self.load_word(addr)
-    }
-
-    fn store_word_fast(&mut self, addr: u32, value: u32) -> Result<(), BusFault> {
-        let a = addr & !3;
-        if self.dram_latency == 0 {
-            if self.dram.store_fast(a, value).is_some() {
-                return Ok(());
-            }
-        } else if self.dram.contains(a) {
-            self.charge_dram(a);
-            self.dram.store_fast(a, value).expect("contains checked");
-            return Ok(());
-        }
-        if self.spm.store_fast(a, value).is_some() {
-            return Ok(());
-        }
-        self.store_word(addr, value)
+        self.dram.peek(a).or_else(|_| self.spm.peek(a)).ok()
     }
 
     fn charge_fetches(&mut self, start: u32, count: u32) -> bool {
@@ -370,11 +330,10 @@ impl Bus for Platform {
         if self.dram_latency != 0 {
             return false;
         }
-        let last = start.wrapping_add(4 * count.saturating_sub(1));
-        if self.dram.contains(start) && self.dram.contains(last) {
+        if self.dram.word_span(start, count as usize).is_some() {
             self.dram.reads += count as u64;
             true
-        } else if self.spm.contains(start) && self.spm.contains(last) {
+        } else if self.spm.word_span(start, count as usize).is_some() {
             self.spm.reads += count as u64;
             true
         } else {
@@ -399,10 +358,8 @@ impl Bus for Platform {
             // Of the DMA registers only STATUS runs in place (it cannot
             // change before the horizon); the rest take the precise
             // path, where a write may redirect, stall or cut the copy.
-            let a = addr & !3;
-            if (DMA_BASE..DMA_BASE + crate::dma::mmr::SIZE).contains(&a)
-                && a != DMA_BASE + crate::dma::mmr::STATUS
-            {
+            let register = self.mmio_slot(addr & !3);
+            if matches!(register, Some(Mmio::Dma(offset)) if offset != crate::dma::mmr::STATUS) {
                 return false;
             }
             let fired = self
@@ -811,6 +768,31 @@ mod tests {
         assert_eq!(sys.cpu.reg(10), 42);
         assert!(report.energy.get("cpu") > 0.0);
         assert!(report.time_s > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_pe: PE window 4096 would overlap the DMA registers")]
+    fn every_pe_window_decodes_below_the_dma_registers() {
+        use crate::accel::mmr::IN_ADDR;
+        let mut p = Platform::new(1e9);
+        let slots = ((DMA_BASE - ACCEL_BASE) / PE_STRIDE) as usize;
+        for slot in 1..slots {
+            assert_eq!(p.add_pe(), ACCEL_BASE + PE_STRIDE * slot as u32);
+        }
+        for slot in 0..slots {
+            let base = ACCEL_BASE + PE_STRIDE * slot as u32;
+            p.store_word(base + IN_ADDR, slot as u32 + 7).unwrap();
+            assert_eq!(p.pe_mut(slot).mmr_load(IN_ADDR), slot as u32 + 7);
+            assert_eq!(p.load_word(base + IN_ADDR).unwrap(), slot as u32 + 7);
+        }
+        // The DMA registers stay reachable right above the last window,
+        // and nothing past them decodes.
+        p.store_word(DMA_BASE + crate::dma::mmr::SRC, 0x40).unwrap();
+        assert_eq!(p.load_word(DMA_BASE + crate::dma::mmr::SRC).unwrap(), 0x40);
+        let past = DMA_BASE + crate::dma::mmr::SIZE;
+        assert!(p.load_word(past).is_err());
+        assert!(p.store_word(past, 1).is_err());
+        p.add_pe();
     }
 
     #[test]

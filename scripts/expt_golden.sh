@@ -1,0 +1,14 @@
+#!/bin/sh
+# Prints the stdout of the expt_system (E7) and expt_cluster (E12)
+# experiments, each under a `== NAME` header. Both print simulated-clock
+# tables only, which repeat exactly run to run; expt_system is the one
+# binary that drives the DRAM-latency model and the L1 cache. CI diffs
+# this output against the committed scripts/expt_golden.txt. A change
+# that alters simulated behaviour on purpose regenerates the file:
+#
+#   scripts/expt_golden.sh > scripts/expt_golden.txt
+set -eu
+for b in expt_system expt_cluster; do
+  echo "== $b"
+  cargo run --release -q -p neuropulsim-bench --bin "$b"
+done
