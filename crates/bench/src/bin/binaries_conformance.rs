@@ -9,8 +9,8 @@
 //! Exits nonzero if any matrix case or any binary diverges, so CI
 //! fails on the report it just uploaded.
 
-use neuropulsim_oracle::harness::escape_json;
 use neuropulsim_oracle::rv32_matrix::{lockstep_elf, run_matrix};
+use neuropulsim_sim::escape_json;
 use neuropulsim_sim::loader::workloads;
 use neuropulsim_sim::system::System;
 

@@ -23,14 +23,11 @@ fn photonic_accuracy(mlp: &Mlp, test: &Dataset, config: &MvmNoiseConfig, seed: u
         .map(|l| LayerSpec::new(l.weights.clone(), l.bias.clone(), l.relu))
         .collect();
     let net = PhotonicNetwork::compile(&specs, config, &mut StdRng::seed_from_u64(seed));
-    let mut shot_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-    let correct = test
-        .samples
-        .iter()
-        .zip(&test.labels)
-        .filter(|(x, &label)| net.classify(x, &mut shot_rng) == label)
-        .count();
-    correct as f64 / test.len() as f64
+    net.accuracy(
+        &test.samples,
+        &test.labels,
+        &mut StdRng::seed_from_u64(seed ^ 0xABCD),
+    )
 }
 
 fn main() {

@@ -2,9 +2,10 @@
 //! engine (`snn::sparse::EventNet`). Three campaigns in one unified
 //! `neuropulsim-bench/v1` report:
 //!
-//! 1. **matched sizes** — event vs dense engine on identical specs and
-//!    injection schedules (bit-identity is re-checked first), yielding
-//!    the `speedup_vs_dense/*` derived entries;
+//! 1. **matched sizes** — the event engine vs a dense `O(N²)` sweep
+//!    ([`DenseSweep`]) on identical specs and injection schedules
+//!    (bit-identity is re-checked first), yielding the
+//!    `speedup_vs_dense/*` derived entries;
 //! 2. **million-neuron scale** — ≥1M neurons at sparse activity,
 //!    yielding `ticks_per_s` at the headline activity;
 //! 3. **activity ladder** — the same million-neuron network driven at
@@ -22,7 +23,8 @@
 
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_linalg::parallel::{available_threads, split_seed};
-use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec};
+use neuropulsim_snn::neuron::lif_update;
+use neuropulsim_snn::sparse::{EventNet, NetSpec, PcmWeightTable, SynapseArray};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +58,94 @@ fn schedule(spec: &NetSpec, ticks: usize, k: usize, seed: u64) -> Vec<Vec<(u32, 
         .collect()
 }
 
+/// The matched dense baseline: every tick walks the whole source-major
+/// `N x N` weight matrix, then steps every neuron with the same
+/// [`lif_update`] the event engine uses — `O(N²)` work whatever the
+/// activity. Each target's drive accumulates in ascending source order
+/// (adding `+0.0` for absent or silent edges is exact), as in the event
+/// engine, so the two agree bit for bit. The weights are frozen, so it
+/// runs non-plastic specs only.
+struct DenseSweep {
+    tau: f64,
+    threshold: f64,
+    refractory: f64,
+    dt: f64,
+    /// Source-major dense weights: `w[src * n + tgt]`.
+    w: Vec<f64>,
+    /// 1.0 where the neuron fired last tick, else 0.0.
+    fired_mask: Vec<f64>,
+    v: Vec<f64>,
+    refr_left: Vec<f64>,
+    drive: Vec<f64>,
+    fired: Vec<u32>,
+}
+
+impl DenseSweep {
+    fn new(spec: &NetSpec) -> Self {
+        assert!(!spec.plastic, "the dense sweep has no plasticity");
+        let n = spec.neurons;
+        let table = PcmWeightTable::new(spec.material, spec.levels);
+        let syn = SynapseArray::new(n, &spec.edges, &spec.init_levels, table);
+        let mut w = vec![0.0; n * n];
+        for s in 0..n as u32 {
+            let (tgts, ws) = syn.row(s);
+            for (&t, &wt) in tgts.iter().zip(ws) {
+                w[s as usize * n + t as usize] = wt;
+            }
+        }
+        DenseSweep {
+            tau: spec.tau,
+            threshold: spec.threshold,
+            refractory: spec.refractory,
+            dt: spec.dt,
+            w,
+            fired_mask: vec![0.0; n],
+            v: vec![0.0; n],
+            refr_left: vec![0.0; n],
+            drive: vec![0.0; n],
+            fired: Vec::new(),
+        }
+    }
+
+    /// Advances one tick; returns the fired neurons, ascending.
+    fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
+        let n = self.v.len();
+        self.drive.fill(0.0);
+        for s in 0..n {
+            let f = self.fired_mask[s];
+            let row = &self.w[s * n..(s + 1) * n];
+            for (d, &w) in self.drive.iter_mut().zip(row) {
+                *d += w * f;
+            }
+        }
+        for &(j, amount) in injections {
+            self.drive[j as usize] += amount;
+        }
+        let mut fired = Vec::new();
+        for j in 0..n {
+            if lif_update(
+                &mut self.v[j],
+                &mut self.refr_left[j],
+                self.tau,
+                self.threshold,
+                self.refractory,
+                self.drive[j],
+                self.dt,
+            ) {
+                fired.push(j as u32);
+            }
+        }
+        for &j in &self.fired {
+            self.fired_mask[j as usize] = 0.0;
+        }
+        for &j in &fired {
+            self.fired_mask[j as usize] = 1.0;
+        }
+        self.fired = fired;
+        &self.fired
+    }
+}
+
 /// Re-checks event/dense bit-identity on a matched workload before any
 /// timing. Returns total spikes (identical across engines by then).
 fn check_identity(n: usize, k: usize) -> u64 {
@@ -63,7 +153,7 @@ fn check_identity(n: usize, k: usize) -> u64 {
     let schedule = schedule(&spec, 30, k, 23);
     let mut ev = EventNet::new(&spec);
     ev.threads = available_threads();
-    let mut dn = DenseNet::new(&spec);
+    let mut dn = DenseSweep::new(&spec);
     let mut spikes = 0u64;
     for inj in &schedule {
         let fe = ev.tick(inj).to_vec();
@@ -75,7 +165,7 @@ fn check_identity(n: usize, k: usize) -> u64 {
     for j in 0..n {
         assert_eq!(
             ev.potentials()[j].to_bits(),
-            dn.potentials()[j].to_bits(),
+            dn.v[j].to_bits(),
             "event vs dense potential bits diverged at n={n} neuron {j}"
         );
     }
@@ -102,7 +192,7 @@ fn main() {
         let sched = schedule(&sp, TICKS * (REPS + 1), k, 31);
         let mut ev = EventNet::new(&sp);
         ev.threads = threads;
-        let mut dn = DenseNet::new(&sp);
+        let mut dn = DenseSweep::new(&sp);
         let mut ec = 0usize;
         for _ in 0..TICKS {
             ev.tick(&sched[ec % sched.len()]);

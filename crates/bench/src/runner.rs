@@ -24,6 +24,7 @@
 //!  "min_ns":...,"norm":...,"meta":{...}}],"derived":{...},"payload":{...}}
 //! ```
 
+use neuropulsim_sim::escape_json;
 use std::time::Instant;
 
 /// Iterations of the fixed calibration kernel.
@@ -252,7 +253,7 @@ impl Runner {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str("  \"schema\": \"neuropulsim-bench/v1\",\n");
-        s.push_str(&format!("  \"bench\": \"{}\",\n", self.bench));
+        s.push_str(&format!("  \"bench\": \"{}\",\n", escape_json(&self.bench)));
         s.push_str(&format!("  \"calib_ns\": {:.0},\n", self.calib_ns));
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
         if self.profile {
@@ -263,7 +264,11 @@ impl Runner {
             s.push_str(&format!(
                 "    {{\"id\": \"{}\", \"reps\": {}, \"median_ns\": {:.1}, \
                  \"min_ns\": {:.1}, \"norm\": {:.6}",
-                m.id, m.reps, m.median_ns, m.min_ns, m.norm
+                escape_json(&m.id),
+                m.reps,
+                m.median_ns,
+                m.min_ns,
+                m.norm
             ));
             if !m.meta.is_empty() {
                 s.push_str(", \"meta\": {");
@@ -271,7 +276,7 @@ impl Runner {
                     if j > 0 {
                         s.push_str(", ");
                     }
-                    s.push_str(&format!("\"{key}\": {value}"));
+                    s.push_str(&format!("\"{}\": {value}", escape_json(key)));
                 }
                 s.push('}');
             }
@@ -287,7 +292,7 @@ impl Runner {
             if j > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("\"{key}\": {value}"));
+            s.push_str(&format!("\"{}\": {value}", escape_json(key)));
         }
         s.push_str("},\n");
         match &self.payload {
@@ -345,5 +350,21 @@ mod tests {
         let mut r = Runner::new("empty");
         r.measure("noop", 1, || {});
         assert!(r.to_json().contains("\"payload\": null"));
+    }
+
+    #[test]
+    fn report_json_escapes_caller_strings() {
+        let mut r = Runner::with_mode("b\"x", true);
+        r.measure_with_meta("op\\\"1", 1, &[("k\"", "1".to_string())], || {});
+        r.derived("d\\", "2".to_string());
+        let json = r.to_json();
+        for escaped in [
+            r#""bench": "b\"x","#,
+            r#""id": "op\\\"1","#,
+            r#""meta": {"k\"": 1}"#,
+            r#""derived": {"d\\": 2}"#,
+        ] {
+            assert!(json.contains(escaped), "missing {escaped} in {json}");
+        }
     }
 }

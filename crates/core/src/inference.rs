@@ -171,6 +171,31 @@ impl PhotonicNetwork {
         }
         best
     }
+
+    /// Fraction of `samples` that [`PhotonicNetwork::classify`] assigns
+    /// their `labels`, classifying in sample order with `rng` (0 for an
+    /// empty set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` and `labels` differ in length.
+    pub fn accuracy<R: Rng + ?Sized>(
+        &self,
+        samples: &[Vec<f64>],
+        labels: &[usize],
+        rng: &mut R,
+    ) -> f64 {
+        assert_eq!(samples.len(), labels.len(), "one label per sample");
+        if samples.is_empty() {
+            return 0.0;
+        }
+        let correct = samples
+            .iter()
+            .zip(labels)
+            .filter(|(x, &label)| self.classify(x, rng) == label)
+            .count();
+        correct as f64 / samples.len() as f64
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +263,10 @@ mod tests {
         let net = PhotonicNetwork::compile(&[spec], &MvmNoiseConfig::ideal(), &mut r);
         assert_eq!(net.classify(&[1.0, 0.0], &mut r), 1);
         assert_eq!(net.classify(&[0.0, 1.0], &mut r), 0);
+        // Labels 1, 0, 0: the third sample is misclassified.
+        let samples = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0]];
+        assert_eq!(net.accuracy(&samples, &[1, 0, 0], &mut r), 2.0 / 3.0);
+        assert_eq!(net.accuracy(&[], &[], &mut r), 0.0);
     }
 
     #[test]

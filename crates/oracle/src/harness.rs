@@ -23,8 +23,9 @@ use neuropulsim_riscv::bus::{Bus, FlatMemory};
 use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
 use neuropulsim_riscv::isa::{encode, Instruction};
 use neuropulsim_riscv::trace::HOT_THRESHOLD;
+use neuropulsim_sim::escape_json;
 use neuropulsim_snn::neuron::NeuronArray;
-use neuropulsim_snn::sparse::{DenseNet, EventNet, NetSpec, SERIAL_TICK_WORK};
+use neuropulsim_snn::sparse::{EventNet, NetSpec, SERIAL_TICK_WORK};
 use neuropulsim_snn::stdp::StdpRule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,8 +52,7 @@ pub enum Domain {
     /// independent reference curves.
     Pcm,
     /// Event-driven sparse SNN engine (CSR + fire queue + lazy leak)
-    /// vs the dense baseline and the eager edge-list reference
-    /// simulator (bit-exact).
+    /// vs the eager edge-list reference simulator (bit-exact).
     SnnSparse,
     /// The mesh zoo: all four [`MeshArchitecture`]s (Clements, compacted
     /// Clements, Fldzhyan layered, Reck) vs their dense golden
@@ -318,22 +318,6 @@ impl ConformanceReport {
         s.push_str("}\n");
         s
     }
-}
-
-/// Escapes `s` for a JSON string literal: quotes, backslashes and
-/// every control character (`\n` by name, the rest as `\u00XX`).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs one case of `domain` with `case_seed`. `size_override` forces
@@ -1204,10 +1188,6 @@ fn pcm_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
 
 // ------------------------------------------------------------ snn_sparse
 
-/// Three-way differential case: the event-driven sparse engine vs the
-/// dense baseline vs [`snn_ref::RefSparseNet`], over a random network
-/// and injection schedule, compared bit-for-bit — fire queues every
-/// tick, then final potentials, fire ledgers and synapse levels.
 /// One `snn_sparse` case's inputs: the network, the event engine's
 /// worker count and the per-tick injection schedule.
 struct SnnSparsePlan {
@@ -1267,6 +1247,10 @@ fn snn_sparse_plan(case_seed: u64, size_override: Option<usize>) -> SnnSparsePla
     }
 }
 
+/// Differential case: the event-driven sparse engine vs
+/// [`snn_ref::RefSparseNet`], over a random network and injection
+/// schedule, compared bit-for-bit — fire queues every tick, then final
+/// potentials, fire ledgers and synapse levels.
 fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
     let SnnSparsePlan {
         spec,
@@ -1276,7 +1260,6 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
     let n = spec.neurons;
     let mut fast = EventNet::new(&spec);
     fast.threads = threads;
-    let mut dense = DenseNet::new(&spec);
     let level_weights = fast.synapses().table().weights().to_vec();
     let mut oracle = snn_ref::RefSparseNet::new(
         spec.neurons,
@@ -1298,15 +1281,7 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
 
     for (t, inj) in schedule.iter().enumerate() {
         let fired_fast = fast.tick(inj).to_vec();
-        let fired_dense = dense.tick(inj).to_vec();
         let fired_ref = oracle.tick(inj);
-        if fired_fast != fired_dense {
-            return CaseOutcome::diverged(
-                n,
-                0.0,
-                format!("snn_sparse n={n}: event vs dense fire queue at tick {t}"),
-            );
-        }
         if fired_fast != fired_ref {
             return CaseOutcome::diverged(
                 n,
@@ -1330,22 +1305,13 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
                 format!("snn_sparse n={n}: potential bits differ at neuron {j}"),
             );
         }
-        if fast_v.to_bits() != dense.potentials()[j].to_bits() {
-            return CaseOutcome::diverged(
-                n,
-                (fast_v - dense.potentials()[j]).abs(),
-                format!("snn_sparse n={n}: event vs dense potential at neuron {j}"),
-            );
-        }
     }
-    if fast.fire_ledger() != oracle.fire_ledger() || fast.fire_ledger() != dense.fire_ledger() {
+    if fast.fire_ledger() != oracle.fire_ledger() {
         return CaseOutcome::diverged(n, 0.0, format!("snn_sparse n={n}: fire ledgers differ"));
     }
     // Synapse levels: the engine's CSR order is (source, target)-sorted,
     // exactly the reference's edge order.
-    if fast.synapses().levels_flat() != oracle.levels()
-        || fast.synapses().levels_flat() != dense.synapses().levels_flat()
-    {
+    if fast.synapses().levels_flat() != oracle.levels() {
         return CaseOutcome::diverged(n, 0.0, format!("snn_sparse n={n}: synapse levels differ"));
     }
     CaseOutcome::pass(n, 0.0)
@@ -1427,14 +1393,6 @@ pub fn run_conformance(config: &ConformanceConfig) -> ConformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_json_escapes_every_control_character() {
-        assert_eq!(
-            escape_json("a\"b\\c\nd\te\rf\u{1}g"),
-            "a\\\"b\\\\c\\nd\\u0009e\\u000df\\u0001g"
-        );
-    }
 
     #[test]
     fn riscv_cases_reach_the_trace_tier() {

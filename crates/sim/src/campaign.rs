@@ -29,6 +29,7 @@
 //! `fault_bench` in the bench crate).
 
 use crate::checkpoint::SystemSnapshot;
+use crate::escape_json;
 use crate::fault::{
     Campaign, CampaignStats, Fault, FaultKind, FaultOutcome, FaultTarget, DEFAULT_PERMANENT_PERIOD,
 };
@@ -268,7 +269,7 @@ impl CampaignReport {
                     "{{\"name\": \"{}\", \"injections\": {}, \"masked\": {}, \"sdc\": {}, \
                      \"crashes\": {}, \"hangs\": {}, \"detected_recovered\": {}, \
                      \"detected_uncorrected\": {}, \"vulnerability\": {:.6}}}",
-                    name,
+                    escape_json(name),
                     s.total(),
                     s.masked,
                     s.sdc,
@@ -293,7 +294,7 @@ impl CampaignReport {
              \"rates\": {{\"masked\": {rm}, \"sdc\": {rs}, \"crash\": {rc}, \"hang\": {rh}, \
              \"detected_recovered\": {rdr}, \"detected_uncorrected\": {rdu}, \
              \"vulnerability\": {rv}}},\n  \"strata\": [{strata}]\n}}",
-            workload = self.workload,
+            workload = escape_json(&self.workload),
             kind = match self.kind {
                 FaultKind::Transient => "transient",
                 FaultKind::Permanent => "permanent",
@@ -918,5 +919,29 @@ mod tests {
             assert!(json.contains(key), "missing {key}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn report_json_escapes_caller_names() {
+        let report = CampaignReport {
+            workload: "w\"q\\x".to_string(),
+            kind: FaultKind::Transient,
+            seed: 1,
+            requested_injections: 0,
+            injections: 0,
+            early_stopped: false,
+            threads: 1,
+            cadence: 0,
+            checkpoints: 0,
+            checkpoint_bytes: 0,
+            golden_cycles: 0,
+            cycles_simulated: 0,
+            cycles_saved: 0,
+            stats: CampaignStats::default(),
+            strata: vec![("s\\\"t".to_string(), CampaignStats::default())],
+        };
+        let json = report.to_json();
+        assert!(json.contains(r#""workload": "w\"q\\x","#), "{json}");
+        assert!(json.contains(r#"{"name": "s\\\"t", "#), "{json}");
     }
 }

@@ -27,7 +27,9 @@
 //!   fault semantics;
 //! - [`loader`]: an ELF32 loader and Linux-flavored syscall shim so
 //!   real RV32IM binaries run on the platform;
-//! - [`fixed`]: the Q16.16 operand format.
+//! - [`fixed`]: the Q16.16 operand format;
+//! - [`escape_json`]: the one string escape every hand-rolled JSON
+//!   report in the workspace uses.
 //!
 //! # Examples
 //!
@@ -65,3 +67,32 @@ pub mod loader;
 pub mod ram;
 pub mod serve;
 pub mod system;
+
+/// Escapes `s` for a JSON string literal: quotes, backslashes and
+/// every control character (`\n` by name, the rest as `\u00XX`).
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn escape_json_escapes_every_control_character() {
+        assert_eq!(
+            escape_json("a\"b\\c\nd\te\rf\u{1}g"),
+            "a\\\"b\\\\c\\nd\\u0009e\\u000df\\u0001g"
+        );
+    }
+}

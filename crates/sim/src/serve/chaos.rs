@@ -30,6 +30,7 @@ use super::{
     ServeOutcome,
 };
 use crate::accel::PcmDriftModel;
+use crate::escape_json;
 use neuropulsim_linalg::parallel::{available_threads, par_map_indexed};
 use neuropulsim_linalg::RMatrix;
 
@@ -282,7 +283,7 @@ impl ScenarioReport {
              \"goodput_rps\": {:.3}, \"slo_violations\": {}, \
              \"max_readmission_cycles\": {}, \"transients_readmitted\": {}, \
              \"report\": {}}}",
-            self.name,
+            escape_json(&self.name),
             self.kind.as_str(),
             self.availability,
             self.goodput_rps,
@@ -478,5 +479,17 @@ mod tests {
             brick.max_readmission_cycles > 0,
             "time-to-readmission must be visible in the report"
         );
+    }
+
+    #[test]
+    fn scenario_json_escapes_the_name() {
+        let mut sc = standard_campaign(CampaignSpec {
+            requests: 40,
+            ..CampaignSpec::default()
+        })
+        .remove(0);
+        sc.name = "a\"b\\c".to_string();
+        let json = run_scenario(&sc).to_json();
+        assert!(json.starts_with(r#"{"name": "a\"b\\c", "#), "{json}");
     }
 }

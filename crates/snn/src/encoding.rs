@@ -45,19 +45,6 @@ impl SpikeTrain {
         }
         self.times.push(t);
     }
-
-    /// Number of spikes in `[t0, t1)`.
-    pub fn count_in(&self, t0: f64, t1: f64) -> usize {
-        self.times.iter().filter(|&&t| t >= t0 && t < t1).count()
-    }
-
-    /// Mean firing rate over `[0, duration)`.
-    pub fn rate(&self, duration: f64) -> f64 {
-        if duration <= 0.0 {
-            return 0.0;
-        }
-        self.count_in(0.0, duration) as f64 / duration
-    }
 }
 
 impl FromIterator<f64> for SpikeTrain {
@@ -100,27 +87,6 @@ pub fn latency_encode(values: &[f64], t_max: f64) -> Vec<SpikeTrain> {
         .collect()
 }
 
-/// Rate coding: value `x in [0, 1]` maps to a regular train of
-/// `ceil(x * max_spikes)` evenly spaced spikes over `[0, duration)`.
-///
-/// # Panics
-///
-/// Panics if any value is outside `[0, 1]`, or `duration <= 0`.
-pub fn rate_encode(values: &[f64], duration: f64, max_spikes: usize) -> Vec<SpikeTrain> {
-    assert!(duration > 0.0, "duration must be positive");
-    values
-        .iter()
-        .map(|&x| {
-            assert!((0.0..=1.0).contains(&x), "values must be in [0, 1]");
-            let count = (x * max_spikes as f64).ceil() as usize;
-            let times: Vec<f64> = (0..count)
-                .map(|k| duration * k as f64 / count.max(1) as f64)
-                .collect();
-            SpikeTrain::from_times(times)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,9 +98,7 @@ mod tests {
         t.push(1.0);
         t.push(2.0);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.count_in(0.0, 1.5), 1);
-        assert_eq!(t.count_in(0.0, 3.0), 2);
-        assert!((t.rate(4.0) - 0.5).abs() < 1e-12);
+        assert_eq!(t.times(), &[1.0, 2.0]);
     }
 
     #[test]
@@ -157,16 +121,6 @@ mod tests {
         let t1 = trains[1].times()[0];
         let t2 = trains[2].times()[0];
         assert!(t0 < t2 && t2 < t1, "bigger value fires earlier");
-    }
-
-    #[test]
-    fn rate_encode_scales_count() {
-        let trains = rate_encode(&[1.0, 0.5, 0.0], 100.0, 10);
-        assert_eq!(trains[0].len(), 10);
-        assert_eq!(trains[1].len(), 5);
-        assert_eq!(trains[2].len(), 0);
-        // All spikes inside the window.
-        assert_eq!(trains[0].count_in(0.0, 100.0), 10);
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! behaviour, spike-timing-dependent plasticity and winner-take-all
 //! unsupervised learning.
 //!
-//! - [`neuron`]: Yamada-laser neurons ([`neuron::PhotonicNeuron`]) and the
-//!   calibrated fast LIF stand-in ([`neuron::LifNeuron`]);
+//! - [`neuron`]: the leaky-integrate-and-fire update calibrated against
+//!   the Yamada excitable laser, and the [`neuron::NeuronArray`]
+//!   population;
 //! - [`synapse`]: PCM synapses whose optical transmission is the weight;
 //! - [`stdp`]: the pairwise exponential STDP window, quantized to PCM
 //!   programming pulses;
-//! - [`encoding`]: latency and rate spike codes;
+//! - [`encoding`]: spike trains and the latency code;
 //! - [`network`]: a feedforward WTA layer that learns spike patterns
 //!   unsupervised (experiment E6);
 //! - [`sparse`]: the event-driven engine — CSR synapses, fire-queue
-//!   propagation and lazy leak, scaling to millions of neurons, with a
-//!   bit-identical dense baseline.
+//!   propagation and lazy leak, scaling to millions of neurons.
 //!
 //! # Examples
 //!

@@ -28,12 +28,13 @@
 //! schedule, never of [`EventNet::threads`]. Workers own contiguous
 //! target ranges, every worker walks the fire queue in the same sorted
 //! order, and each target's drive therefore accumulates in ascending
-//! source order regardless of the partition — the same order the dense
-//! baseline uses.
+//! source order regardless of the partition — the order an eager
+//! stepper scanning a sorted edge list uses.
 //!
-//! [`DenseNet`] is the matched O(N·M) baseline: same spec, same
-//! semantics, eager leak and a dense weight matrix — the engine the
-//! ISSUE's speedup numbers are measured against.
+//! The eager reference is `oracle::snn_ref::RefSparseNet`, held bit for
+//! bit against this engine by the `snn_sparse` conformance domain and
+//! `tests/snn_sparse_props.rs`; `snn_bench` times the engine against
+//! its own dense `O(N²)` sweep.
 
 use crate::neuron::lif_update;
 use crate::stdp::StdpRule;
@@ -362,9 +363,8 @@ impl SynapseArray {
     }
 }
 
-/// A complete, engine-independent network description: both engines
-/// (and the oracle reference) built from the same spec start
-/// bit-identical.
+/// A complete, engine-independent network description: the engine and
+/// the oracle reference built from the same spec start bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSpec {
     /// Neuron count.
@@ -448,8 +448,7 @@ impl NetSpec {
     }
 }
 
-/// Pairwise STDP over the touched synapses of one tick's fire queue,
-/// shared verbatim by [`EventNet`] and [`DenseNet`].
+/// Pairwise STDP over the touched synapses of one tick's fire queue.
 ///
 /// Canonical order (what the oracle reference also implements): first a
 /// *potentiation phase* — for each firing neuron in queue order, every
@@ -532,8 +531,8 @@ impl TickStats {
 ///
 /// - [`EventNet::tick`] costs `O(fired * fanout + candidates)`, never
 ///   `O(neurons)`;
-/// - results are bit-identical to [`DenseNet`] and thread-count
-///   invariant;
+/// - results are bit-identical to an eager dense stepper and
+///   thread-count invariant;
 /// - [`EventNet::flush`] settles every neuron to the current tick so
 ///   whole-state comparisons are meaningful.
 #[derive(Debug, Clone)]
@@ -918,154 +917,6 @@ impl EventNet {
     }
 }
 
-/// The matched dense baseline: identical semantics, eager leak, and a
-/// dense `N x N` weight matrix walked row by row every tick —
-/// `O(N * M)` work regardless of activity. Bit-identical to
-/// [`EventNet`] by construction (additions of `+0.0` from absent or
-/// silent edges are exact identities, and both engines accumulate each
-/// target's drive in ascending source order).
-#[derive(Debug, Clone)]
-pub struct DenseNet {
-    tau: f64,
-    threshold: f64,
-    refractory: f64,
-    dt: f64,
-    rule: StdpRule,
-    plastic: bool,
-    syn: SynapseArray,
-    /// Source-major dense weights: `w_dense[src * n + tgt]`.
-    w_dense: Vec<f64>,
-    /// 1.0 where the neuron fired last tick, else 0.0.
-    fired_mask: Vec<f64>,
-    v: Vec<f64>,
-    refr_left: Vec<f64>,
-    drive: Vec<f64>,
-    last_fire: Vec<i64>,
-    fired_prev: Vec<u32>,
-    tick: u32,
-}
-
-impl DenseNet {
-    /// Builds the dense engine from the same spec as [`EventNet`].
-    pub fn new(spec: &NetSpec) -> Self {
-        spec.validate();
-        let table = PcmWeightTable::new(spec.material, spec.levels);
-        let syn = SynapseArray::new(spec.neurons, &spec.edges, &spec.init_levels, table);
-        let n = spec.neurons;
-        let mut w_dense = vec![0.0; n * n];
-        for s in 0..n as u32 {
-            let (tgts, ws) = syn.row(s);
-            for (k, &t) in tgts.iter().enumerate() {
-                w_dense[s as usize * n + t as usize] = ws[k];
-            }
-        }
-        DenseNet {
-            tau: spec.tau,
-            threshold: spec.threshold,
-            refractory: spec.refractory,
-            dt: spec.dt,
-            rule: spec.rule,
-            plastic: spec.plastic,
-            syn,
-            w_dense,
-            fired_mask: vec![0.0; n],
-            v: vec![0.0; n],
-            refr_left: vec![0.0; n],
-            drive: vec![0.0; n],
-            last_fire: vec![-1; n],
-            fired_prev: Vec::new(),
-            tick: 0,
-        }
-    }
-
-    /// Neuron count.
-    pub fn neurons(&self) -> usize {
-        self.v.len()
-    }
-
-    /// The synapse array (shared STDP path with the sparse engine).
-    pub fn synapses(&self) -> &SynapseArray {
-        &self.syn
-    }
-
-    /// All membrane potentials (always settled — the dense engine steps
-    /// every neuron every tick).
-    pub fn potentials(&self) -> &[f64] {
-        &self.v
-    }
-
-    /// Fire ledger: last fire tick per neuron (-1 = never fired).
-    pub fn fire_ledger(&self) -> &[i64] {
-        &self.last_fire
-    }
-
-    /// Advances one tick with the dense `O(N * M)` sweep. Returns the
-    /// fired neurons, ascending.
-    pub fn tick(&mut self, injections: &[(u32, f64)]) -> &[u32] {
-        let t = self.tick;
-        let n = self.v.len();
-        // Propagation: every dense row, every tick.
-        self.drive.fill(0.0);
-        for s in 0..n {
-            let f = self.fired_mask[s];
-            let row = &self.w_dense[s * n..(s + 1) * n];
-            for (d, &w) in self.drive.iter_mut().zip(row) {
-                *d += w * f;
-            }
-        }
-        for &(j, amount) in injections {
-            self.drive[j as usize] += amount;
-        }
-        // Eager update of every neuron.
-        let mut fired = Vec::new();
-        for j in 0..n {
-            let f = lif_update(
-                &mut self.v[j],
-                &mut self.refr_left[j],
-                self.tau,
-                self.threshold,
-                self.refractory,
-                self.drive[j],
-                self.dt,
-            );
-            if f {
-                fired.push(j as u32);
-            }
-        }
-        if self.plastic && !fired.is_empty() {
-            stdp_tick(
-                &mut self.syn,
-                &fired,
-                &self.last_fire,
-                t,
-                self.dt,
-                &self.rule,
-            );
-            // Mirror the touched rows/columns back into the dense matrix.
-            for &m in &fired {
-                let (sources, edges) = self.syn.incoming(m);
-                for (&i, &e) in sources.iter().zip(edges) {
-                    self.w_dense[i as usize * n + m as usize] = self.syn.weight(e);
-                }
-                let (tgts, ws) = self.syn.row(m);
-                for (k, &j) in tgts.iter().enumerate() {
-                    self.w_dense[m as usize * n + j as usize] = ws[k];
-                }
-            }
-        }
-        for &j in &self.fired_prev {
-            self.fired_mask[j as usize] = 0.0;
-        }
-        for &j in &fired {
-            self.last_fire[j as usize] = t as i64;
-            self.fired_mask[j as usize] = 1.0;
-        }
-        self.fired_prev = fired;
-        self.tick = t + 1;
-        &self.fired_prev
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1141,44 +992,6 @@ mod tests {
             }
         }
         assert_eq!(seen, arr.edge_count());
-    }
-
-    #[test]
-    fn event_and_dense_engines_are_bit_identical() {
-        for plastic in [false, true] {
-            let spec = tiny_spec(plastic);
-            let schedule = schedule(&spec, 60, 3);
-            let mut ev = EventNet::new(&spec);
-            let mut dn = DenseNet::new(&spec);
-            let mut any_fired = false;
-            for inj in &schedule {
-                let fe: Vec<u32> = ev.tick(inj).to_vec();
-                let fd: Vec<u32> = dn.tick(inj).to_vec();
-                assert_eq!(fe, fd, "fire queues diverged (plastic={plastic})");
-                any_fired |= !fe.is_empty();
-            }
-            assert!(any_fired, "schedule must elicit spikes");
-            ev.flush();
-            for j in 0..spec.neurons {
-                assert_eq!(
-                    ev.potentials()[j].to_bits(),
-                    dn.potentials()[j].to_bits(),
-                    "potential bits differ at {j}"
-                );
-            }
-            assert_eq!(ev.fire_ledger(), dn.fire_ledger());
-            assert_eq!(
-                ev.synapses().levels_flat(),
-                dn.synapses().levels_flat(),
-                "levels diverged"
-            );
-            for e in 0..ev.synapses().edge_count() as u32 {
-                assert_eq!(
-                    ev.synapses().weight(e).to_bits(),
-                    dn.synapses().weight(e).to_bits()
-                );
-            }
-        }
     }
 
     #[test]

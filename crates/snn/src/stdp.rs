@@ -75,44 +75,6 @@ impl Default for StdpRule {
     }
 }
 
-/// An online STDP tracker for one synapse: remembers the last pre- and
-/// post-synaptic spike times and applies the nearest-pair rule.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StdpTracker {
-    last_pre: Option<f64>,
-    last_post: Option<f64>,
-}
-
-impl StdpTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a presynaptic spike at time `t`; if a postsynaptic spike
-    /// happened earlier, applies the (negative-`dt`) depression branch.
-    pub fn on_pre(&mut self, t: f64, rule: &StdpRule, synapse: &mut PcmSynapse) {
-        self.last_pre = Some(t);
-        if let Some(t_post) = self.last_post {
-            rule.apply(synapse, t_post - t);
-        }
-    }
-
-    /// Records a postsynaptic spike at time `t`; if a presynaptic spike
-    /// happened earlier, applies the (positive-`dt`) potentiation branch.
-    pub fn on_post(&mut self, t: f64, rule: &StdpRule, synapse: &mut PcmSynapse) {
-        self.last_post = Some(t);
-        if let Some(t_pre) = self.last_pre {
-            rule.apply(synapse, t - t_pre);
-        }
-    }
-
-    /// Clears spike memory (between trials).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,39 +125,5 @@ mod tests {
         // Causal pair now potentiates back up.
         r.apply(&mut s, 1.0);
         assert!(s.weight() > depressed);
-    }
-
-    #[test]
-    fn tracker_applies_on_both_orders() {
-        let r = StdpRule::default();
-        let mut s = PcmSynapse::new();
-        s.apply_steps(-8); // mid-range start
-        let w0 = s.weight();
-
-        // pre at t=0, post at t=2 -> potentiation.
-        let mut tr = StdpTracker::new();
-        tr.on_pre(0.0, &r, &mut s);
-        tr.on_post(2.0, &r, &mut s);
-        assert!(s.weight() > w0, "causal order should potentiate");
-
-        let w1 = s.weight();
-        // post at t=10, pre at t=12 -> depression.
-        let mut tr2 = StdpTracker::new();
-        tr2.on_post(10.0, &r, &mut s);
-        tr2.on_pre(12.0, &r, &mut s);
-        assert!(s.weight() < w1, "anti-causal order should depress");
-    }
-
-    #[test]
-    fn tracker_reset_forgets() {
-        let r = StdpRule::default();
-        let mut s = PcmSynapse::new();
-        s.apply_steps(-8);
-        let w = s.weight();
-        let mut tr = StdpTracker::new();
-        tr.on_pre(0.0, &r, &mut s);
-        tr.reset();
-        tr.on_post(1.0, &r, &mut s); // no remembered pre: no change
-        assert_eq!(s.weight(), w);
     }
 }

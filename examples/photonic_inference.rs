@@ -83,14 +83,7 @@ fn main() {
         // Freeze one hardware instance per layer, in layer order, for the
         // whole test set.
         let net = PhotonicNetwork::compile(&specs, &config, &mut StdRng::seed_from_u64(99));
-        let mut shot_rng = StdRng::seed_from_u64(123);
-        let correct = test
-            .samples
-            .iter()
-            .zip(&test.labels)
-            .filter(|(x, &label)| net.classify(x, &mut shot_rng) == label)
-            .count();
-        let accuracy = correct as f64 / test.len() as f64;
+        let accuracy = net.accuracy(&test.samples, &test.labels, &mut StdRng::seed_from_u64(123));
         println!("photonic accuracy [{label}]: {:.1}%", 100.0 * accuracy);
     }
 }

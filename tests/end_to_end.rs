@@ -320,13 +320,7 @@ fn photonic_network_module_runs_a_trained_mlp() {
     let net = PhotonicNetwork::compile(&specs, &MvmNoiseConfig::ideal(), &mut rng);
     assert_eq!(net.depth(), 2);
     assert_eq!(net.input_dim(), 16);
-    let correct = test
-        .samples
-        .iter()
-        .zip(&test.labels)
-        .filter(|(x, &l)| net.classify(x, &mut rng) == l)
-        .count();
-    let photonic = correct as f64 / test.len() as f64;
+    let photonic = net.accuracy(&test.samples, &test.labels, &mut rng);
     assert!(
         (photonic - digital).abs() < 1e-9,
         "ideal photonic compile must match digital: {photonic} vs {digital}"

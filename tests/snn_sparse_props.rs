@@ -1,12 +1,13 @@
 //! Property-based tests of the event-driven sparse SNN engine: over
 //! random sparse networks, injection schedules, and plasticity modes,
-//! the fire-queue engine must be **bit-identical** to the dense
-//! reference engine (spikes, potentials, fire ledger, synapse levels,
-//! cached weights), and its results must not depend on the worker
-//! thread count.
+//! the fire-queue engine must be **bit-identical** to the eager
+//! reference engine `oracle::snn_ref::RefSparseNet` (spikes,
+//! potentials, fire ledger, synapse levels, cached weights), and its
+//! results must not depend on the worker thread count.
 
 use neuropulsim::linalg::parallel::split_seed;
-use neuropulsim::snn::sparse::{DenseNet, EventNet, NetSpec, SERIAL_TICK_WORK};
+use neuropulsim::oracle::snn_ref::{RefSparseNet, RefStdp};
+use neuropulsim::snn::sparse::{EventNet, NetSpec, SERIAL_TICK_WORK};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,10 +41,34 @@ fn random_spec(seed: u64, neurons: usize, fanout: usize, plastic: bool) -> NetSp
     spec
 }
 
+/// The eager reference built from the same spec, reading its per-level
+/// weights from the engine's table.
+fn reference(spec: &NetSpec, level_weights: &[f64]) -> RefSparseNet {
+    RefSparseNet::new(
+        spec.neurons,
+        spec.tau,
+        spec.threshold,
+        spec.refractory,
+        spec.dt,
+        RefStdp {
+            a_plus: spec.rule.a_plus,
+            a_minus: spec.rule.a_minus,
+            tau_plus: spec.rule.tau_plus,
+            tau_minus: spec.rule.tau_minus,
+        },
+        spec.plastic,
+        level_weights,
+        &spec.edges,
+        &spec.init_levels,
+    )
+}
+
 proptest! {
-    /// The event-driven engine and the dense O(N^2) engine agree bit
-    /// for bit — spikes, potentials, ledger, and (when plastic) every
-    /// synapse level and cached weight — over random sparse inputs.
+    /// The event-driven engine and the eager dense-stepping reference
+    /// (every neuron steps and every edge is scanned every tick) agree
+    /// bit for bit — spikes, potentials, ledger, and (when plastic)
+    /// every synapse level and cached weight — over random sparse
+    /// inputs.
     #[test]
     fn event_and_dense_engines_are_bit_identical(
         seed in 0u64..2_000_000,
@@ -57,32 +82,34 @@ proptest! {
         let sched = schedule(&spec, ticks, 1 + neurons / 8, split_seed(seed, 7));
 
         let mut ev = EventNet::new(&spec);
-        let mut dn = DenseNet::new(&spec);
+        let level_weights = ev.synapses().table().weights().to_vec();
+        let mut rf = reference(&spec, &level_weights);
         for (t, inj) in sched.iter().enumerate() {
             let fe = ev.tick(inj).to_vec();
-            let fd = dn.tick(inj).to_vec();
-            assert_eq!(fe, fd, "fire queues diverged at tick {t} (seed {seed})");
+            let fr = rf.tick(inj);
+            assert_eq!(fe, fr, "fire queues diverged at tick {t} (seed {seed})");
         }
         ev.flush();
-        for j in 0..neurons {
+        for (j, ref_v) in rf.potentials().iter().enumerate() {
             prop_assert_eq!(
                 ev.potentials()[j].to_bits(),
-                dn.potentials()[j].to_bits(),
+                ref_v.to_bits(),
                 "potential bits diverged at neuron {} (seed {})", j, seed
             );
         }
-        prop_assert_eq!(ev.fire_ledger(), dn.fire_ledger(), "fire ledgers (seed {})", seed);
+        prop_assert_eq!(ev.fire_ledger(), rf.fire_ledger(), "fire ledgers (seed {})", seed);
         if plastic {
             prop_assert_eq!(
                 ev.synapses().levels_flat(),
-                dn.synapses().levels_flat(),
+                rf.levels(),
                 "synapse levels (seed {})", seed
             );
+            // The reference keeps levels only; a reprogrammed edge's
+            // cached weight is its level's entry in the table.
             let ew = ev.synapses().weights_flat();
-            let dw = dn.synapses().weights_flat();
-            for (e, (a, b)) in ew.iter().zip(dw.iter()).enumerate() {
+            for (e, (w, &level)) in ew.iter().zip(rf.levels()).enumerate() {
                 prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
+                    w.to_bits(), level_weights[level as usize].to_bits(),
                     "cached weight bits diverged at edge {} (seed {})", e, seed
                 );
             }
