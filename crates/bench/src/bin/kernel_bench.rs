@@ -1,9 +1,9 @@
 //! **Kernel throughput probe.** Times the hot simulator kernels (mesh
 //! application, complex matmul, MVM multiply, the MVM drift step, the
-//! accelerator's batched job product, GeMM streaming) and emits one
-//! unified `neuropulsim-bench/v1` report (see `bench::runner`):
-//! median-of-N timings, machine-normalized `norm` per measurement, MAC
-//! throughput in each measurement's `meta`.
+//! lane-blocked batch product, a whole accelerator job, GeMM streaming)
+//! and emits one unified `neuropulsim-bench/v1` report (see
+//! `bench::runner`): median-of-N timings, machine-normalized `norm` per
+//! measurement, MAC throughput in each measurement's `meta`.
 //!
 //! `macs_per_op` counts real multiply–accumulates (a complex MAC is
 //! four real MACs). Iteration counts are fixed per case so runs are
@@ -15,12 +15,16 @@
 use neuropulsim_bench::runner::Runner;
 use neuropulsim_core::clements::decompose;
 use neuropulsim_core::gemm::{GemmEngine, GemmMode};
-use neuropulsim_core::mvm::MvmCore;
+use neuropulsim_core::mvm::{MvmCore, RealizedMvm};
 use neuropulsim_core::program::MeshScratch;
 use neuropulsim_linalg::random::haar_unitary;
 use neuropulsim_linalg::{CMatrix, CVector, MatmulScratch, RMatrix};
+use neuropulsim_sim::accel::{mmr, AccelDevice};
+use neuropulsim_sim::fixed::{from_fixed, to_fixed, SCALE};
+use neuropulsim_sim::ram::Ram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Median repetitions per measurement.
 const REPS: usize = 5;
@@ -155,10 +159,11 @@ fn bench_drift_step(runner: &mut Runner, n: usize) {
     );
 }
 
-/// One accelerator job's product at the served MLP's `n`: the whole
-/// lane-major batch through the lane-blocked kernel, against the
-/// per-vector `mul_vec_into` loop it replaces (the bench-local
-/// baseline). The speedup is an in-process ratio, so host noise cancels.
+/// The lane-blocked kernel at the served MLP's `n`, as this crate's
+/// baseline target compiles it: the whole lane-major batch in one
+/// `mul_lanes_into`, against the per-vector `mul_vec_into` loop it
+/// replaces (the bench-local baseline). The speedup is an in-process
+/// ratio, so host noise cancels.
 fn bench_mul_lanes(runner: &mut Runner, n: usize) {
     let w = random_rmatrix(n, n, 7);
     let [_, lanes_ns] = [8usize, 32].map(|lanes| {
@@ -183,6 +188,129 @@ fn bench_mul_lanes(runner: &mut Runner, n: usize) {
     runner.derived(
         &format!("rmatrix_mul_lanes/speedup_n{n}_b{lanes}"),
         format!("{:.3}", baseline_ns / lanes_ns),
+    );
+}
+
+/// The whole-window job body as the device ran it before the job was
+/// compiled per host: dequantize lane-major, the kernel at the
+/// baseline target, and a strided quantize through `f64::round`.
+fn job_body_by_round(
+    chip: &RealizedMvm,
+    lanes: usize,
+    words: &mut [u32],
+    xt: &mut [f64],
+    yt: &mut [f64],
+) {
+    let n = chip.modes();
+    for (v, x) in words.chunks_exact(n).enumerate() {
+        for (k, &word) in x.iter().enumerate() {
+            xt[k * lanes + v] = from_fixed(word as i32);
+        }
+    }
+    chip.multiply_lanes_into(xt, lanes, yt);
+    for (v, y) in words.chunks_exact_mut(n).enumerate() {
+        for (i, word) in y.iter_mut().enumerate() {
+            let q = (yt[i * lanes + v] * SCALE).round();
+            *word = if q.is_nan() {
+                0
+            } else if q >= i32::MAX as f64 {
+                i32::MAX
+            } else if q <= i32::MIN as f64 {
+                i32::MIN
+            } else {
+                q as i32
+            } as u32;
+        }
+    }
+}
+
+/// A device programmed with `w` and ready to run one `lanes`-vector job
+/// on `inputs` through its MMR door: each call is a `CTRL` start (one
+/// SPM read, dequantize, product, quantize, one SPM write) and the
+/// completing `tick`.
+fn device_job(w: &RMatrix, inputs: &[u32], lanes: usize) -> impl FnMut() {
+    let m = w.rows() * lanes;
+    let mut spm = Ram::new(0, 8 * m);
+    spm.poke_words(0, &inputs[..m]);
+    let mut dev = AccelDevice::new(1e9);
+    dev.load_matrix(w);
+    dev.mmr_store(mmr::OUT_ADDR, 4 * m as u32, 0, &mut spm);
+    dev.mmr_store(mmr::BATCH, lanes as u32, 0, &mut spm);
+    let done_at = dev.job_cycles(lanes as u32);
+    move || {
+        dev.mmr_store(mmr::CTRL, 1, 0, &mut spm);
+        dev.tick(done_at);
+        std::hint::black_box(&spm);
+    }
+}
+
+/// [`device_job`]'s SPM read and write around [`job_body_by_round`]
+/// (the bench-local baseline).
+fn baseline_job(w: &RMatrix, inputs: &[u32], lanes: usize) -> impl FnMut() {
+    let m = w.rows() * lanes;
+    let mut spm = Ram::new(0, 8 * m);
+    spm.poke_words(0, &inputs[..m]);
+    let chip = MvmCore::new(w).chip().clone();
+    let (mut words, mut xt, mut yt) = (vec![0; m], vec![0.0; m], vec![0.0; m]);
+    move || {
+        spm.read_words_into(0, &mut words);
+        job_body_by_round(&chip, lanes, &mut words, &mut xt, &mut yt);
+        spm.write_words(4 * m as u32, &words);
+        std::hint::black_box(&spm);
+    }
+}
+
+/// Pairs timed by [`paired_speedup`].
+const PAIRS: usize = 15;
+
+/// Median over [`PAIRS`] of `base`'s time over `op`'s, the two sides of
+/// each pair timed back to back (`iters` calls each), so a host speed
+/// phase that lands on a pair slows both of its sides.
+fn paired_speedup(iters: usize, mut base: impl FnMut(), mut op: impl FnMut()) -> f64 {
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|_| time(&mut base) / time(&mut op))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
+}
+
+/// One accelerator job at the served MLP's `n` ([`device_job`]) at 8
+/// and 32 lanes, and at 32 lanes the [`baseline_job`]. The speedup is
+/// [`paired_speedup`] of the two, an in-process ratio.
+fn bench_accel_job(runner: &mut Runner, n: usize) {
+    let w = random_rmatrix(n, n, 7);
+    let mut rng = StdRng::seed_from_u64(10);
+    let inputs: Vec<u32> = (0..n * 32)
+        .map(|_| to_fixed(rng.gen_range(-1.0..1.0)) as u32)
+        .collect();
+    for lanes in [8, 32] {
+        let id = format!("accel_job/n{n}_b{lanes}");
+        report_id(
+            runner,
+            &id,
+            (n * n * lanes) as f64,
+            device_job(&w, &inputs, lanes),
+        );
+    }
+    let lanes = 32;
+    let macs = (n * n * lanes) as f64;
+    let id = format!("accel_job_baseline/n{n}_b{lanes}");
+    report_id(runner, &id, macs, baseline_job(&w, &inputs, lanes));
+    let speedup = paired_speedup(
+        iters_for(macs) / 4,
+        baseline_job(&w, &inputs, lanes),
+        device_job(&w, &inputs, lanes),
+    );
+    runner.derived(
+        &format!("accel_job/speedup_n{n}_b{lanes}"),
+        format!("{speedup:.3}"),
     );
 }
 
@@ -212,5 +340,6 @@ fn main() {
     // The served MLP's n.
     bench_drift_step(&mut runner, 32);
     bench_mul_lanes(&mut runner, 32);
+    bench_accel_job(&mut runner, 32);
     print!("{}", runner.to_json());
 }

@@ -526,6 +526,7 @@ impl RealizedMvm {
     ///
     /// Panics if `xt.len()` or `yt.len()` is not the core dimension
     /// times `lanes`.
+    #[inline(always)]
     pub fn multiply_lanes_into(&self, xt: &[f64], lanes: usize, yt: &mut [f64]) {
         self.effective.mul_lanes_into(xt, lanes, yt);
     }

@@ -99,6 +99,7 @@ impl RMatrix {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
+    #[inline(always)]
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index out of range");
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -145,6 +146,7 @@ impl RMatrix {
     /// # Panics
     ///
     /// Panics if `xt.len() != cols · lanes` or `yt.len() != rows · lanes`.
+    #[inline(always)]
     pub fn mul_lanes_into(&self, xt: &[f64], lanes: usize, yt: &mut [f64]) {
         assert_eq!(
             xt.len(),

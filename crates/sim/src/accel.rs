@@ -160,6 +160,91 @@ impl PcmDriftModel {
     }
 }
 
+/// A build of [`job_body`], picked per host by [`JobBuild::detect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JobBuild {
+    /// The body at the crate's baseline target (SSE2 on x86-64).
+    Plain,
+    /// The body compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl JobBuild {
+    /// The widest build this host can run.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return JobBuild::Avx2;
+        }
+        JobBuild::Plain
+    }
+}
+
+/// The three steps of a whole-window job on `lanes` vectors: dequantize
+/// the SPM `words` lane-major into `xt`, multiply them into `yt` in one
+/// lane-blocked product, and quantize `yt` back into `words` (walking
+/// `yt` in row order, which reads it contiguously).
+///
+/// `#[inline(always)]` here and on the kernel beneath it puts one copy
+/// of the whole job into each build of [`run_job`], so the AVX2 build
+/// runs the kernel at AVX2 width instead of calling an out-of-line SSE2
+/// copy, and quantizes without a call. No build enables FMA: Rust never
+/// contracts a multiply and an add, so every build keeps the kernel's
+/// `-0.0`-start, ascending-`k` sum and gives the same bits.
+#[inline(always)]
+fn job_body(chip: &RealizedMvm, lanes: usize, words: &mut [u32], xt: &mut [f64], yt: &mut [f64]) {
+    let n = chip.modes();
+    for (v, x) in words.chunks_exact(n).enumerate() {
+        for (k, &word) in x.iter().enumerate() {
+            xt[k * lanes + v] = from_fixed(word as i32);
+        }
+    }
+    chip.multiply_lanes_into(xt, lanes, yt);
+    for (i, y) in yt.chunks_exact(lanes).enumerate() {
+        for (v, &val) in y.iter().enumerate() {
+            words[v * n + i] = to_fixed(val) as u32;
+        }
+    }
+}
+
+/// [`job_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn job_avx2(
+    chip: &RealizedMvm,
+    lanes: usize,
+    words: &mut [u32],
+    xt: &mut [f64],
+    yt: &mut [f64],
+) {
+    job_body(chip, lanes, words, xt, yt);
+}
+
+/// Runs one whole-window job ([`job_body`]) in the build
+/// [`JobBuild::detect`] picks for this host.
+///
+/// Kept out of line: inlined into [`AccelDevice::mmr_store`], the job
+/// moved the RV32 interpreter's hot loops (`Cpu::run_cached_span`,
+/// `execute`, `run_trace`), which the linker places after this code, to
+/// a 64-byte alignment at which `fw-software` ran 7–26% slower on a
+/// 2-core Xeon host.
+#[inline(never)]
+fn run_job(chip: &RealizedMvm, lanes: usize, words: &mut [u32], xt: &mut [f64], yt: &mut [f64]) {
+    match JobBuild::detect() {
+        JobBuild::Plain => job_body(chip, lanes, words, xt, yt),
+        // SAFETY: `detect` returns `Avx2` only after
+        // `is_x86_feature_detected!("avx2")` found AVX2 on this host,
+        // which is all `job_avx2` requires.
+        #[cfg(target_arch = "x86_64")]
+        JobBuild::Avx2 => unsafe { job_avx2(chip, lanes, words, xt, yt) },
+    }
+}
+
 /// The accelerator device state.
 #[derive(Debug, Clone)]
 pub struct AccelDevice {
@@ -473,25 +558,15 @@ impl AccelDevice {
         match windows {
             Some((src, dst)) if src.end <= dst.start || dst.end <= src.start => {
                 // Whole-window path: one counted read of the batch, one
-                // lane-blocked product (the batch rides one dense-WDM
-                // pass), one counted write.
+                // lane-blocked job (the batch rides one dense-WDM pass),
+                // one counted write.
                 let m = src.len();
                 let words = &mut self.stage_words;
                 words.resize(m, 0);
                 spm.read_words_into(self.in_addr, words);
                 self.stage_lanes.resize(2 * m, 0.0);
                 let (xt, yt) = self.stage_lanes.split_at_mut(m);
-                for (v, x) in words.chunks_exact(n).enumerate() {
-                    for (k, &word) in x.iter().enumerate() {
-                        xt[k * lanes + v] = from_fixed(word as i32);
-                    }
-                }
-                chip.multiply_lanes_into(xt, lanes, yt);
-                for (v, y) in words.chunks_exact_mut(n).enumerate() {
-                    for (i, word) in y.iter_mut().enumerate() {
-                        *word = to_fixed(yt[i * lanes + v]) as u32;
-                    }
-                }
+                run_job(chip, lanes, words, xt, yt);
                 spm.write_words(self.out_addr, words);
                 self.vectors_processed += u64::from(batch);
             }
@@ -973,6 +1048,73 @@ mod tests {
                 "{name}: staging sized by the SPM, not by BATCH"
             );
         }
+    }
+
+    /// The plain build of [`job_body`] and the build [`run_job`]
+    /// dispatches to (AVX2 on an AVX2 host) give the same output words,
+    /// and both match the per-word path, at lane counts around the
+    /// kernel's 8-lane block: random words, `i32::MIN`/`i32::MAX` words,
+    /// and a matrix whose outputs saturate or land on ±½-LSB ties.
+    #[test]
+    fn job_builds_match_each_other_and_the_per_word_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // On a host without AVX2 both sides below run the plain build.
+        let build = JobBuild::detect();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            build == JobBuild::Avx2,
+            std::arch::is_x86_feature_detected!("avx2"),
+            "dispatcher chose the {build:?} build"
+        );
+        let mut rng = StdRng::seed_from_u64(33);
+        let random = RMatrix::from_fn(12, 12, |_, _| rng.gen_range(-1.0..1.0));
+        // The realized 1x1 chip carries 1.5 exactly, so an odd input word
+        // puts its output on a ±½-LSB tie, and one past 2^31/1.5 in
+        // magnitude saturates.
+        let ties = RMatrix::from_rows(1, 1, &[1.5]);
+        let (mut tied, mut saturated) = (0, 0);
+        for w in [random, ties] {
+            let mut base = AccelDevice::new(1e9);
+            base.load_matrix(&w);
+            let chip = base.chip.clone().expect("matrix loaded");
+            let n = chip.modes();
+            for lanes in [1usize, 7, 8, 9, 32, 33] {
+                let m = n * lanes;
+                let words: Vec<u32> = (0..m)
+                    .map(|k| match k % 4 {
+                        0 => rng.gen::<u32>(),
+                        1 => [i32::MIN, i32::MAX][k / 4 % 2] as u32,
+                        _ => rng.gen_range(-(1i32 << 18)..1 << 18) as u32 | 1,
+                    })
+                    .collect();
+                let (mut xt, mut yt) = (vec![0.0; m], vec![0.0; m]);
+                let mut plain = words.clone();
+                job_body(&chip, lanes, &mut plain, &mut xt, &mut yt);
+                let mut dispatched = words.clone();
+                run_job(&chip, lanes, &mut dispatched, &mut xt, &mut yt);
+                assert_eq!(plain, dispatched, "n={n} lanes={lanes}: {build:?} build");
+                if n == 1 {
+                    tied += yt
+                        .iter()
+                        .filter(|y| (*y * crate::fixed::SCALE).fract().abs() == 0.5)
+                        .count();
+                }
+                saturated += plain
+                    .iter()
+                    .filter(|&&w| w == i32::MAX as u32 || w == i32::MIN as u32)
+                    .count();
+                // Aliased windows take the per-word path.
+                let mut dev = base.clone();
+                let mut spm = Ram::new(0, 4 * m);
+                spm.poke_words(0, &words);
+                dev.mmr_store(mmr::BATCH, lanes as u32, 0, &mut spm);
+                assert!(dev.start(0, &mut spm));
+                assert_eq!(spm.peek_words(0, m).unwrap(), plain, "n={n} lanes={lanes}");
+            }
+        }
+        assert!(tied > 20, "only {tied} outputs landed on ±½-LSB ties");
+        assert!(saturated > 20, "only {saturated} outputs saturated");
     }
 
     #[test]

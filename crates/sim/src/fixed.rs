@@ -7,26 +7,25 @@ pub const FRAC_BITS: u32 = 16;
 /// Scale factor `2^16`.
 pub const SCALE: f64 = 65536.0;
 
-/// Converts a float to Q16.16 with saturation.
+/// Converts a float to Q16.16 with saturation, rounding half away from
+/// zero (the rounding of [`f64::round`]).
+///
+/// The form is branch-free and calls no libm routine, so it compiles
+/// inline into each build of the accelerator job: `as i32` truncates
+/// toward zero and saturates, the exact remainder `v - trunc(v)` adds or
+/// subtracts one LSB when it reaches ±½, and the saturating add and
+/// subtract keep the `i32` bounds.
 ///
 /// Non-finite inputs follow an explicit policy: `+inf` saturates to
 /// [`i32::MAX`], `-inf` to [`i32::MIN`], and NaN converts to 0 — NaN has
 /// no order, so neither saturation bound applies, and 0 is the only
-/// value that keeps `to_fixed` total without inventing a sign. (Before
-/// this was spelled out, NaN fell through both comparisons and hit the
-/// `as` cast, which yields 0 silently; the behaviour is unchanged but
-/// now deliberate and tested.)
+/// value that keeps `to_fixed` total without inventing a sign.
 pub fn to_fixed(x: f64) -> i32 {
-    let v = (x * SCALE).round();
-    if v.is_nan() {
-        0
-    } else if v >= i32::MAX as f64 {
-        i32::MAX
-    } else if v <= i32::MIN as f64 {
-        i32::MIN
-    } else {
-        v as i32
-    }
+    let v = x * SCALE;
+    let t = v as i32;
+    let frac = v - f64::from(t);
+    t.saturating_add(i32::from(frac >= 0.5))
+        .saturating_sub(i32::from(frac <= -0.5))
 }
 
 /// Converts Q16.16 back to a float.
@@ -72,6 +71,65 @@ mod tests {
         assert_eq!(to_fixed(f64::NEG_INFINITY), i32::MIN);
         // The boundary just inside the representable range still rounds.
         assert_eq!(to_fixed(f64::MIN_POSITIVE), 0);
+    }
+
+    /// The `f64::round`-and-compare form `to_fixed` had before it went
+    /// call-free; kept here as the sweep's reference.
+    fn to_fixed_by_round(x: f64) -> i32 {
+        let v = (x * SCALE).round();
+        if v.is_nan() {
+            0
+        } else if v >= i32::MAX as f64 {
+            i32::MAX
+        } else if v <= i32::MIN as f64 {
+            i32::MIN
+        } else {
+            v as i32
+        }
+    }
+
+    #[test]
+    fn to_fixed_matches_the_round_form_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |x: f64| {
+            for x in [x, x.next_up(), x.next_down()] {
+                assert_eq!(to_fixed(x), to_fixed_by_round(x), "x = {x:e}");
+            }
+        };
+        // The i32 edges, ±½-LSB ties on either side of them, the non-finite
+        // values and the signed zeros, each with its ±1-ulp neighbours.
+        let edges = [i32::MAX as f64, i32::MIN as f64, 0.0, 1.0, -1.0];
+        for e in edges {
+            for d in [-1.0, -0.5, 0.0, 0.5, 1.0] {
+                check((e + d) / SCALE);
+            }
+        }
+        for x in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1e9,
+            -1e9,
+        ] {
+            check(x);
+        }
+        // ~1M seeded inputs: random bit patterns, in-range values, and
+        // ±½-LSB ties on integers up to ±2³², half of them past
+        // saturation; each with its ±1-ulp neighbours.
+        let mut rng = StdRng::seed_from_u64(0x51ed);
+        for _ in 0..1 << 17 {
+            check(f64::from_bits(rng.gen::<u64>()));
+            check(rng.gen_range(-40_000.0..40_000.0));
+            let k = rng.gen::<u64>() as i64 >> 31;
+            check((k as f64 + 0.5) / SCALE);
+        }
     }
 
     #[test]
