@@ -4,7 +4,7 @@
 use crate::architecture::MeshArchitecture;
 use crate::layered::ProgramOptions;
 use neuropulsim_linalg::random::haar_unitary;
-use neuropulsim_linalg::{decomp, metrics, parallel, CMatrix, RMatrix};
+use neuropulsim_linalg::{metrics, parallel, RMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +45,11 @@ impl Stats {
 
 /// One expressivity trial: draws a Haar-random target, programs a mesh of
 /// the given architecture, and returns the achieved fidelity.
-pub fn expressivity_trial<R: Rng + ?Sized>(arch: MeshArchitecture, n: usize, rng: &mut R) -> f64 {
+pub(crate) fn expressivity_trial<R: Rng + ?Sized>(
+    arch: MeshArchitecture,
+    n: usize,
+    rng: &mut R,
+) -> f64 {
     let target = haar_unitary(rng, n);
     let mesh = arch.program(&target, rng);
     mesh.fidelity(&target)
@@ -125,13 +129,6 @@ pub fn nonunitary_coverage_trial<R: Rng + ?Sized>(n: usize, rng: &mut R) -> f64 
     let realized = core.realized_matrix(&crate::mvm::MvmNoiseConfig::ideal(), &mut rng2);
     let diff = (&realized - &m).frobenius_norm();
     diff / m.frobenius_norm().max(f64::MIN_POSITIVE)
-}
-
-/// Checks that a complex matrix is (numerically) realizable by a lossless
-/// mesh: all singular values must be `<= 1 + tol`.
-pub fn is_passively_realizable(m: &CMatrix, tol: f64) -> bool {
-    let d = decomp::svd(m);
-    d.sigma.iter().all(|&s| s <= 1.0 + tol)
 }
 
 /// The canonical size axis of the topology × size grid, up to the
@@ -293,13 +290,5 @@ mod tests {
             let err = nonunitary_coverage_trial(n, &mut rng);
             assert!(err < 1e-8, "n={n}: relative error {err}");
         }
-    }
-
-    #[test]
-    fn realizability_check() {
-        let id = CMatrix::identity(3);
-        assert!(is_passively_realizable(&id, 1e-9));
-        let amp = id.scaled(neuropulsim_linalg::C64::real(2.0));
-        assert!(!is_passively_realizable(&amp, 1e-9));
     }
 }

@@ -362,7 +362,7 @@ fn quantize_phase(phase: f64, levels: u32) -> f64 {
 /// architecture competes on the same footing (the analytic
 /// decompositions handle any unitary, and Fldzhyan's optimizer is not
 /// penalized for a capped sweep budget). Deterministic in `(n, seed)`.
-pub fn layered_target(n: usize, seed: u64) -> (LayeredMesh, CMatrix) {
+pub(crate) fn layered_target(n: usize, seed: u64) -> (LayeredMesh, CMatrix) {
     let mut rng = StdRng::seed_from_u64(parallel::split_seed(seed, 0));
     let mut generator = LayeredMesh::universal(n);
     generator.randomize_phases(&mut rng);
@@ -382,7 +382,7 @@ pub fn layered_target(n: usize, seed: u64) -> (LayeredMesh, CMatrix) {
 /// Deterministic in `(arch, n, cfg, seed)`; the target depends only on
 /// `(n, seed)`, so all four architectures of one campaign age against
 /// the same unitary.
-pub fn drift_campaign(
+pub(crate) fn drift_campaign(
     arch: MeshArchitecture,
     n: usize,
     cfg: &DriftCampaignConfig,

@@ -10,7 +10,6 @@
 use crate::program::MeshProgram;
 use neuropulsim_linalg::{CMatrix, C64};
 use neuropulsim_photonics::coupler::Coupler;
-use neuropulsim_photonics::energy::TechnologyProfile;
 use neuropulsim_photonics::mzi::Mzi;
 use neuropulsim_photonics::pcm::PcmMaterial;
 use neuropulsim_photonics::phase::{PcmPhaseShifter, PhaseShifter, ThermoOpticShifter};
@@ -35,7 +34,7 @@ pub enum ShifterTech {
 impl ShifterTech {
     /// Quantizes/realizes a requested phase, returning
     /// `(realized_phase, field_transmission)` of the shifter.
-    pub fn realize_phase(&self, phase: f64) -> (f64, f64) {
+    pub(crate) fn realize_phase(&self, phase: f64) -> (f64, f64) {
         match self {
             ShifterTech::Ideal => (neuropulsim_photonics::phase::wrap_phase(phase), 1.0),
             ShifterTech::ThermoOptic => {
@@ -80,19 +79,6 @@ impl HardwareModel {
             mzi_arm_transmission: 1.0,
             thermal_crosstalk: 0.0,
             shifter_tech: ShifterTech::Ideal,
-        }
-    }
-
-    /// Typical fabricated-SOI imperfections: sigma_phase = 0.01 rad,
-    /// sigma_coupler = 0.01 rad, 0.05 dB per-cell excess loss,
-    /// thermo-optic shifters.
-    pub fn typical_soi() -> Self {
-        HardwareModel {
-            phase_noise_sigma: 0.01,
-            coupler_imbalance_sigma: 0.01,
-            mzi_arm_transmission: 0.994,
-            thermal_crosstalk: 0.0,
-            shifter_tech: ShifterTech::ThermoOptic,
         }
     }
 
@@ -196,56 +182,12 @@ impl HardwareModel {
             Coupler::ideal_50_50()
         }
     }
-
-    /// Static and programming cost of holding/loading this program.
-    pub fn power_report(&self, program: &MeshProgram, tech: &TechnologyProfile) -> MeshPowerReport {
-        let mut hold_power = 0.0;
-        let mut programming_energy = 0.0;
-        let mut programming_time: f64 = 0.0;
-        let phases = program
-            .blocks()
-            .iter()
-            .flat_map(|b| [b.theta, b.phi])
-            .chain(program.output_phases().iter().copied());
-        for phase in phases {
-            match self.shifter_tech {
-                ShifterTech::Ideal => {}
-                ShifterTech::ThermoOptic => {
-                    let wrapped = neuropulsim_photonics::phase::wrap_phase(phase);
-                    hold_power += wrapped / std::f64::consts::PI * tech.thermo_p_pi;
-                    programming_time = programming_time.max(tech.thermo_response);
-                }
-                ShifterTech::Pcm { material, levels } => {
-                    let mut s = PcmPhaseShifter::new(material, levels);
-                    s.set_phase(phase);
-                    programming_energy += s.programming_energy();
-                    programming_time = programming_time.max(s.programming_time());
-                }
-            }
-        }
-        MeshPowerReport {
-            hold_power_w: hold_power,
-            programming_energy_j: programming_energy,
-            programming_time_s: programming_time,
-        }
-    }
 }
 
 impl Default for HardwareModel {
     fn default() -> Self {
         HardwareModel::ideal()
     }
-}
-
-/// Static power and (re)programming cost of a mesh configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MeshPowerReport {
-    /// Continuous electrical power to hold the weights \[W\].
-    pub hold_power_w: f64,
-    /// Energy to (re)program the weights once \[J\].
-    pub programming_energy_j: f64,
-    /// Time to (re)program (parallel programming assumed) \[s\].
-    pub programming_time_s: f64,
 }
 
 #[cfg(test)]
@@ -400,40 +342,5 @@ mod tests {
         let f1 = fid(0.01);
         let f2 = fid(0.05);
         assert!(f0 > f1 && f1 > f2, "{f0} {f1} {f2}");
-    }
-
-    #[test]
-    fn thermo_power_scales_with_mesh_size() {
-        let tech = TechnologyProfile::default();
-        let model = HardwareModel::ideal().with_shifter_tech(ShifterTech::ThermoOptic);
-        let (_, p4) = sample_program(4, 17);
-        let (_, p8) = sample_program(8, 17);
-        let r4 = model.power_report(&p4, &tech);
-        let r8 = model.power_report(&p8, &tech);
-        assert!(r8.hold_power_w > r4.hold_power_w);
-        assert_eq!(r4.programming_energy_j, 0.0);
-    }
-
-    #[test]
-    fn pcm_power_report_is_nonvolatile() {
-        let tech = TechnologyProfile::default();
-        let model = HardwareModel::ideal().with_shifter_tech(ShifterTech::Pcm {
-            material: PcmMaterial::Gsst,
-            levels: 16,
-        });
-        let (_, p) = sample_program(6, 19);
-        let r = model.power_report(&p, &tech);
-        assert_eq!(r.hold_power_w, 0.0);
-        assert!(r.programming_energy_j > 0.0);
-        assert!(r.programming_time_s > 0.0);
-    }
-
-    #[test]
-    fn ideal_tech_costs_nothing() {
-        let tech = TechnologyProfile::default();
-        let (_, p) = sample_program(4, 23);
-        let r = HardwareModel::ideal().power_report(&p, &tech);
-        assert_eq!(r.hold_power_w, 0.0);
-        assert_eq!(r.programming_energy_j, 0.0);
     }
 }

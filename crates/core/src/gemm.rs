@@ -257,7 +257,7 @@ impl GemmEngine {
 
     /// The ABFT checksum rows of the programmed matrix, for guarding
     /// offloads of this engine (see [`crate::abft`]).
-    pub fn abft_weights(&self) -> AbftWeights {
+    pub(crate) fn abft_weights(&self) -> AbftWeights {
         AbftWeights::new(self.core.target())
     }
 

@@ -110,18 +110,13 @@ impl LayeredMesh {
     }
 
     /// Number of layers.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.phase_layers.len()
     }
 
     /// Total number of programmable phases (incl. the output screen).
     pub fn phase_count(&self) -> usize {
         self.n * self.phase_layers.len() + self.n
-    }
-
-    /// Total number of (fixed) couplers.
-    pub fn coupler_count(&self) -> usize {
-        self.coupler_kappa.iter().map(Vec::len).sum()
     }
 
     /// Borrow the phase layers.
@@ -493,7 +488,10 @@ mod tests {
     fn counts() {
         let mesh = LayeredMesh::new(4, 8);
         // Even layers pair (0,1),(2,3): 2 couplers; odd layers pair (1,2): 1.
-        assert_eq!(mesh.coupler_count(), 4 * 2 + 4);
+        assert_eq!(
+            mesh.coupler_kappa.iter().map(Vec::len).sum::<usize>(),
+            4 * 2 + 4
+        );
         assert_eq!(mesh.phase_count(), 36);
         assert_eq!(mesh.num_layers(), 8);
         assert_eq!(mesh.modes(), 4);
@@ -583,7 +581,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut mesh = LayeredMesh::universal(1);
         mesh.randomize_phases(&mut rng);
-        assert_eq!(mesh.coupler_count(), 0);
+        assert_eq!(mesh.coupler_kappa.iter().map(Vec::len).sum::<usize>(), 0);
         let u = mesh.transfer_matrix();
         assert!(u.is_unitary(1e-12));
         let target = haar_unitary(&mut rng, 1);

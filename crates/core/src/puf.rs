@@ -84,7 +84,7 @@ impl PhotonicPuf {
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn with_design<R: Rng + ?Sized>(
+    pub(crate) fn with_design<R: Rng + ?Sized>(
         rng: &mut R,
         n: usize,
         variation: PufVariation,
@@ -107,18 +107,13 @@ impl PhotonicPuf {
         }
     }
 
-    /// Number of challenge bits (= modes = response bits).
-    pub fn challenge_bits(&self) -> usize {
-        self.n
-    }
-
     /// Evaluates the PUF: challenge bits become a binary phase pattern
     /// (`0 -> 0`, `1 -> pi`) on equal-amplitude inputs; the response is
     /// each output port's power thresholded at the median.
     ///
     /// # Panics
     ///
-    /// Panics if `challenge.len() != challenge_bits()`.
+    /// Panics if `challenge.len()` is not the mode count.
     pub fn respond(&self, challenge: &[bool]) -> Vec<bool> {
         self.respond_with_noise_internal(challenge, None, &mut NoRng)
     }
@@ -128,7 +123,7 @@ impl PhotonicPuf {
     ///
     /// # Panics
     ///
-    /// Panics if `challenge.len() != challenge_bits()`.
+    /// Panics if `challenge.len()` is not the mode count.
     pub fn respond_noisy<R: Rng + ?Sized>(
         &self,
         challenge: &[bool],

@@ -86,26 +86,6 @@ fn apply_right_inverse(u: &mut CMatrix, m: usize, theta: f64, phi: f64) {
     u.apply_right_2x2(m, m + 1, a.conj(), c.conj(), b.conj(), d.conj());
 }
 
-/// Verifies the `U = D * product(blocks)` identity used above for a
-/// residual-diagonal `work` matrix (diagnostic helper).
-pub fn residual_off_diagonal(u: &CMatrix) -> f64 {
-    let n = u.rows();
-    let mut worst = 0.0f64;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                worst = worst.max(u[(i, j)].abs());
-            }
-        }
-    }
-    worst
-}
-
-/// Convenience: the unit-modulus check of a diagonal (diagnostic helper).
-pub fn diagonal_is_unimodular(u: &CMatrix, tol: f64) -> bool {
-    (0..u.rows()).all(|k| (u[(k, k)].abs() - 1.0).abs() <= tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,16 +147,6 @@ mod tests {
         assert!(decompose(&id).transfer_matrix().approx_eq(&id, 1e-10));
         let d = CMatrix::diagonal(&[C64::cis(0.4), C64::cis(2.0), C64::cis(-1.0)]);
         assert!(decompose(&d).transfer_matrix().approx_eq(&d, 1e-10));
-    }
-
-    #[test]
-    fn diagnostics() {
-        let id = CMatrix::identity(3);
-        assert_eq!(residual_off_diagonal(&id), 0.0);
-        assert!(diagonal_is_unimodular(&id, 1e-12));
-        let mut m = CMatrix::identity(3);
-        m[(0, 1)] = C64::real(0.5);
-        assert!((residual_off_diagonal(&m) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -108,15 +108,6 @@ impl Svd {
         let s = CMatrix::diagonal_real(&self.sigma);
         self.u.mul_mat(&s).mul_mat(&self.v.adjoint())
     }
-
-    /// Spectral condition number `sigma_max / sigma_min` (infinite if
-    /// `sigma_min == 0`).
-    pub fn condition_number(&self) -> f64 {
-        match (self.sigma.first(), self.sigma.last()) {
-            (Some(&max), Some(&min)) if min > 0.0 => max / min,
-            _ => f64::INFINITY,
-        }
-    }
 }
 
 /// Computes the SVD of a square complex matrix via one-sided Jacobi
@@ -388,14 +379,6 @@ mod tests {
         assert!(d.u.is_unitary(1e-8));
         assert!(d.v.is_unitary(1e-8));
         assert!(d.reconstruct().approx_eq(&a, 1e-8));
-    }
-
-    #[test]
-    fn svd_condition_number() {
-        let a = CMatrix::diagonal_real(&[4.0, 2.0]);
-        assert!((svd(&a).condition_number() - 2.0).abs() < 1e-10);
-        let z = CMatrix::zeros(2, 2);
-        assert!(svd(&z).condition_number().is_infinite());
     }
 
     #[test]

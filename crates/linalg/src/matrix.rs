@@ -333,38 +333,6 @@ impl CMatrix {
         }
     }
 
-    /// Swaps two columns in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn swap_cols(&mut self, a: usize, b: usize) {
-        assert!(a < self.cols && b < self.cols, "swap_cols out of range");
-        if a == b {
-            return;
-        }
-        for i in 0..self.rows {
-            self.data.swap(i * self.cols + a, i * self.cols + b);
-        }
-    }
-
-    /// Embeds a 2x2 block `[[a, b], [c, d]]` acting on rows/cols `(p, q)` of
-    /// the identity, producing the `n x n` "two-level" matrix used to build
-    /// interferometer meshes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p == q` or either index is `>= n`.
-    pub fn two_level(n: usize, p: usize, q: usize, a: C64, b: C64, c: C64, d: C64) -> CMatrix {
-        assert!(p != q && p < n && q < n, "two_level: bad indices");
-        let mut m = CMatrix::identity(n);
-        m[(p, p)] = a;
-        m[(p, q)] = b;
-        m[(q, p)] = c;
-        m[(q, q)] = d;
-        m
-    }
-
     /// Left-multiplies `self` in place by a 2x2 block acting on rows `(p, q)`:
     /// `self <- B(p,q) * self`. This is the O(n) primitive for applying an
     /// MZI layer without forming the full two-level matrix.
@@ -396,11 +364,6 @@ impl CMatrix {
             self[(i, p)] = xp * a + xq * c;
             self[(i, q)] = xp * b + xq * d;
         }
-    }
-
-    /// Extracts the real parts as a row-major `Vec<f64>`.
-    pub fn to_real_vec(&self) -> Vec<f64> {
-        self.data.iter().map(|z| z.re).collect()
     }
 }
 
@@ -529,22 +492,18 @@ mod tests {
     }
 
     #[test]
-    fn two_level_embedding() {
-        let m = CMatrix::two_level(4, 1, 3, C64::real(0.0), C64::ONE, C64::ONE, C64::real(0.0));
-        // Swaps channels 1 and 3, leaves 0 and 2 alone.
-        let v = CVector::from_reals(&[1.0, 2.0, 3.0, 4.0]);
-        let w = m.mul_vec(&v);
-        assert_eq!(w.reals(), vec![1.0, 4.0, 3.0, 2.0]);
-    }
-
-    #[test]
     fn in_place_2x2_matches_explicit() {
         let a = C64::new(0.6, 0.0);
         let b = C64::new(0.0, 0.8);
         let c = C64::new(0.0, 0.8);
         let d = C64::new(0.6, 0.0);
         let base = CMatrix::from_reals(3, 3, &[1., 2., 3., 4., 5., 6., 7., 8., 9.]);
-        let block = CMatrix::two_level(3, 0, 2, a, b, c, d);
+        // The block embedded in the identity on rows/cols 0 and 2.
+        let mut block = CMatrix::identity(3);
+        block[(0, 0)] = a;
+        block[(0, 2)] = b;
+        block[(2, 0)] = c;
+        block[(2, 2)] = d;
 
         let mut left = base.clone();
         left.apply_left_2x2(0, 2, a, b, c, d);
@@ -556,12 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_and_cols() {
+    fn swap_rows_in_place() {
         let mut a = sample();
         a.swap_rows(0, 1);
         assert_eq!(a.row(0)[0], C64::real(3.0));
-        a.swap_cols(0, 1);
-        assert_eq!(a[(0, 0)], C64::real(4.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rand::Rng;
 
 /// Draws a standard complex Gaussian (Ginibre) matrix: independent entries
 /// with `N(0, 1/2)` real and imaginary parts.
-pub fn ginibre<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMatrix {
+pub(crate) fn ginibre<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMatrix {
     CMatrix::from_fn(n, n, |_, _| C64::new(gaussian(rng), gaussian(rng)))
 }
 
@@ -38,13 +38,6 @@ pub fn haar_unitary<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMatrix {
         }
     }
     u
-}
-
-/// Draws a random real matrix with entries uniform in `[-1, 1]`, as a
-/// complex matrix. Typical stand-in for a trained neural-network weight
-/// block before normalization.
-pub fn uniform_real<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> CMatrix {
-    CMatrix::from_fn(rows, cols, |_, _| C64::real(rng.gen_range(-1.0..=1.0)))
 }
 
 /// Draws a random complex unit vector of dimension `n`, uniform on the
@@ -120,15 +113,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean={mean}");
         assert!((var - 1.0).abs() < 0.1, "var={var}");
-    }
-
-    #[test]
-    fn uniform_real_in_range() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let m = uniform_real(&mut rng, 5, 7);
-        assert_eq!((m.rows(), m.cols()), (5, 7));
-        for z in m.as_slice() {
-            assert!(z.im == 0.0 && z.re.abs() <= 1.0);
-        }
     }
 }

@@ -20,7 +20,7 @@
 //! The packing cost is O(n²) against the O(n³) product, so the kernels
 //! win from roughly n ≥ 8 and are never significantly worse below that.
 
-use crate::{CMatrix, CVector, RMatrix, C64};
+use crate::{CMatrix, RMatrix, C64};
 
 /// A complex matrix stored as two row-major real planes.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -43,7 +43,7 @@ impl SplitMatrix {
     }
 
     /// Packs `m` into split form, reusing this buffer's storage.
-    pub fn pack(&mut self, m: &CMatrix) {
+    pub(crate) fn pack(&mut self, m: &CMatrix) {
         self.rows = m.rows();
         self.cols = m.cols();
         let n = self.rows * self.cols;
@@ -55,47 +55,11 @@ impl SplitMatrix {
         }
     }
 
-    /// Packs the transpose of `m`, reusing this buffer's storage.
-    ///
-    /// Used for the right-hand side of a product so the kernel inner
-    /// loop walks both operands contiguously.
-    pub fn pack_transposed(&mut self, m: &CMatrix) {
-        self.rows = m.cols();
-        self.cols = m.rows();
-        let n = self.rows * self.cols;
-        self.re.resize(n, 0.0);
-        self.im.resize(n, 0.0);
-        let src = m.as_slice();
-        for i in 0..m.rows() {
-            let row = &src[i * m.cols()..(i + 1) * m.cols()];
-            for (j, z) in row.iter().enumerate() {
-                self.re[j * self.cols + i] = z.re;
-                self.im[j * self.cols + i] = z.im;
-            }
-        }
-    }
-
     /// Builds a split copy of `m`.
     pub fn from_matrix(m: &CMatrix) -> Self {
         let mut s = SplitMatrix::zeros(0, 0);
         s.pack(m);
         s
-    }
-
-    /// Builds a split copy of `m` transposed.
-    pub fn from_matrix_transposed(m: &CMatrix) -> Self {
-        let mut s = SplitMatrix::zeros(0, 0);
-        s.pack_transposed(m);
-        s
-    }
-
-    /// Converts back to interleaved form.
-    pub fn to_matrix(&self) -> CMatrix {
-        let mut out = CMatrix::zeros(self.rows, self.cols);
-        for (i, z) in out.as_mut_slice().iter_mut().enumerate() {
-            *z = C64::new(self.re[i], self.im[i]);
-        }
-        out
     }
 
     /// Row count.
@@ -138,30 +102,6 @@ impl SplitVector {
             re: vec![0.0; n],
             im: vec![0.0; n],
         }
-    }
-
-    /// Packs `v`, reusing this buffer's storage.
-    pub fn pack(&mut self, v: &CVector) {
-        self.re.resize(v.len(), 0.0);
-        self.im.resize(v.len(), 0.0);
-        for (i, z) in v.iter().enumerate() {
-            self.re[i] = z.re;
-            self.im[i] = z.im;
-        }
-    }
-
-    /// Builds a split copy of `v`.
-    pub fn from_vector(v: &CVector) -> Self {
-        let mut s = SplitVector::zeros(0);
-        s.pack(v);
-        s
-    }
-
-    /// Converts back to interleaved form.
-    pub fn to_vector(&self) -> CVector {
-        (0..self.len())
-            .map(|i| C64::new(self.re[i], self.im[i]))
-            .collect()
     }
 
     /// Element count.
@@ -567,17 +507,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_roundtrip_preserves_entries() {
+    fn pack_preserves_entries() {
         let m = sample(3, 5, 0.25);
-        assert_eq!(SplitMatrix::from_matrix(&m).to_matrix(), m);
-        let t = SplitMatrix::from_matrix_transposed(&m).to_matrix();
-        assert_eq!(t, m.transpose());
-    }
-
-    #[test]
-    fn vector_pack_roundtrip() {
-        let v: CVector = (0..7).map(|i| C64::new(i as f64, -(i as f64))).collect();
-        assert_eq!(SplitVector::from_vector(&v).to_vector(), v);
+        let s = SplitMatrix::from_matrix(&m);
+        assert_eq!((s.rows(), s.cols()), (3, 5));
+        for (i, z) in m.as_slice().iter().enumerate() {
+            assert_eq!((s.re()[i], s.im()[i]), (z.re, z.im));
+        }
     }
 
     #[test]

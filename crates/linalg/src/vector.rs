@@ -82,11 +82,6 @@ impl CVector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning its entries.
-    pub fn into_vec(self) -> Vec<C64> {
-        self.data
-    }
-
     /// Hermitian inner product `<self, other> = sum conj(self_i) * other_i`.
     ///
     /// # Panics

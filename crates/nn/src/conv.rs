@@ -111,13 +111,8 @@ impl ConvLayer {
         }
     }
 
-    /// Kernel side length.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel_size
-    }
-
     /// Number of kernels (output channels).
-    pub fn out_channels(&self) -> usize {
+    pub(crate) fn out_channels(&self) -> usize {
         self.kernels.rows()
     }
 

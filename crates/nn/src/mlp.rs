@@ -76,19 +76,9 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable layer access (weight surgery in experiments).
-    pub fn layers_mut(&mut self) -> &mut [DenseLayer] {
-        &mut self.layers
-    }
-
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
         self.layers.first().map(|l| l.weights.cols()).unwrap_or(0)
-    }
-
-    /// Output dimension (class count).
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map(|l| l.weights.rows()).unwrap_or(0)
     }
 
     /// Standard forward pass (digital float arithmetic).
@@ -161,7 +151,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if the dataset dimension does not match the network.
-    pub fn train_epoch(&mut self, data: &Dataset, learning_rate: f64) -> f64 {
+    pub(crate) fn train_epoch(&mut self, data: &Dataset, learning_rate: f64) -> f64 {
         assert_eq!(data.dim, self.input_dim(), "dataset dimension mismatch");
         let mut total_loss = 0.0;
         for (x, &label) in data.samples.iter().zip(&data.labels) {
@@ -276,7 +266,7 @@ impl Mlp {
 }
 
 /// Softmax with max-shift for numerical stability.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
+pub(crate) fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
     let sum: f64 = exps.iter().sum();
@@ -308,7 +298,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mlp = Mlp::new(&mut rng, &[8, 16, 4]);
         assert_eq!(mlp.input_dim(), 8);
-        assert_eq!(mlp.output_dim(), 4);
         assert_eq!(mlp.forward(&[0.0; 8]).len(), 4);
         assert_eq!(mlp.layers().len(), 2);
         assert!(mlp.layers()[0].relu);

@@ -16,8 +16,8 @@
 /// use neuropulsim_photonics::converter::Converter;
 ///
 /// let adc = Converter::new(4, 1.0); // 4 bits over [-1, 1]
-/// assert_eq!(adc.quantize(2.0), adc.max_code_value()); // saturates
-/// assert_eq!(adc.quantize(0.0), 0.0);                  // zero is exact
+/// assert_eq!(adc.quantize(2.0), 7.0 * adc.lsb()); // saturates at the top code
+/// assert_eq!(adc.quantize(0.0), 0.0); // zero is exact
 /// assert!((adc.quantize(0.09) - adc.lsb() * (0.09 / adc.lsb()).round()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,11 +50,6 @@ impl Converter {
         (((1u64 << self.bits) - 1) / 2) as i64
     }
 
-    /// The analog value of the top code.
-    pub fn max_code_value(&self) -> f64 {
-        self.max_code() as f64 * self.lsb()
-    }
-
     /// Quantizes one value (saturating, mid-tread).
     pub fn quantize(&self, x: f64) -> f64 {
         let lsb = self.lsb();
@@ -69,23 +64,16 @@ impl Converter {
             *v = self.quantize(*v);
         }
     }
-
-    /// RMS quantization noise of an ideal uniform quantizer
-    /// (`lsb / sqrt(12)`).
-    pub fn quantization_noise_rms(&self) -> f64 {
-        self.lsb() / 12f64.sqrt()
-    }
-
-    /// Effective signal-to-quantization-noise ratio for a full-scale
-    /// sinusoid \[dB\] — the textbook `6.02 b + 1.76`.
-    pub fn sqnr_db(&self) -> f64 {
-        6.02 * self.bits as f64 + 1.76
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The analog value of the top code.
+    fn top(c: &Converter) -> f64 {
+        c.max_code() as f64 * c.lsb()
+    }
 
     #[test]
     fn one_bit_has_a_single_code() {
@@ -93,22 +81,22 @@ mod tests {
         assert_eq!(c.lsb(), 2.0);
         assert_eq!(c.quantize(0.9), 0.0, "only code is zero");
         assert_eq!(c.quantize(-5.0), 0.0);
-        assert_eq!(c.max_code_value(), 0.0);
+        assert_eq!(top(&c), 0.0);
     }
 
     #[test]
     fn saturation_hits_the_top_code() {
         let c = Converter::new(8, 0.5);
-        assert_eq!(c.quantize(10.0), c.max_code_value());
-        assert_eq!(c.quantize(-10.0), -c.max_code_value());
-        assert!(c.max_code_value() <= 0.5);
-        assert!(c.max_code_value() > 0.49, "top code near full scale");
+        assert_eq!(c.quantize(10.0), top(&c));
+        assert_eq!(c.quantize(-10.0), -top(&c));
+        assert!(top(&c) <= 0.5);
+        assert!(top(&c) > 0.49, "top code near full scale");
     }
 
     #[test]
     fn error_bounded_by_half_lsb_in_range() {
         let c = Converter::new(6, 1.0);
-        let top = c.max_code_value();
+        let top = top(&c);
         for k in -100..=100 {
             let x = k as f64 / 100.0;
             if x.abs() > top {
@@ -120,14 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn more_bits_less_noise() {
-        let coarse = Converter::new(4, 1.0);
-        let fine = Converter::new(12, 1.0);
-        assert!(fine.quantization_noise_rms() < coarse.quantization_noise_rms() / 100.0);
-        assert!(fine.sqnr_db() > coarse.sqnr_db() + 40.0);
-    }
-
-    #[test]
     fn slice_quantization() {
         let c = Converter::new(3, 1.0);
         let mut v = vec![0.3, -0.9, 2.0];
@@ -135,7 +115,7 @@ mod tests {
         for &x in &v {
             assert!((x / c.lsb()).fract().abs() < 1e-9, "{x} off grid");
         }
-        assert_eq!(v[2], c.max_code_value());
+        assert_eq!(v[2], top(&c));
     }
 
     #[test]

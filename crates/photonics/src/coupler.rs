@@ -52,19 +52,6 @@ impl Coupler {
         }
     }
 
-    /// Creates a coupler from its power cross-coupling ratio `t` in `[0, 1]`
-    /// (fraction of power crossing to the other waveguide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, 1]`.
-    pub fn from_cross_power(t: f64) -> Self {
-        assert!((0.0..=1.0).contains(&t), "cross power must be in [0, 1]");
-        Coupler {
-            kappa: t.sqrt().asin(),
-        }
-    }
-
     /// The field coupling angle \[rad\].
     pub fn kappa(&self) -> f64 {
         self.kappa
@@ -128,20 +115,6 @@ mod tests {
     fn power_conservation() {
         let c = Coupler::with_imbalance(0.07);
         assert!((c.cross_power() + c.bar_power() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_cross_power_roundtrip() {
-        for t in [0.0, 0.1, 0.5, 0.9, 1.0] {
-            let c = Coupler::from_cross_power(t);
-            assert!((c.cross_power() - t).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cross power")]
-    fn from_cross_power_rejects_out_of_range() {
-        let _ = Coupler::from_cross_power(1.5);
     }
 
     #[test]

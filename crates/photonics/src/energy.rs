@@ -140,13 +140,6 @@ impl EnergyLedger {
         self.entries.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-
     /// Returns `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -169,13 +162,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ledger_accumulates_and_merges() {
+    fn ledger_accumulates() {
         let mut a = EnergyLedger::new();
         a.add("x", 1.0);
         a.add("y", 2.0);
-        let mut b = EnergyLedger::new();
-        b.add("x", 3.0);
-        a.merge(&b);
+        a.add("x", 3.0);
         assert_eq!(a.get("x"), 4.0);
         assert_eq!(a.total(), 6.0);
         assert_eq!(a.get("missing"), 0.0);

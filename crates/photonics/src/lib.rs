@@ -13,7 +13,6 @@
 //! - [`pcm`]: phase-change material optics (GST/GSST/GeSe), Lorentz–Lorenz
 //!   index mixing, accumulative SET pulses, drift;
 //! - [`mzi`]: the Mach–Zehnder interferometer unit cell (paper Fig. 2a);
-//! - [`modulator`] / [`detector`]: the >50 GHz I/O devices of the platform;
 //! - [`laser`]: Yamada-model excitable Q-switched laser neurons;
 //! - [`energy`]: technology constants and the energy/area ledgers used by
 //!   the system-level benchmarks;
@@ -40,13 +39,10 @@
 
 pub mod converter;
 pub mod coupler;
-pub mod detector;
 pub mod energy;
 pub mod laser;
-pub mod modulator;
 pub mod mzi;
 pub mod pcm;
 pub mod phase;
 pub mod ring;
 pub mod units;
-pub mod waveguide;

@@ -121,13 +121,6 @@ impl Mzi {
     pub fn bar_power(&self) -> f64 {
         self.elements().0.abs2()
     }
-
-    /// `true` if the device is lossless and both couplers ideal.
-    pub fn is_ideal(&self) -> bool {
-        self.arm_transmission == 1.0
-            && self.coupler_1 == Coupler::ideal_50_50()
-            && self.coupler_2 == Coupler::ideal_50_50()
-    }
 }
 
 impl Default for Mzi {
@@ -231,7 +224,6 @@ mod tests {
         let m = mzi.transfer_matrix();
         let total_out: f64 = m.col(0).total_power();
         assert!((total_out - 0.81).abs() < 1e-12);
-        assert!(!mzi.is_ideal());
     }
 
     #[test]
@@ -254,7 +246,9 @@ mod tests {
     fn default_is_cross_state() {
         let m = Mzi::default();
         assert!((m.cross_power() - 1.0).abs() < 1e-12);
-        assert!(m.is_ideal());
+        assert_eq!(m.arm_transmission, 1.0);
+        assert_eq!(m.coupler_1, Coupler::ideal_50_50());
+        assert_eq!(m.coupler_2, Coupler::ideal_50_50());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum PcmMaterial {
 
 impl PcmMaterial {
     /// Complex refractive index `n + i k` of the amorphous phase at 1550 nm.
-    pub fn amorphous_index(&self) -> C64 {
+    pub(crate) fn amorphous_index(&self) -> C64 {
         match self {
             PcmMaterial::Gst225 => C64::new(3.94, 0.045),
             PcmMaterial::Gsst => C64::new(3.47, 0.0002),
@@ -36,7 +36,7 @@ impl PcmMaterial {
     }
 
     /// Complex refractive index `n + i k` of the crystalline phase at 1550 nm.
-    pub fn crystalline_index(&self) -> C64 {
+    pub(crate) fn crystalline_index(&self) -> C64 {
         match self {
             PcmMaterial::Gst225 => C64::new(6.11, 0.83),
             PcmMaterial::Gsst => C64::new(4.86, 0.18),

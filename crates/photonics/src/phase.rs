@@ -128,11 +128,6 @@ impl ThermoOpticShifter {
             programming_energy: 0.0,
         }
     }
-
-    /// `P_pi` of this heater \[W\].
-    pub fn p_pi(&self) -> f64 {
-        self.p_pi
-    }
 }
 
 impl Default for ThermoOpticShifter {
@@ -201,7 +196,7 @@ impl PcmPhaseShifter {
     /// # Panics
     ///
     /// Panics if `levels < 2` or `gamma <= 0`.
-    pub fn with_params(
+    pub(crate) fn with_params(
         material: PcmMaterial,
         levels: u32,
         gamma: f64,
@@ -253,13 +248,6 @@ impl PcmPhaseShifter {
     /// Crystalline fraction of level `l`.
     fn fraction_of_level(&self, l: u32) -> f64 {
         l as f64 / (self.levels - 1) as f64
-    }
-
-    /// The phase realized at each programmable level \[rad\].
-    pub fn level_phases(&self) -> Vec<f64> {
-        (0..self.levels)
-            .map(|l| self.phase_of_fraction(self.fraction_of_level(l)))
-            .collect()
     }
 
     /// Applies state drift over `elapsed_s` seconds with drift coefficient
@@ -326,6 +314,13 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// The phase realized at each programmable level \[rad\].
+    fn level_phases(ps: &PcmPhaseShifter) -> Vec<f64> {
+        (0..ps.levels)
+            .map(|l| ps.phase_of_fraction(ps.fraction_of_level(l)))
+            .collect()
+    }
+
     #[test]
     fn wrap_phase_range() {
         assert!((wrap_phase(-PI) - PI).abs() < 1e-12);
@@ -365,7 +360,7 @@ mod tests {
     #[test]
     fn pcm_shifter_full_range_is_2pi() {
         let ps = PcmPhaseShifter::new(PcmMaterial::Gsst, 16);
-        let phases = ps.level_phases();
+        let phases = level_phases(&ps);
         assert!(phases[0].abs() < 1e-12);
         assert!((phases[15] - TAU).abs() < 1e-9);
     }
@@ -376,7 +371,7 @@ mod tests {
         ps.set_phase(PI);
         let realized = ps.phase();
         // Error bounded by half the worst-case level spacing.
-        let phases = ps.level_phases();
+        let phases = level_phases(&ps);
         let max_gap = phases
             .windows(2)
             .map(|w| w[1] - w[0])

@@ -7,29 +7,8 @@
 /// Speed of light in vacuum \[m/s\].
 pub const SPEED_OF_LIGHT: f64 = 2.997_924_58e8;
 
-/// Planck constant \[J*s\].
-pub const PLANCK: f64 = 6.626_070_15e-34;
-
-/// Elementary charge \[C\].
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
-
-/// Boltzmann constant \[J/K\].
-pub const BOLTZMANN: f64 = 1.380_649e-23;
-
 /// The standard telecom C-band wavelength used throughout the paper \[m\].
 pub const TELECOM_WAVELENGTH: f64 = 1550e-9;
-
-/// Photon energy at a given vacuum wavelength \[J\].
-///
-/// # Examples
-///
-/// ```
-/// let e = neuropulsim_photonics::units::photon_energy(1550e-9);
-/// assert!((e - 1.28e-19).abs() < 1e-20); // ~0.8 eV
-/// ```
-pub fn photon_energy(wavelength_m: f64) -> f64 {
-    PLANCK * SPEED_OF_LIGHT / wavelength_m
-}
 
 /// Converts a power/intensity ratio to decibels.
 ///
@@ -38,66 +17,16 @@ pub fn linear_to_db(ratio: f64) -> f64 {
     10.0 * ratio.log10()
 }
 
-/// Converts decibels to a linear power ratio.
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a per-length loss in dB/cm to an intensity attenuation
-/// coefficient alpha \[1/m\] such that `P(z) = P0 * exp(-alpha z)`.
-pub fn db_per_cm_to_alpha(db_per_cm: f64) -> f64 {
-    // 10 log10(e) = 4.3429...; alpha = db_per_m / (10 log10 e)
-    let db_per_m = db_per_cm * 100.0;
-    db_per_m / (10.0 * std::f64::consts::E.log10())
-}
-
-/// Converts dBm to watts.
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    1e-3 * db_to_linear(dbm)
-}
-
-/// Converts watts to dBm.
-///
-/// Returns `-inf` for zero power.
-pub fn watts_to_dbm(watts: f64) -> f64 {
-    linear_to_db(watts / 1e-3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn db_roundtrip() {
-        for db in [-30.0, -3.0, 0.0, 3.0, 10.0] {
-            assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-12);
+    fn linear_to_db_values() {
+        for (ratio, db) in [(1e-3, -30.0), (1.0, 0.0), (10.0, 10.0)] {
+            assert!((linear_to_db(ratio) - db).abs() < 1e-12);
         }
-        assert!((db_to_linear(3.0) - 1.995).abs() < 0.01);
+        assert!((linear_to_db(2.0) - 3.0103).abs() < 1e-4);
         assert!(linear_to_db(0.0).is_infinite());
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        assert!((dbm_to_watts(0.0) - 1e-3).abs() < 1e-15);
-        assert!((dbm_to_watts(10.0) - 1e-2).abs() < 1e-12);
-        assert!((watts_to_dbm(1e-3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn loss_coefficient() {
-        // 1 dB/cm ~ 23.03 /m
-        let alpha = db_per_cm_to_alpha(1.0);
-        assert!((alpha - 23.025_850_93).abs() < 1e-6);
-        // Propagating 1 cm should lose exactly 1 dB of power.
-        let remaining = (-alpha * 0.01f64).exp();
-        assert!((linear_to_db(remaining) + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn photon_energy_at_1550nm() {
-        let e = photon_energy(TELECOM_WAVELENGTH);
-        // ~0.8 eV
-        let ev = e / ELEMENTARY_CHARGE;
-        assert!((ev - 0.8).abs() < 0.01);
     }
 }

@@ -185,7 +185,7 @@ impl FlatMemory {
     /// # Panics
     ///
     /// Panics if the range exceeds the memory size.
-    pub fn load_program(&mut self, addr: u32, bytes: &[u8]) {
+    pub(crate) fn load_program(&mut self, addr: u32, bytes: &[u8]) {
         let start = addr as usize;
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
     }

@@ -11,21 +11,21 @@ use std::sync::Arc;
 /// CSR addresses implemented by the core.
 pub mod csr {
     /// Cycle counter (read-only).
-    pub const MCYCLE: u16 = 0xB00;
+    pub(crate) const MCYCLE: u16 = 0xB00;
     /// Retired-instruction counter (read-only).
-    pub const MINSTRET: u16 = 0xB02;
+    pub(crate) const MINSTRET: u16 = 0xB02;
     /// Scratch register.
-    pub const MSCRATCH: u16 = 0x340;
+    pub(crate) const MSCRATCH: u16 = 0x340;
     /// Bulk entries served by a compiled trace (read-only,
     /// `mhpmcounter3` slot).
-    pub const TRACED_ENTRIES: u16 = 0xB03;
+    pub(crate) const TRACED_ENTRIES: u16 = 0xB03;
     /// Bulk entries run by decoding from memory, counted as each run
     /// ends (read-only, `mhpmcounter4` slot).
-    pub const DECODED_ENTRIES: u16 = 0xB04;
+    pub(crate) const DECODED_ENTRIES: u16 = 0xB04;
     /// Trace dispatches (read-only, `mhpmcounter5` slot).
-    pub const TRACE_HITS: u16 = 0xB05;
+    pub(crate) const TRACE_HITS: u16 = 0xB05;
     /// Trace side exits of any kind (read-only, `mhpmcounter6` slot).
-    pub const TRACE_EXITS: u16 = 0xB06;
+    pub(crate) const TRACE_EXITS: u16 = 0xB06;
 }
 
 /// Why execution stopped.

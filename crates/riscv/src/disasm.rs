@@ -8,7 +8,7 @@ use crate::isa::{decode, Instruction};
 use std::fmt;
 
 /// ABI register names indexed by register number.
-pub const ABI_NAMES: [&str; 32] = [
+pub(crate) const ABI_NAMES: [&str; 32] = [
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
     "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
     "t5", "t6",

@@ -64,7 +64,7 @@ pub const HOT_THRESHOLD: u32 = 8;
 pub const MAX_TRACE_OPS: usize = 192;
 
 /// Default number of direct-mapped trace slots.
-pub const DEFAULT_TRACE_SLOTS: usize = 128;
+pub(crate) const DEFAULT_TRACE_SLOTS: usize = 128;
 
 /// Why the executor left a compiled trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ pub enum SideExit {
 }
 
 /// Number of [`SideExit`] variants (length of the exit counter array).
-pub const SIDE_EXIT_KINDS: usize = 5;
+pub(crate) const SIDE_EXIT_KINDS: usize = 5;
 
 /// One instruction of a compiled trace: the pre-decoded op, its pc, the
 /// path the compiler predicts it takes, and its pre-computed cost along
@@ -356,7 +356,7 @@ impl TraceEngine {
     /// counting but never re-trigger — a failed compile is not retried
     /// until invalidation clears the heat table.
     #[inline]
-    pub fn note_entry(&mut self, pc: u32) -> bool {
+    pub(crate) fn note_entry(&mut self, pc: u32) -> bool {
         let h = self.heat.entry(pc).or_insert(0);
         *h = h.saturating_add(1);
         *h == HOT_THRESHOLD

@@ -64,9 +64,9 @@ pub mod mmr {
 /// Status bits.
 pub mod status {
     /// Device is processing a job.
-    pub const BUSY: u32 = 1;
+    pub(crate) const BUSY: u32 = 1;
     /// A job finished and `done` has not been cleared.
-    pub const DONE: u32 = 2;
+    pub(crate) const DONE: u32 = 2;
     /// The `ERROR` register holds unacknowledged bits.
     pub const ERROR: u32 = 4;
 }
@@ -81,7 +81,7 @@ pub mod errcode {
     /// rejected (in-flight state untouched).
     pub const BUSY_REJECT: u32 = 4;
     /// An operand window fell outside the scratchpad.
-    pub const SPM_RANGE: u32 = 8;
+    pub(crate) const SPM_RANGE: u32 = 8;
     /// Malformed job: no matrix programmed, zero dimension, or batch 0.
     pub const BAD_JOB: u32 = 16;
     /// Permanent hardware fault: the device was bricked (injected via
@@ -371,11 +371,6 @@ impl AccelDevice {
     /// Number of recalibrations performed so far.
     pub fn recal_count(&self) -> u32 {
         self.recal_count
-    }
-
-    /// True while a recalibration (PCM reprogramming) is in flight.
-    pub fn is_recalibrating(&self) -> bool {
-        self.recal_in_flight
     }
 
     /// `true` when the error interrupt line is asserted (error-IRQ
@@ -776,7 +771,7 @@ mod tests {
         d.mmr_store(mmr::CTRL, 1 | 8, 0, &mut spm);
         assert!(d.is_busy());
         assert!(
-            !d.is_recalibrating(),
+            !d.recal_in_flight,
             "the job, not the recal, holds the device"
         );
         assert_eq!(d.vectors_processed, 1);
@@ -1293,7 +1288,7 @@ mod tests {
         let e0 = d.energy();
         let mut spm = Ram::new(0, 4096);
         d.mmr_store(mmr::CTRL, 8, 100_100, &mut spm);
-        assert!(d.is_recalibrating(), "recal is not a job start");
+        assert!(d.recal_in_flight, "recal is not a job start");
         assert_eq!(d.vectors_processed, 2);
         d.tick(100_100 + d.recal_cycles);
         assert!(d.is_done());

@@ -12,8 +12,8 @@
 //!    included), a resumed run is bit-identical to a from-zero replay —
 //!    enforced by construction: both paths share one post-injection
 //!    step (`Campaign::finish_with_fault`).
-//! 2. **Deterministic parallelism** ([`Campaign::run_checkpointed`],
-//!    [`Campaign::run_stratified`]): injections fan out over the scoped
+//! 2. **Deterministic parallelism** ([`Campaign::run_stratified`]):
+//!    injections fan out over the scoped
 //!    worker threads of [`neuropulsim_linalg::parallel`], split by fault
 //!    index with per-index seeds from [`split_seed`], so campaign
 //!    outcomes are a pure function of the seed — never of
@@ -52,7 +52,7 @@ pub struct GoldenRun {
 
 impl GoldenRun {
     /// Number of checkpoints recorded (including the cycle-0 one).
-    pub fn checkpoint_count(&self) -> usize {
+    pub(crate) fn checkpoint_count(&self) -> usize {
         self.checkpoints.len()
     }
 
@@ -395,31 +395,6 @@ impl Campaign<'_> {
         }
     }
 
-    /// Runs an explicit fault list through the checkpointed engine on
-    /// scoped worker threads. Returns per-fault injections (in fault
-    /// order) and aggregate statistics; results are identical for any
-    /// thread count.
-    pub fn run_checkpointed(
-        &self,
-        faults: &[Fault],
-        cfg: &CampaignConfig,
-    ) -> (GoldenRun, Vec<Injection>, CampaignStats) {
-        let golden = self.golden_checkpointed(cfg.cadence);
-        let threads = if cfg.threads == 0 {
-            available_threads()
-        } else {
-            cfg.threads
-        };
-        let injections = par_map_indexed(faults.len(), threads, |i| {
-            self.inject_from(&golden, faults[i])
-        });
-        let mut stats = CampaignStats::default();
-        for inj in &injections {
-            stats.record(inj.outcome);
-        }
-        (golden, injections, stats)
-    }
-
     /// Runs a statistical campaign: faults are drawn by
     /// [`stratified_fault`] over the golden run's live cycle window,
     /// dispatched in parallel batches, with an optional early stop once
@@ -525,7 +500,7 @@ impl GuardComparison {
 
     /// Fraction of detected faults that were fully recovered, with a
     /// Wilson 95% interval. Returns rate 0 on an empty denominator.
-    pub fn recovery_rate(&self) -> (f64, (f64, f64)) {
+    pub(crate) fn recovery_rate(&self) -> (f64, (f64, f64)) {
         let s = &self.guarded.stats;
         let detected = s.detected_recovered + s.detected_uncorrected;
         let rate = if detected == 0 {
@@ -752,12 +727,12 @@ mod tests {
             })
             .collect();
         let (seq_outcomes, seq_stats) = c.run(&faults);
-        let cfg = CampaignConfig {
-            cadence: 100,
-            threads: 3,
-            ..CampaignConfig::default()
-        };
-        let (_, injections, stats) = c.run_checkpointed(&faults, &cfg);
+        let golden = c.golden_checkpointed(100);
+        let injections = par_map_indexed(faults.len(), 3, |i| c.inject_from(&golden, faults[i]));
+        let mut stats = CampaignStats::default();
+        for inj in &injections {
+            stats.record(inj.outcome);
+        }
         assert_eq!(stats, seq_stats);
         let outcomes: Vec<FaultOutcome> = injections.iter().map(|i| i.outcome).collect();
         assert_eq!(outcomes, seq_outcomes);

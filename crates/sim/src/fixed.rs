@@ -2,7 +2,7 @@
 //! and the accelerator's Communications Interface exchange through SPM.
 
 /// Fractional bits of the Q16.16 format.
-pub const FRAC_BITS: u32 = 16;
+pub(crate) const FRAC_BITS: u32 = 16;
 
 /// Scale factor `2^16`.
 pub const SCALE: f64 = 65536.0;

@@ -28,30 +28,30 @@ use crate::system::{RunOutcome, RunReport, System, DRAM_BASE, DRAM_SIZE};
 use neuropulsim_riscv::cpu::Halt;
 
 /// `e_machine` value for RISC-V.
-pub const EM_RISCV: u16 = 243;
+pub(crate) const EM_RISCV: u16 = 243;
 /// `e_type` for a fully linked executable.
-pub const ET_EXEC: u16 = 2;
+pub(crate) const ET_EXEC: u16 = 2;
 /// `p_type` for a loadable segment.
-pub const PT_LOAD: u32 = 1;
+pub(crate) const PT_LOAD: u32 = 1;
 
 /// Linux RV32 syscall numbers understood by the shim.
 pub mod sysno {
     /// `exit(code)`.
-    pub const EXIT: u32 = 93;
+    pub(crate) const EXIT: u32 = 93;
     /// `exit_group(code)` — treated the same as `exit`.
-    pub const EXIT_GROUP: u32 = 94;
+    pub(crate) const EXIT_GROUP: u32 = 94;
     /// `write(fd, buf, len)`.
-    pub const WRITE: u32 = 64;
+    pub(crate) const WRITE: u32 = 64;
     /// `brk(addr)`.
-    pub const BRK: u32 = 214;
+    pub(crate) const BRK: u32 = 214;
 }
 
 /// `-ENOSYS`: the shim's answer to any syscall it does not implement.
-pub const ENOSYS_RET: u32 = -38i32 as u32;
+pub(crate) const ENOSYS_RET: u32 = -38i32 as u32;
 /// `-EFAULT`: a buffer pointed outside loadable memory.
-pub const EFAULT_RET: u32 = -14i32 as u32;
+pub(crate) const EFAULT_RET: u32 = -14i32 as u32;
 /// `-EBADF`: `write` to anything but stdout/stderr.
-pub const EBADF_RET: u32 = -9i32 as u32;
+pub(crate) const EBADF_RET: u32 = -9i32 as u32;
 
 /// Bytes at the top of DRAM reserved for the stack; `brk` may not grow
 /// the heap into this region.
@@ -388,7 +388,7 @@ impl System {
     ///
     /// Returns an [`ElfError`] if the image is malformed or a segment
     /// does not fit in DRAM.
-    pub fn load_elf(&mut self, bytes: &[u8]) -> Result<ElfImage, ElfError> {
+    pub(crate) fn load_elf(&mut self, bytes: &[u8]) -> Result<ElfImage, ElfError> {
         let image = parse_elf32(bytes)?;
         let dram_end = DRAM_BASE + DRAM_SIZE as u32;
         for seg in &image.segments {
@@ -591,7 +591,7 @@ pub mod workloads {
     }
 
     /// Number of values [`sort_elf`] sorts.
-    pub const SORT_COUNT: u32 = 96;
+    pub(crate) const SORT_COUNT: u32 = 96;
 
     /// Insertion sort over a `brk`-allocated array of LCG words.
     ///
@@ -697,7 +697,7 @@ pub mod workloads {
     }
 
     /// Bytes [`crc_elf`] hashes.
-    pub const CRC_LEN: u32 = 512;
+    pub(crate) const CRC_LEN: u32 = 512;
 
     /// Bitwise CRC32 (poly `0xEDB88320`) over a `brk`-allocated buffer
     /// of generator bytes, mirrored by [`crc_model`]. Prints
@@ -783,7 +783,7 @@ pub mod workloads {
     }
 
     /// The xorshift32 step both generator programs use.
-    pub fn xorshift32(state: &mut u32) -> u32 {
+    pub(crate) fn xorshift32(state: &mut u32) -> u32 {
         *state ^= *state << 13;
         *state ^= *state >> 17;
         *state ^= *state << 5;

@@ -335,11 +335,6 @@ impl RamSnapshot {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.nonzero.len() * std::mem::size_of::<(u32, u32)>()
     }
-
-    /// Number of nonzero words captured.
-    pub fn nonzero_words(&self) -> usize {
-        self.nonzero.len()
-    }
 }
 
 #[cfg(test)]
@@ -458,7 +453,7 @@ mod tests {
         r.store(0x1100, 0xDEAD).unwrap();
         r.load(0x1004).unwrap();
         let snap = r.snapshot();
-        assert_eq!(snap.nonzero_words(), 2);
+        assert_eq!(snap.nonzero.len(), 2);
         assert!(snap.approx_bytes() < 256, "sparse image must stay small");
         // Diverge, then restore.
         r.store(0x1004, 99).unwrap();

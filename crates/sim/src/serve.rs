@@ -85,7 +85,7 @@ pub mod chaos;
 use crate::accel::{mmr, AccelDevice, PcmDriftModel};
 use crate::fixed::{from_fixed, to_fixed};
 use crate::ram::Ram;
-use crate::system::{ACCEL_BASE, PE_STRIDE, SPM_BASE, SPM_SIZE};
+use crate::system::{SPM_BASE, SPM_SIZE};
 use neuropulsim_linalg::RMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,7 +166,7 @@ impl PeSpec {
 }
 
 /// Consecutive job failures before a PE is ejected.
-pub const RETRY_BUDGET: u32 = 3;
+pub(crate) const RETRY_BUDGET: u32 = 3;
 
 /// Attempts per request before it is dropped (safety valve against
 /// pathological retry loops).
@@ -175,7 +175,7 @@ pub const MAX_ATTEMPTS: u32 = 32;
 /// Per-element tolerance of the ABFT column-checksum row every joined
 /// output is verified against \[Q16.16 units as f64\]; the job-level
 /// tolerance is `n * CHECKSUM_TOLERANCE`.
-pub const CHECKSUM_TOLERANCE: f64 = 0.02;
+pub(crate) const CHECKSUM_TOLERANCE: f64 = 0.02;
 
 /// Max cycles a request waits for its batch to fill before a partial
 /// batch is flushed.
@@ -573,8 +573,6 @@ struct Job {
 struct PeState {
     dev: AccelDevice,
     spec: PeSpec,
-    /// MMR base on the bus (`ACCEL_BASE + PE_STRIDE * slot`).
-    base: u32,
     spm_in: u32,
     spm_out: u32,
     health: PeHealth,
@@ -739,7 +737,6 @@ impl InferenceServer {
             pes.push(PeState {
                 dev,
                 spec: *spec,
-                base: ACCEL_BASE + PE_STRIDE * slot as u32,
                 spm_in,
                 spm_out,
                 health: PeHealth::Healthy,
@@ -807,20 +804,9 @@ impl InferenceServer {
             .fold(0u64, |m, (i, _)| m | (1u64 << i))
     }
 
-    /// Number of PEs currently in-fleet (healthy, suspect or draining
-    /// for a drift recalibration).
-    pub fn healthy_pes(&self) -> usize {
-        self.pes.iter().filter(|p| p.health.in_fleet()).count()
-    }
-
     /// Health state of PE `slot`.
     pub fn pe_health(&self, slot: usize) -> PeHealth {
         self.pes[slot].health
-    }
-
-    /// The bus MMR base address of PE `slot`.
-    pub fn pe_base(&self, slot: usize) -> u32 {
-        self.pes[slot].base
     }
 
     /// Shared access to PE `slot`'s device (inspection in tests/benches).
@@ -829,13 +815,8 @@ impl InferenceServer {
     }
 
     /// Total fleet energy so far \[J\].
-    pub fn fleet_energy(&self) -> f64 {
+    pub(crate) fn fleet_energy(&self) -> f64 {
         self.pes.iter().map(|p| p.dev.energy()).sum()
-    }
-
-    /// True between [`InferenceServer::begin`] and the run finishing.
-    pub fn is_running(&self) -> bool {
-        self.state.as_ref().is_some_and(|st| !st.finished)
     }
 
     /// Serves `load` to completion (every request joined or dropped) and
@@ -1848,7 +1829,7 @@ mod tests {
         assert_eq!(out.report.dropped, 0, "no request may be lost");
         assert_eq!(out.report.completed, 400);
         assert_eq!(out.report.pes_ejected, 1, "the bricked PE left the fleet");
-        assert_eq!(srv.healthy_pes(), 3);
+        assert_eq!(srv.pes.iter().filter(|p| p.health.in_fleet()).count(), 3);
         assert!(out.report.jobs_failed > 0, "the fault was actually hit");
         assert!(out.report.failures.hard_fault > 0, "classified as HW fault");
         assert!(
@@ -2037,7 +2018,7 @@ mod tests {
         );
         assert!(pe1.out_of_fleet_cycles > 0, "time-to-readmission recorded");
         assert_eq!(srv.pe_health(1), PeHealth::Healthy);
-        assert_eq!(srv.healthy_pes(), 2);
+        assert_eq!(srv.pes.iter().filter(|p| p.health.in_fleet()).count(), 2);
     }
 
     #[test]
@@ -2131,7 +2112,7 @@ mod tests {
             out.report.pes_ejected, 0,
             "a bad payload must not eject healthy hardware"
         );
-        assert_eq!(srv.healthy_pes(), 3);
+        assert_eq!(srv.pes.iter().filter(|p| p.health.in_fleet()).count(), 3);
     }
 
     #[test]

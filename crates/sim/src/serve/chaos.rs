@@ -31,7 +31,7 @@ use super::{
 };
 use crate::accel::PcmDriftModel;
 use crate::escape_json;
-use neuropulsim_linalg::parallel::{available_threads, par_map_indexed};
+use neuropulsim_linalg::parallel::par_map_indexed;
 use neuropulsim_linalg::RMatrix;
 
 /// What a scenario is probing — selects its acceptance checks.
@@ -97,7 +97,7 @@ impl Default for CampaignSpec {
 }
 
 /// The shared chaos model (all scenarios serve the same matrix).
-pub fn chaos_model() -> RMatrix {
+pub(crate) fn chaos_model() -> RMatrix {
     RMatrix::from_fn(8, 8, |i, j| {
         0.4 * ((i as f64 - j as f64) * 0.31).sin() + if i == j { 0.3 } else { 0.0 }
     })
@@ -420,12 +420,6 @@ pub fn run_campaign_threads(scenarios: &[ChaosScenario], threads: usize) -> Camp
     }
 }
 
-/// Runs a campaign over the host's configured worker count
-/// (`NEUROPULSIM_THREADS`). The report does not depend on it.
-pub fn run_campaign(scenarios: &[ChaosScenario]) -> CampaignReport {
-    run_campaign_threads(scenarios, available_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,7 +433,7 @@ mod tests {
 
     #[test]
     fn standard_campaign_meets_acceptance() {
-        let report = run_campaign(&standard_campaign(small_spec()));
+        let report = run_campaign_threads(&standard_campaign(small_spec()), 2);
         assert!(
             report.zero_drops_while_healthy,
             "dropped under healthy capacity: {:?}",

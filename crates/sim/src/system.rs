@@ -174,7 +174,7 @@ impl Platform {
     /// line, high while any enabled device has an unacknowledged
     /// completion or error. This is what makes the start-then-`wfi`
     /// firmware pattern race-free.
-    pub fn irq_level(&self) -> bool {
+    pub(crate) fn irq_level(&self) -> bool {
         self.dma.irq_line() || self.pes.iter().any(AccelDevice::irq_line)
     }
 
@@ -197,7 +197,7 @@ impl Platform {
 
     /// Takes and clears the accumulated stall cycles (consumed by
     /// [`System::run`] after each instruction).
-    pub fn take_stalls(&mut self) -> u64 {
+    pub(crate) fn take_stalls(&mut self) -> u64 {
         std::mem::take(&mut self.stall_cycles)
     }
 

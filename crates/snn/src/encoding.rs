@@ -14,7 +14,7 @@ impl SpikeTrain {
     }
 
     /// Creates a train from (unsorted) times.
-    pub fn from_times(mut times: Vec<f64>) -> Self {
+    pub(crate) fn from_times(mut times: Vec<f64>) -> Self {
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite spike times"));
         SpikeTrain { times }
     }

@@ -133,7 +133,7 @@ impl PcmWeightTable {
     /// Per-level weights after `elapsed_s` seconds of retention drift
     /// with coefficient `nu` — each level's cell drifts off its
     /// quantized state exactly as [`PcmSynapse::apply_drift`] would.
-    pub fn drifted_weights(&self, elapsed_s: f64, nu: f64) -> Vec<f64> {
+    pub(crate) fn drifted_weights(&self, elapsed_s: f64, nu: f64) -> Vec<f64> {
         (0..self.levels)
             .map(|l| {
                 let mut s = PcmSynapse::with_config(self.material, self.levels);
@@ -263,11 +263,6 @@ impl SynapseArray {
         self.neurons
     }
 
-    /// Number of synapses.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Outgoing row of `source`: `(targets, weights)`, targets
     /// ascending.
     pub fn row(&self, source: u32) -> (&[u32], &[f64]) {
@@ -312,11 +307,6 @@ impl SynapseArray {
     /// Total programming energy spent on plasticity so far \[J\].
     pub fn programming_energy(&self) -> f64 {
         self.programming_energy
-    }
-
-    /// Total programming pulses applied so far.
-    pub fn programming_pulses(&self) -> u64 {
-        self.programming_pulses
     }
 
     /// Applies `steps` signed plasticity steps to edge `e` (positive
@@ -716,16 +706,6 @@ impl EventNet {
         &self.syn
     }
 
-    /// Mutable synapse access (drift scenarios).
-    pub fn synapses_mut(&mut self) -> &mut SynapseArray {
-        &mut self.syn
-    }
-
-    /// Counters of the most recent tick.
-    pub fn last_tick_stats(&self) -> TickStats {
-        self.stats
-    }
-
     /// Counters accumulated since construction.
     pub fn total_stats(&self) -> TickStats {
         self.totals
@@ -972,7 +952,7 @@ mod tests {
             "energy {} vs {expected}",
             arr.programming_energy()
         );
-        assert_eq!(arr.programming_pulses(), s.pulse_count() - p0);
+        assert_eq!(arr.programming_pulses, s.pulse_count() - p0);
     }
 
     #[test]
@@ -980,7 +960,7 @@ mod tests {
         let spec = tiny_spec(false);
         let table = PcmWeightTable::new(spec.material, spec.levels);
         let arr = SynapseArray::new(spec.neurons, &spec.edges, &spec.init_levels, table);
-        assert_eq!(arr.edge_count(), spec.neurons * 4);
+        assert_eq!(arr.targets.len(), spec.neurons * 4);
         let mut seen = 0usize;
         for t in 0..spec.neurons as u32 {
             let (sources, edges) = arr.incoming(t);
@@ -991,7 +971,7 @@ mod tests {
                 seen += 1;
             }
         }
-        assert_eq!(seen, arr.edge_count());
+        assert_eq!(seen, arr.targets.len());
     }
 
     #[test]
@@ -1075,7 +1055,7 @@ mod tests {
         }
         assert_ne!(net.synapses().levels_flat(), &before[..], "no learning");
         assert!(net.synapses().programming_energy() > 0.0);
-        assert!(net.synapses().programming_pulses() > 0);
+        assert!(net.syn.programming_pulses > 0);
     }
 
     #[test]
@@ -1083,18 +1063,18 @@ mod tests {
         let spec = tiny_spec(false);
         let mut net = EventNet::new(&spec);
         // Find an edge at a mid level so drift has room to move it.
-        let e = (0..net.synapses().edge_count() as u32)
+        let e = (0..net.syn.targets.len() as u32)
             .find(|&e| {
                 let l = net.synapses().level(e);
                 l > 0 && l < 15
             })
             .expect("mid-level edge");
         let clean = net.synapses().weight(e);
-        net.synapses_mut().apply_drift(1e4, 0.02);
+        net.syn.apply_drift(1e4, 0.02);
         let drifted = net.synapses().weight(e);
         assert_ne!(clean, drifted, "drift must move a mid-level weight");
         // Reprogramming snaps back onto the quantized grid.
-        net.synapses_mut().apply_steps(e, -1);
+        net.syn.apply_steps(e, -1);
         let l = net.synapses().level(e);
         assert_eq!(net.synapses().weight(e), net.synapses().table().weight(l));
     }

@@ -5,7 +5,7 @@
 //! described in the DAC'24 invited NEUROPULS overview paper:
 //!
 //! - device physics of the augmented SOI platform (PCM phase shifters,
-//!   excitable lasers, high-speed modulators/detectors) — [`photonics`];
+//!   excitable lasers, microrings, data converters) — [`photonics`];
 //! - programmable MZI-mesh matrix–vector-multiplication cores with
 //!   Clements / compact / Fldzhyan architectures, error models, GeMM via
 //!   TDM/WDM, and SWaP/energy analysis — [`core`];
