@@ -204,8 +204,8 @@ fn paired_tick_cost_ratio(sp: &NetSpec, threads: usize) -> f64 {
     }
     let mut ratios: Vec<f64> = (0..PAIRS)
         .map(|_| {
-            let busy = block(&mut sides[0]);
-            busy / block(&mut sides[1])
+            let act5 = block(&mut sides[0]);
+            act5 / block(&mut sides[1])
         })
         .collect();
     ratios.sort_by(f64::total_cmp);

@@ -227,13 +227,6 @@ unsafe fn job_avx2(
 
 /// Runs one whole-window job ([`job_body`]) in the build
 /// [`JobBuild::detect`] picks for this host.
-///
-/// Kept out of line: inlined into [`AccelDevice::mmr_store`], the job
-/// moved the RV32 interpreter's hot loops (`Cpu::run_cached_span`,
-/// `execute`, `run_trace`), which the linker places after this code, to
-/// a 64-byte alignment at which `fw-software` ran 7–26% slower on a
-/// 2-core Xeon host.
-#[inline(never)]
 fn run_job(chip: &RealizedMvm, lanes: usize, words: &mut [u32], xt: &mut [f64], yt: &mut [f64]) {
     match JobBuild::detect() {
         JobBuild::Plain => job_body(chip, lanes, words, xt, yt),
