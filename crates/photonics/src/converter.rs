@@ -71,7 +71,7 @@ mod tests {
     use super::*;
 
     /// The analog value of the top code.
-    fn top(c: &Converter) -> f64 {
+    fn top_code(c: &Converter) -> f64 {
         c.max_code() as f64 * c.lsb()
     }
 
@@ -81,22 +81,22 @@ mod tests {
         assert_eq!(c.lsb(), 2.0);
         assert_eq!(c.quantize(0.9), 0.0, "only code is zero");
         assert_eq!(c.quantize(-5.0), 0.0);
-        assert_eq!(top(&c), 0.0);
+        assert_eq!(top_code(&c), 0.0);
     }
 
     #[test]
     fn saturation_hits_the_top_code() {
         let c = Converter::new(8, 0.5);
-        assert_eq!(c.quantize(10.0), top(&c));
-        assert_eq!(c.quantize(-10.0), -top(&c));
-        assert!(top(&c) <= 0.5);
-        assert!(top(&c) > 0.49, "top code near full scale");
+        assert_eq!(c.quantize(10.0), top_code(&c));
+        assert_eq!(c.quantize(-10.0), -top_code(&c));
+        assert!(top_code(&c) <= 0.5);
+        assert!(top_code(&c) > 0.49, "top code near full scale");
     }
 
     #[test]
     fn error_bounded_by_half_lsb_in_range() {
         let c = Converter::new(6, 1.0);
-        let top = top(&c);
+        let top = top_code(&c);
         for k in -100..=100 {
             let x = k as f64 / 100.0;
             if x.abs() > top {
@@ -115,7 +115,7 @@ mod tests {
         for &x in &v {
             assert!((x / c.lsb()).fract().abs() < 1e-9, "{x} off grid");
         }
-        assert_eq!(v[2], top(&c));
+        assert_eq!(v[2], top_code(&c));
     }
 
     #[test]
