@@ -4,10 +4,134 @@
 
 use neuropulsim_bench::{experiment_rng, fmt, Table};
 use neuropulsim_photonics::laser::{YamadaLaser, YamadaParams};
-use neuropulsim_snn::network::SpikingLayer;
+use neuropulsim_photonics::pcm::PcmMaterial;
+use neuropulsim_snn::sparse::{EventNet, NetSpec, PcmWeightTable};
 use neuropulsim_snn::stdp::StdpRule;
 use neuropulsim_snn::synapse::PcmSynapse;
 use rand::Rng;
+
+/// Timestep of the E6c layer.
+const DT: f64 = 0.5;
+/// Ticks per trial (a 30-unit presentation).
+const TRIAL_TICKS: usize = 60;
+/// `EventNet` integrates drive as a rate, so a membrane that sums
+/// weights per step (firing at 1.2) reads `DT` times lower here: the
+/// threshold, the homeostatic boost per win and its decay per trial
+/// all carry a factor `DT`.
+const THRESHOLD: f64 = 1.2 * DT;
+const BOOST: f64 = 0.12 * DT;
+const DECAY: f64 = 0.01 * DT;
+
+/// A fully connected `inputs → outputs` STDP layer on [`EventNet`]:
+/// neurons `0..inputs` are the input channels (fired by injection),
+/// `inputs..inputs + outputs` one winner-take-all group with absence
+/// depression, and each output carries a homeostatic threshold offset.
+#[derive(Clone)]
+struct WtaLayer {
+    net: EventNet,
+    inputs: usize,
+    offsets: Vec<f64>,
+}
+
+impl WtaLayer {
+    /// Random mid-range initial weights: each synapse is programmed to
+    /// the PCM level nearest a uniform draw in `[0.4, 0.8)`.
+    fn new<R: Rng + ?Sized>(inputs: usize, outputs: usize, rng: &mut R) -> Self {
+        let table = PcmWeightTable::new(PcmMaterial::Gst225, 16);
+        let nearest = |w: f64| {
+            let d = |l: usize| (table.weights()[l] - w).abs();
+            (0..table.weights().len()).fold(0, |b, l| if d(l) < d(b) { l } else { b }) as u8
+        };
+        // Drawn output-major; edges are stored input-major.
+        let drawn: Vec<u8> = (0..inputs * outputs)
+            .map(|_| nearest(rng.gen_range(0.4..0.8)))
+            .collect();
+        let n = (inputs + outputs) as u32;
+        let spec = NetSpec {
+            neurons: inputs + outputs,
+            tau: 8.0,
+            threshold: THRESHOLD,
+            refractory: 1e9,
+            dt: DT,
+            material: table.material(),
+            levels: table.levels(),
+            rule: StdpRule::default(),
+            plastic: true,
+            edges: (0..inputs as u32)
+                .flat_map(|i| (inputs as u32..n).map(move |j| (i, j)))
+                .collect(),
+            init_levels: (0..inputs * outputs)
+                .map(|e| drawn[(e % outputs) * inputs + e / outputs])
+                .collect(),
+            wta_group: Some(inputs as u32..n),
+            absence_depression: true,
+        };
+        WtaLayer {
+            net: EventNet::new(&spec),
+            inputs,
+            offsets: vec![0.0; outputs],
+        }
+    }
+
+    /// Presents one binary pattern for one trial (every active input
+    /// fires at tick 0) with STDP on, and returns the output that wins,
+    /// if any. Homeostasis: the winner's offset rises by [`BOOST`], then
+    /// every offset decays by [`DECAY`].
+    fn present(&mut self, pattern: &[f64]) -> Option<usize> {
+        assert_eq!(pattern.len(), self.inputs, "pattern size mismatch");
+        self.net.reset();
+        for (k, &off) in self.offsets.iter().enumerate() {
+            self.net.set_threshold_offset(self.inputs + k, off);
+        }
+        let kick = 2.0 * THRESHOLD / DT;
+        let stimulus: Vec<(u32, f64)> = (0..self.inputs as u32)
+            .filter(|&i| pattern[i as usize] > 0.0)
+            .map(|i| (i, kick))
+            .collect();
+        let mut winner = None;
+        for t in 0..TRIAL_TICKS {
+            let fired = self.net.tick(if t == 0 { &stimulus } else { &[] });
+            if let Some(&j) = fired.iter().find(|&&j| j as usize >= self.inputs) {
+                winner = Some(j as usize - self.inputs);
+            }
+        }
+        if let Some(w) = winner {
+            self.offsets[w] += BOOST;
+        }
+        for off in &mut self.offsets {
+            *off = (*off - DECAY).max(0.0);
+        }
+        winner
+    }
+
+    /// Trains on `patterns` for `epochs` passes, then returns the output
+    /// that wins each pattern. Evaluation clears the offsets, so it
+    /// reflects the learned weights alone, and runs each pattern on a
+    /// copy of the layer, so its STDP is discarded.
+    fn train(&mut self, patterns: &[Vec<f64>], epochs: usize) -> Vec<Option<usize>> {
+        for _ in 0..epochs {
+            for p in patterns {
+                self.present(p);
+            }
+        }
+        self.offsets.fill(0.0);
+        patterns.iter().map(|p| self.clone().present(p)).collect()
+    }
+
+    /// PCM programming energy spent on learning \[J\].
+    fn learning_energy(&self) -> f64 {
+        self.net.synapses().programming_energy()
+    }
+}
+
+/// Three disjoint 3-of-9 input patterns.
+fn orthogonal_patterns() -> Vec<Vec<f64>> {
+    vec![
+        vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+        vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+    ]
+}
 
 fn main() {
     println!("## E6a — Excitable-laser characterization (Yamada model)\n");
@@ -45,11 +169,7 @@ fn main() {
     table.print();
 
     println!("\n## E6c — Unsupervised spike-pattern learning (9 inputs, 3 classes)\n");
-    let patterns = vec![
-        vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-        vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
-    ];
+    let patterns = orthogonal_patterns();
     let mut table = Table::new(&[
         "seed",
         "epochs",
@@ -59,8 +179,8 @@ fn main() {
     ]);
     for seed in [7u64, 11, 13, 17] {
         let mut rng = experiment_rng(seed);
-        let mut layer = SpikingLayer::new(9, 3, &mut rng);
-        let winners = layer.train_patterns(&patterns, 12);
+        let mut layer = WtaLayer::new(9, 3, &mut rng);
+        let winners = layer.train(&patterns, 12);
         let responders = winners.iter().filter(|w| w.is_some()).count();
         let distinct: std::collections::HashSet<_> = winners.iter().flatten().collect();
         table.row(&[
@@ -84,7 +204,52 @@ fn main() {
         }
     }
     table.print();
+}
 
-    // Keep rng used (silence dead-code in seeds loop path differences).
-    let _ = experiment_rng(0).gen_range(0..2);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stdp_learning_specializes_neurons() {
+        let patterns = orthogonal_patterns();
+        for seed in [7, 11, 13, 17] {
+            let mut layer = WtaLayer::new(9, 3, &mut experiment_rng(seed));
+            let winners = layer.train(&patterns, 12);
+            let distinct: std::collections::HashSet<_> = winners.iter().flatten().collect();
+            assert!(
+                winners.iter().all(Option::is_some),
+                "seed {seed}: {winners:?}"
+            );
+            assert_eq!(distinct.len(), 3, "seed {seed}: {winners:?}");
+            assert!(layer.learning_energy() > 0.0, "learning programs the PCM");
+        }
+    }
+
+    #[test]
+    fn learning_shapes_weights_toward_patterns() {
+        let patterns = orthogonal_patterns();
+        let mut layer = WtaLayer::new(9, 3, &mut experiment_rng(9));
+        let winners = layer.train(&patterns, 12);
+        let syn = layer.net.synapses();
+        for (p, winner) in patterns.iter().zip(&winners) {
+            let j = 9 + winner.expect("every pattern has a responder") as u32;
+            // Input i's only edge into output j.
+            let w = |i: usize| {
+                let (targets, weights) = syn.row(i as u32);
+                weights[targets.iter().position(|&t| t == j).expect("edge")]
+            };
+            let mean = |on: bool| {
+                let ws: Vec<f64> = (0..9).filter(|&i| (p[i] > 0.0) == on).map(w).collect();
+                ws.iter().sum::<f64>() / ws.len() as f64
+            };
+            assert!(mean(true) > mean(false), "output {j}: {winners:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern size mismatch")]
+    fn present_rejects_wrong_arity() {
+        WtaLayer::new(4, 2, &mut experiment_rng(13)).present(&[1.0; 3]);
+    }
 }

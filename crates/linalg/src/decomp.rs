@@ -100,7 +100,13 @@ pub struct Svd {
     pub sigma: Vec<f64>,
     /// Right singular vectors (unitary); `A = U diag(sigma) V^dagger`.
     pub v: CMatrix,
+    /// Jacobi sweeps run, the last one finding every pair of live
+    /// columns orthogonal; `None` when [`SVD_MAX_SWEEPS`] ran out first.
+    pub sweeps: Option<usize>,
 }
+
+/// The sweep cap of [`svd`].
+pub const SVD_MAX_SWEEPS: usize = 60;
 
 impl Svd {
     /// Reconstructs `U * diag(sigma) * V^dagger`.
@@ -114,6 +120,11 @@ impl Svd {
 /// rotations. Converges quadratically; suitable for the N <= 256 matrices
 /// used by the photonic cores.
 ///
+/// A column whose squared norm is at most `(ε·‖A‖_F)²` is zero up to
+/// rounding: it takes no further rotations, and convergence is judged
+/// on the columns above that floor. Rank-deficient and zero-padded
+/// matrices therefore converge as fast as full-rank ones.
+///
 /// # Panics
 ///
 /// Panics if `a` is not square.
@@ -123,9 +134,10 @@ pub fn svd(a: &CMatrix) -> Svd {
     let mut b = a.clone(); // columns converge to U * Sigma
     let mut v = CMatrix::identity(n);
     let tol = 1e-14;
-    let max_sweeps = 60;
+    let floor = (f64::EPSILON * a.frobenius_norm()).powi(2);
+    let mut sweeps = None;
 
-    for _sweep in 0..max_sweeps {
+    for sweep in 1..=SVD_MAX_SWEEPS {
         let mut off = 0.0f64;
         for p in 0..n {
             for q in (p + 1)..n {
@@ -141,7 +153,7 @@ pub fn svd(a: &CMatrix) -> Svd {
                     gamma += bp.conj() * bq;
                 }
                 let g = gamma.abs();
-                if g <= tol * (alpha * beta).sqrt() || g == 0.0 {
+                if alpha <= floor || beta <= floor || g <= tol * (alpha * beta).sqrt() {
                     continue;
                 }
                 off = off.max(g / (alpha * beta).sqrt().max(f64::MIN_POSITIVE));
@@ -174,6 +186,7 @@ pub fn svd(a: &CMatrix) -> Svd {
             }
         }
         if off < tol {
+            sweeps = Some(sweep);
             break;
         }
     }
@@ -215,6 +228,7 @@ pub fn svd(a: &CMatrix) -> Svd {
         u: su,
         sigma: ss,
         v: sv,
+        sweeps,
     }
 }
 
@@ -353,6 +367,7 @@ mod tests {
             assert!(d.u.is_unitary(1e-9), "U not unitary at n={n}");
             assert!(d.v.is_unitary(1e-9), "V not unitary at n={n}");
             assert!(d.reconstruct().approx_eq(&a, 1e-8), "USV^H != A at n={n}");
+            assert!(d.sweeps.is_some(), "no convergence at n={n}");
             // Sorted descending.
             for w in d.sigma.windows(2) {
                 assert!(w[0] >= w[1] - 1e-12);
@@ -379,6 +394,50 @@ mod tests {
         assert!(d.u.is_unitary(1e-8));
         assert!(d.v.is_unitary(1e-8));
         assert!(d.reconstruct().approx_eq(&a, 1e-8));
+    }
+
+    /// Rank-`r` test inputs of order `n`: `X·Yᴴ` with `n×r` factors, and
+    /// the zero-padded form (rows `r..n` zero) that a padded layer hands
+    /// to `MvmCore`.
+    fn rank_deficient(n: usize, r: usize, seed: u64) -> [CMatrix; 2] {
+        let x = test_matrix(n.max(1), seed);
+        let y = test_matrix(n.max(1), seed + 1);
+        let low = CMatrix::from_fn(n, n, |i, j| {
+            (0..r).fold(C64::ZERO, |acc, k| acc + x[(i, k)] * y[(j, k)].conj())
+        });
+        let padded = CMatrix::from_fn(n, n, |i, j| if i < r { x[(i, j)] } else { C64::ZERO });
+        [low, padded]
+    }
+
+    #[test]
+    fn svd_converges_on_rank_deficient_matrices() {
+        for n in [1, 2, 8, 32, 64] {
+            for r in [0, 1, n / 4, n - 1] {
+                for (form, a) in rank_deficient(n, r.min(n), 3 * n as u64 + r as u64)
+                    .iter()
+                    .enumerate()
+                {
+                    let d = svd(a);
+                    let case = format!("n={n} rank={r} form={form}");
+                    // 1–12 sweeps measured; the padded n=32, rank-8 form
+                    // ran to the cap before columns below the floor
+                    // stopped rotating.
+                    let sweeps = d.sweeps.unwrap_or_else(|| panic!("{case}: no convergence"));
+                    assert!(sweeps <= 15, "{case}: {sweeps} sweeps");
+                    assert!(d.u.is_unitary(1e-8), "{case}: U not unitary");
+                    assert!(d.v.is_unitary(1e-8), "{case}: V not unitary");
+                    let scale = a.frobenius_norm().max(1.0);
+                    assert!(
+                        d.reconstruct().approx_eq(a, 1e-8 * scale),
+                        "{case}: USVᴴ ≠ A"
+                    );
+                    assert!(
+                        d.sigma[r.min(n)..].iter().all(|&s| s <= 1e-8 * scale),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

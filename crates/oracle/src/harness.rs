@@ -24,7 +24,7 @@ use neuropulsim_riscv::cpu::{Cpu, Halt, Trap};
 use neuropulsim_riscv::isa::{encode, Instruction};
 use neuropulsim_riscv::trace::HOT_THRESHOLD;
 use neuropulsim_sim::escape_json;
-use neuropulsim_snn::neuron::NeuronArray;
+use neuropulsim_snn::neuron::lif_update;
 use neuropulsim_snn::sparse::{EventNet, NetSpec, SERIAL_TICK_WORK};
 use neuropulsim_snn::stdp::StdpRule;
 use rand::rngs::StdRng;
@@ -1075,7 +1075,8 @@ fn snn_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
     let refractory = rng.gen_range(0.0..5.0);
     let dt = rng.gen_range(0.05..1.0);
 
-    let mut arr = NeuronArray::uniform(count, tau, threshold, refractory);
+    let mut v = vec![0.0; count];
+    let mut refr_left = vec![0.0; count];
     let mut golden: Vec<snn_ref::RefLif> = (0..count)
         .map(|_| snn_ref::RefLif::new(tau, threshold, refractory))
         .collect();
@@ -1083,7 +1084,15 @@ fn snn_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
     for t in 0..200usize {
         for (j, neuron) in golden.iter_mut().enumerate() {
             let input = rng.gen_range(-0.2..1.2);
-            let fast_spike = arr.step(j, input, dt);
+            let fast_spike = lif_update(
+                &mut v[j],
+                &mut refr_left[j],
+                tau,
+                threshold,
+                refractory,
+                input,
+                dt,
+            );
             let ref_spike = neuron.step(input, dt);
             if fast_spike != ref_spike {
                 return CaseOutcome::diverged(
@@ -1092,9 +1101,9 @@ fn snn_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
                     format!("snn count={count}: spike mismatch at step {t} neuron {j}"),
                 );
             }
-            let mut fast_v = arr.potential(j);
+            let mut fast_v = v[j];
             if inject && t == 0 && j == 0 {
-                fast_v += 1e-9; // simulated drift in the SoA stepper
+                fast_v += 1e-9; // simulated drift in the update rule
             }
             if fast_v.to_bits() != neuron.potential.to_bits() {
                 return CaseOutcome::diverged(
@@ -1189,11 +1198,14 @@ fn pcm_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseO
 // ------------------------------------------------------------ snn_sparse
 
 /// One `snn_sparse` case's inputs: the network, the event engine's
-/// worker count and the per-tick injection schedule.
+/// worker count, the per-tick injection schedule and the trial starts.
 struct SnnSparsePlan {
     spec: NetSpec,
     threads: usize,
     schedule: Vec<Vec<(u32, f64)>>,
+    /// Ticks (ascending) before which both nets reset and then take
+    /// these `(neuron, threshold offset)` settings.
+    trials: Vec<(usize, Vec<(u32, f64)>)>,
 }
 
 /// Draws `case_seed`'s `snn_sparse` case.
@@ -1240,22 +1252,49 @@ fn snn_sparse_plan(case_seed: u64, size_override: Option<usize>) -> SnnSparsePla
             )
         }));
     }
+    // The trial features, from a stream of their own as well: half the
+    // cases each get a WTA group, absence depression, and trial resets
+    // (with threshold offsets set at each trial start, tick 0 included).
+    let mut trial = StdRng::seed_from_u64(split_seed(case_seed, 0x7a1a15));
+    if trial.gen_bool(0.5) {
+        let start = trial.gen_range(0..n as u32);
+        spec.wta_group = Some(start..trial.gen_range(start + 1..=n as u32));
+    }
+    spec.absence_depression = trial.gen_bool(0.5);
+    let mut trials = Vec::new();
+    if trial.gen_bool(0.5) {
+        let mut starts = vec![0];
+        starts.extend((0..trial.gen_range(1..4)).map(|_| trial.gen_range(1..schedule.len())));
+        starts.sort_unstable();
+        starts.dedup();
+        for t in starts {
+            let offsets = (0..trial.gen_range(0..=n))
+                .map(|_| {
+                    let j = trial.gen_range(0..n as u32);
+                    (j, trial.gen_range(-0.5..1.0) * spec.threshold)
+                })
+                .collect();
+            trials.push((t, offsets));
+        }
+    }
     SnnSparsePlan {
         spec,
         threads,
         schedule,
+        trials,
     }
 }
 
 /// Differential case: the event-driven sparse engine vs
-/// [`snn_ref::RefSparseNet`], over a random network and injection
-/// schedule, compared bit-for-bit — fire queues every tick, then final
-/// potentials, fire ledgers and synapse levels.
+/// [`snn_ref::RefSparseNet`], over a random network, injection schedule
+/// and trial plan, compared bit-for-bit — fire queues every tick, then
+/// final potentials, fire ledgers and synapse levels.
 fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -> CaseOutcome {
     let SnnSparsePlan {
         spec,
         threads,
         schedule,
+        trials,
     } = snn_sparse_plan(case_seed, size_override);
     let n = spec.neurons;
     let mut fast = EventNet::new(&spec);
@@ -1277,9 +1316,20 @@ fn snn_sparse_case(case_seed: u64, size_override: Option<usize>, inject: bool) -
         &level_weights,
         &spec.edges,
         &spec.init_levels,
+        spec.wta_group.as_ref().map(|g| (g.start, g.end)),
+        spec.absence_depression,
     );
 
+    let mut trials = trials.iter().peekable();
     for (t, inj) in schedule.iter().enumerate() {
+        if let Some((_, offsets)) = trials.next_if(|(start, _)| *start == t) {
+            fast.reset();
+            oracle.reset();
+            for &(j, offset) in offsets {
+                fast.set_threshold_offset(j as usize, offset);
+                oracle.set_threshold_offset(j as usize, offset);
+            }
+        }
         let fired_fast = fast.tick(inj).to_vec();
         let fired_ref = oracle.tick(inj);
         if fired_fast != fired_ref {

@@ -98,13 +98,20 @@ impl RefStdp {
 /// The per-level weight grid is an *input* (its derivation from the PCM
 /// material model is covered by the `pcm` conformance domain), so this
 /// reference is independent of the engine's synapse bookkeeping: it
-/// re-derives drive accumulation, spike decisions, the STDP phase order
-/// and level saturation from scratch.
+/// re-derives drive accumulation, spike decisions, the winner-take-all
+/// race, the STDP phase order and level saturation from scratch.
 #[derive(Debug, Clone)]
 pub struct RefSparseNet {
     dt: f64,
+    /// Base firing threshold; each neuron fires at this plus its offset.
+    threshold: f64,
     rule: RefStdp,
     plastic: bool,
+    /// Winner-take-all group `[start, end)`, if any.
+    wta_group: Option<(u32, u32)>,
+    /// Depress, on each post spike, the incoming edges whose source has
+    /// not fired since the last reset.
+    absence_depression: bool,
     /// Weight of each quantized level (0 = strongest).
     level_weights: Vec<f64>,
     /// Deduplicated edges, sorted by `(source, target)`, no self-loops.
@@ -123,6 +130,8 @@ impl RefSparseNet {
     /// and self-loops (both dropped, mirroring the engine's builder);
     /// `init_levels` assigns starting levels per surviving edge in
     /// sorted order, repeating cyclically (empty means level 0).
+    /// `wta_group` is the half-open index range `[start, end)` of the
+    /// winner-take-all group.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         neurons: usize,
@@ -135,6 +144,8 @@ impl RefSparseNet {
         level_weights: &[f64],
         edges: &[(u32, u32)],
         init_levels: &[u8],
+        wta_group: Option<(u32, u32)>,
+        absence_depression: bool,
     ) -> Self {
         let mut sorted: Vec<(u32, u32)> = edges.iter().copied().filter(|&(s, t)| s != t).collect();
         sorted.sort_unstable();
@@ -151,8 +162,11 @@ impl RefSparseNet {
             .collect();
         RefSparseNet {
             dt,
+            threshold,
             rule,
             plastic,
+            wta_group,
+            absence_depression,
             level_weights: level_weights.to_vec(),
             edges: sorted,
             levels,
@@ -181,6 +195,24 @@ impl RefSparseNet {
         &self.levels
     }
 
+    /// Neuron `j` fires from now on at the base threshold plus
+    /// `offset`.
+    pub fn set_threshold_offset(&mut self, j: usize, offset: f64) {
+        self.neurons[j].threshold = self.threshold + offset;
+    }
+
+    /// A new trial: every neuron back at rest and out of refractory, the
+    /// fire ledger cleared, and nothing left to propagate. Levels and
+    /// thresholds stay.
+    pub fn reset(&mut self) {
+        for n in &mut self.neurons {
+            n.potential = 0.0;
+            n.refractory_left = 0.0;
+        }
+        self.last_fire.fill(-1);
+        self.fired_prev.fill(false);
+    }
+
     fn apply_ref_steps(&mut self, e: usize, steps: i32) {
         let max_level = (self.level_weights.len() - 1) as i32;
         let next = (self.levels[e] as i32 - steps).clamp(0, max_level);
@@ -191,7 +223,11 @@ impl RefSparseNet {
     ///
     /// Drive accumulates per target in ascending-source order (the edge
     /// list is sorted), injections apply afterwards in schedule order,
-    /// every neuron then takes one forward-Euler step, and STDP runs
+    /// every neuron then takes one forward-Euler step. Of the group
+    /// members that spiked, only the one whose stepped potential
+    /// exceeds its threshold by the most (the lowest index on a tie)
+    /// keeps its spike; every other member is clamped to rest with an
+    /// endless refractory period. STDP then runs
     /// potentiation-phase-then-depression-phase before the ledger
     /// records this tick's spikes.
     pub fn tick(&mut self, injections: &[(u32, f64)]) -> Vec<u32> {
@@ -207,9 +243,26 @@ impl RefSparseNet {
             drive[j as usize] += amount;
         }
         let mut fired = Vec::new();
+        let group = self.wta_group;
+        let in_group = |j: u32| group.is_some_and(|(a, b)| a <= j && j < b);
+        let mut best: Option<(u32, f64)> = None;
         for (j, neuron) in self.neurons.iter_mut().enumerate() {
+            let stepped = neuron.potential + (drive[j] - neuron.potential / neuron.tau) * self.dt;
+            let margin = stepped - neuron.threshold;
             if neuron.step(drive[j], self.dt) {
                 fired.push(j as u32);
+                if in_group(j as u32) && best.is_none_or(|(_, m)| margin > m) {
+                    best = Some((j as u32, margin));
+                }
+            }
+        }
+        if let Some((winner, _)) = best {
+            let (a, b) = group.expect("a winner implies a group");
+            fired.retain(|&j| j == winner || !in_group(j));
+            for k in (a..b).filter(|&k| k != winner) {
+                let neuron = &mut self.neurons[k as usize];
+                neuron.potential = 0.0;
+                neuron.refractory_left = f64::INFINITY;
             }
         }
         if self.plastic && !fired.is_empty() {
@@ -227,6 +280,8 @@ impl RefSparseNet {
                         let delta = (t - tp) as f64 * self.dt;
                         let steps = self.rule.steps(delta, level_count);
                         self.apply_ref_steps(e, steps);
+                    } else if self.absence_depression {
+                        self.apply_ref_steps(e, -1);
                     }
                 }
             }

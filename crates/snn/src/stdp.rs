@@ -12,8 +12,6 @@
 //! realized as a discrete number of SET/partial-RESET pulses, which
 //! [`StdpRule::steps`] computes for a synapse with a given level count.
 
-use crate::synapse::PcmSynapse;
-
 /// Parameters of the pairwise exponential STDP window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StdpRule {
@@ -58,12 +56,6 @@ impl StdpRule {
         let dw = self.delta_w(dt);
         let step_size = 1.0 / (levels.max(2) - 1) as f64;
         (dw / step_size).round() as i32
-    }
-
-    /// Applies the rule for one spike pair to a PCM synapse.
-    pub fn apply(&self, synapse: &mut PcmSynapse, dt: f64) {
-        let steps = self.steps(dt, synapse.levels());
-        synapse.apply_steps(steps);
     }
 }
 
@@ -112,18 +104,5 @@ mod tests {
         assert_eq!(r.steps(200.0, 16), 0);
         // Anti-causal: negative steps.
         assert!(r.steps(-0.1, 16) < 0);
-    }
-
-    #[test]
-    fn apply_moves_synapse_in_the_right_direction() {
-        let r = StdpRule::default();
-        let mut s = PcmSynapse::new();
-        // Depress from full weight (potentiation saturates at level 0).
-        r.apply(&mut s, -1.0);
-        let depressed = s.weight();
-        assert!(depressed < 1.0);
-        // Causal pair now potentiates back up.
-        r.apply(&mut s, 1.0);
-        assert!(s.weight() > depressed);
     }
 }

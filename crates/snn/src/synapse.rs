@@ -107,49 +107,9 @@ impl PcmSynapse {
         }
     }
 
-    /// Applies a signed number of plasticity steps: positive potentiates,
-    /// negative depresses.
-    pub fn apply_steps(&mut self, steps: i32) {
-        for _ in 0..steps.unsigned_abs() {
-            if steps > 0 {
-                self.potentiate();
-            } else {
-                self.depress();
-            }
-        }
-    }
-
-    /// Programs directly to a weight in `[0, 1]` (nearest level).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is outside `[0, 1]`.
-    pub fn set_weight(&mut self, w: f64) {
-        assert!((0.0..=1.0).contains(&w), "weight must be in [0, 1]");
-        // Find the level whose weight is closest.
-        let mut best = 0u32;
-        let mut best_err = f64::INFINITY;
-        for l in 0..self.levels {
-            let x = l as f64 / (self.levels - 1) as f64;
-            let wl = self.transmission(x) / self.transmission(0.0);
-            let err = (wl - w).abs();
-            if err < best_err {
-                best_err = err;
-                best = l;
-            }
-        }
-        self.level = best;
-        self.cell.program_level(best, self.levels);
-    }
-
     /// Total programming energy spent on this synapse so far \[J\].
     pub fn programming_energy(&self) -> f64 {
         self.cell.programming_energy()
-    }
-
-    /// Total number of programming pulses applied so far.
-    pub fn pulse_count(&self) -> u64 {
-        self.cell.pulse_count()
     }
 
     /// Applies PCM retention drift to the patch: amorphous-phase
@@ -230,36 +190,5 @@ mod tests {
         s.potentiate();
         assert!(s.programming_energy() > e, "amorphization is not free");
         assert_eq!(s.hold_power(), 0.0);
-    }
-
-    #[test]
-    fn apply_steps_signed() {
-        let mut s = PcmSynapse::new();
-        s.apply_steps(-3);
-        assert_eq!(s.level(), 3);
-        s.apply_steps(2);
-        assert_eq!(s.level(), 1);
-        s.apply_steps(0);
-        assert_eq!(s.level(), 1);
-    }
-
-    #[test]
-    fn set_weight_roundtrip() {
-        let mut s = PcmSynapse::new();
-        for target in [1.0, 0.7, 0.4, 0.2] {
-            s.set_weight(target);
-            // Quantized: within one level spacing of the target.
-            assert!(
-                (s.weight() - target).abs() < 0.2,
-                "target {target}, got {}",
-                s.weight()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be in")]
-    fn set_weight_rejects_out_of_range() {
-        PcmSynapse::new().set_weight(1.5);
     }
 }

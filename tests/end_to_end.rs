@@ -16,7 +16,7 @@ use neuropulsim::photonics::pcm::PcmMaterial;
 use neuropulsim::sim::fault::{Campaign, Fault, FaultOutcome, FaultTarget};
 use neuropulsim::sim::firmware::{accel_offload, software_mvm, DramLayout};
 use neuropulsim::sim::system::{RunOutcome, System};
-use neuropulsim::snn::network::SpikingLayer;
+use neuropulsim::snn::sparse::{EventNet, NetSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -250,12 +250,16 @@ fn architectures_program_the_same_target() {
 fn snn_and_mvm_share_the_pcm_substrate() {
     // The same PCM cell model drives both the MVM weights and the SNN
     // synapses; sanity-check they see consistent non-volatility.
-    let mut rng = StdRng::seed_from_u64(8);
-    let mut layer = SpikingLayer::new(4, 2, &mut rng);
-    let e0 = layer.learning_energy();
-    let stim = neuropulsim::snn::encoding::latency_encode(&[1.0, 1.0, 1.0, 1.0], 20.0);
-    let _ = layer.present(&stim, 30.0, 0.5, true);
-    assert!(layer.learning_energy() >= e0);
+    let mut spec = NetSpec::random(8, 6, 1, 16, true);
+    spec.edges = (0..4).flat_map(|i| [(i, 4), (i, 5)]).collect();
+    spec.init_levels = vec![4, 7];
+    spec.wta_group = Some(4..6);
+    spec.absence_depression = true;
+    let mut net = EventNet::new(&spec);
+    let kick = 2.0 * spec.threshold / spec.dt;
+    net.tick(&[(0, kick), (1, kick), (2, kick), (3, kick)]);
+    assert_eq!(net.tick(&[]), &[4], "the stronger synapses win the race");
+    assert!(net.synapses().programming_energy() > 0.0);
 
     let core = MvmCore::new(&RMatrix::identity(4));
     let y = core.multiply(&[1.0, 0.0, 0.0, 0.0]);

@@ -60,6 +60,8 @@ fn reference(spec: &NetSpec, level_weights: &[f64]) -> RefSparseNet {
         level_weights,
         &spec.edges,
         &spec.init_levels,
+        spec.wta_group.as_ref().map(|g| (g.start, g.end)),
+        spec.absence_depression,
     )
 }
 
